@@ -62,7 +62,7 @@ def test_engine_batch_execution(benchmark, srv_service, batch_size):
 
 def test_daemon_round_trip(benchmark, srv_service):
     """One pipelined closed-loop wave through a live daemon."""
-    policy = AdmissionPolicy(max_batch=8, flush_interval=0.001)
+    policy = AdmissionPolicy(max_batch=8)
     with ThreadedServer(srv_service, policy=policy) as threaded:
         with ServeClient(threaded.host, threaded.port) as client:
             pairs = [(i, (i * 3 + 1) % N) for i in range(1, 17)]

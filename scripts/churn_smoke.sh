@@ -24,7 +24,7 @@ PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
     --what cover --out "$CKPT"
 
 PYTHONPATH=src python -m repro serve "$CKPT" --family euclidean --n "$N" \
-    --dynamic --port "$PORT" --flush-ms 1.0 >"$LOG" 2>&1 &
+    --dynamic --port "$PORT" >"$LOG" 2>&1 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
@@ -80,7 +80,7 @@ echo "daemon killed -9; journal tail torn ($(wc -c < "$JOURNAL") bytes)"
 # replay the five acked records, and pass the structural audit before
 # the daemon reports ready.
 PYTHONPATH=src python -m repro serve "$CKPT" --family euclidean --n "$N" \
-    --dynamic --port "$PORT" --flush-ms 1.0 >"$LOG.2" 2>&1 &
+    --dynamic --port "$PORT" >"$LOG.2" 2>&1 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 

@@ -52,7 +52,7 @@ EOF
 # Leg 3: serve the pruned checkpoint memory-mapped; the daemon must
 # answer the same paths the local loads produced.
 PYTHONPATH=src python -m repro serve "$NAV_CKPT" --family euclidean \
-    --n "$N" --mmap --port "$PORT" --flush-ms 1.0 >"$LOG" 2>&1 &
+    --n "$N" --mmap --port "$PORT" >"$LOG" 2>&1 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 

@@ -22,7 +22,7 @@ PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
     --what cover --out "$CKPT"
 
 PYTHONPATH=src python -m repro serve "$CKPT" --family euclidean --n "$N" \
-    --port "$PORT" --flush-ms 1.0 >"$LOG" 2>&1 &
+    --port "$PORT" >"$LOG" 2>&1 &
 SERVE_PID=$!
 # Whatever happens below, never leave the daemon running.
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
@@ -100,7 +100,7 @@ PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
     --what navigator --packed --out "$MMAP_CKPT"
 
 PYTHONPATH=src python -m repro serve "$MMAP_CKPT" --family euclidean \
-    --n "$N" --mmap --port "$MMAP_PORT" --flush-ms 1.0 >"$MMAP_LOG" 2>&1 &
+    --n "$N" --mmap --port "$MMAP_PORT" >"$MMAP_LOG" 2>&1 &
 MMAP_PID=$!
 trap 'kill "$MMAP_PID" 2>/dev/null || true' EXIT
 

@@ -964,9 +964,7 @@ def bench_serving(
         batch1_secs: Optional[float] = None
         for batch_size in batch_sizes:
             policy = AdmissionPolicy(
-                max_batch=batch_size,
-                max_queue=max(256, window * 4),
-                flush_interval=0.001,
+                max_batch=batch_size, max_queue=max(256, window * 4)
             )
             with ThreadedServer(service, policy=policy) as threaded:
                 with ServeClient(threaded.host, threaded.port) as client:

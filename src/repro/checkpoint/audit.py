@@ -64,16 +64,22 @@ class CoverContract:
     ``gamma`` is the stretch bound α the construction promises
     (measured constants, not the asymptotic worst case — see
     DESIGN.md), ``max_trees`` bounds ζ.  Either may be ``None`` to
-    skip that check.  The contract travels inside checkpoint ``meta``
-    so an audit years later still knows what was promised at build
-    time.
+    skip that check.  ``pairs`` records how many point pairs ``gamma``
+    was measured over (``None`` when it was declared, not measured).
+    The contract travels inside checkpoint ``meta`` so an audit years
+    later still knows what was promised at build time.
     """
 
     gamma: Optional[float] = None
     max_trees: Optional[int] = None
+    pairs: Optional[int] = None
 
     def to_jsonable(self) -> Dict[str, Any]:
-        return {"gamma": self.gamma, "max_trees": self.max_trees}
+        return {
+            "gamma": self.gamma,
+            "max_trees": self.max_trees,
+            "pairs": self.pairs,
+        }
 
     @classmethod
     def from_jsonable(cls, data: Any) -> Optional["CoverContract"]:
@@ -81,9 +87,11 @@ class CoverContract:
             return None
         gamma = data.get("gamma")
         max_trees = data.get("max_trees")
+        pairs = data.get("pairs")
         return cls(
             gamma=float(gamma) if gamma is not None else None,
             max_trees=int(max_trees) if max_trees is not None else None,
+            pairs=int(pairs) if pairs is not None else None,
         )
 
 

@@ -347,9 +347,12 @@ def load_mapped_arrays(
 
     ``table`` is the (CRC-verified) body of the :data:`RAW_SECTION`
     section.  Each array's bytes are CRC32-checked once (one sequential
-    pass over the mapping) and returned as a read-only view into a
-    shared ``np.memmap`` — N processes attaching to the same file share
-    one physical copy of the pages.  Raises
+    pass over the mapping) and returned as a read-only plain
+    ``np.ndarray`` view of the file mapping — zero-copy, so N processes
+    attaching to the same file share one physical copy of the pages.
+    The views are not ``np.memmap`` instances: scalar indexing into a
+    memmap goes through its Python-level ``__getitem__``, which the
+    query kernels would pay on every element they read.  Raises
     :class:`~repro.errors.CheckpointCorruption` on any mismatch.
     """
     specs = table.get("arrays")
@@ -361,7 +364,7 @@ def load_mapped_arrays(
     header_len = len(_read_first_line(path)) + 1
     data_start = -(-header_len // align) * align
     try:
-        mm = np.memmap(path, mode="r", dtype=np.uint8)
+        mm = np.asarray(np.memmap(path, mode="r", dtype=np.uint8))
     except (OSError, ValueError) as exc:
         raise CheckpointCorruption(
             f"cannot map checkpoint {path!r}: {exc}", section=RAW_SECTION

@@ -31,6 +31,7 @@ from .metrics import (
     delaunay_metric,
     random_graph_metric,
     random_points,
+    sample_pairs,
 )
 from .routing import MetricRoutingScheme
 from .treecover import planar_tree_cover, ramsey_tree_cover, robust_tree_cover
@@ -70,25 +71,25 @@ def _cover_builder(args: argparse.Namespace):
     an explicit-builder recovery lands on the identical cover a
     meta-driven one would.
     """
-    backend = getattr(args, "backend", "robust")
-    shifts = getattr(args, "shifts", 4)
-    prune = getattr(args, "prune", False)
-    prune_eps = getattr(args, "prune_eps", 0.05)
+    return lambda metric: _build_cover(args, metric)[0]
 
-    def build(metric: Metric):
-        cover = _make_cover(
-            args.family, metric, args.eps, args.ell, args.seed,
-            workers=args.workers, backend=backend, shifts=shifts,
-        )
-        if prune:
-            from .treecover import prune_cover
 
-            report = prune_cover(cover, eps=prune_eps, workers=args.workers)
-            print(report.format_summary())
-            cover = report.cover
-        return cover
+def _build_cover(args: argparse.Namespace, metric: Metric):
+    """(cover, prune report or ``None``) honoring --backend and --prune."""
+    cover = _make_cover(
+        args.family, metric, args.eps, args.ell, args.seed,
+        workers=args.workers, backend=getattr(args, "backend", "robust"),
+        shifts=getattr(args, "shifts", 4),
+    )
+    if not getattr(args, "prune", False):
+        return cover, None
+    from .treecover import prune_cover
 
-    return build
+    report = prune_cover(
+        cover, eps=getattr(args, "prune_eps", 0.05), workers=args.workers
+    )
+    print(report.format_summary())
+    return report.cover, report
 
 
 def _positive_int(text: str) -> int:
@@ -356,22 +357,29 @@ def _builder_spec(args: argparse.Namespace) -> dict:
     return spec
 
 
-def _declared_contract(args: argparse.Namespace, cover):
+def _declared_contract(args: argparse.Namespace, cover, report):
     """The (α, ζ) contract stored in checkpoint meta.
 
-    ``--gamma`` declares α explicitly; otherwise the measured stretch
-    plus 10% headroom is declared, so a later audit catches regressions
-    against what this build actually achieved (Table 1's constants are
-    asymptotic; DESIGN.md records the measured ones).
+    ``--gamma`` declares α explicitly.  A cover pruned over all pairs
+    declares the prune's γ: every pair has a retained tree within γ,
+    and a navigated path weighs at most its tree distance, so the bound
+    holds for every answer.  Otherwise the stretch measured on 300
+    sampled pairs plus 10% headroom is declared, so a later audit
+    catches regressions against what this build actually achieved
+    (Table 1's constants are asymptotic; DESIGN.md records the measured
+    ones).  The contract records how many pairs α was measured over.
     """
     from .checkpoint import CoverContract
 
     if args.gamma > 0:
-        gamma = args.gamma
-    else:
-        worst, _ = cover.measured_stretch(sample=300)
-        gamma = round(1.1 * worst, 3)
-    return CoverContract(gamma=gamma, max_trees=cover.size)
+        return CoverContract(gamma=args.gamma, max_trees=cover.size)
+    if report is not None and report.exact:
+        return CoverContract(gamma=report.gamma, max_trees=cover.size,
+                             pairs=report.pairs_evaluated)
+    pairs = sample_pairs(cover.metric.n, 300)
+    worst, _ = cover.measured_stretch(pairs)
+    return CoverContract(gamma=round(1.1 * worst, 3), max_trees=cover.size,
+                         pairs=len(pairs))
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -386,8 +394,8 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
     metric = _make_metric(args.family, args.n, args.seed)
     start = time.perf_counter()
-    cover = _cover_builder(args)(metric)
-    contract = _declared_contract(args, cover)
+    cover, report = _build_cover(args, metric)
+    contract = _declared_contract(args, cover, report)
     builder = _builder_spec(args)
     if args.what == "cover":
         envelope = save_cover_checkpoint(
@@ -492,7 +500,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     policy = AdmissionPolicy(
         max_batch=args.max_batch,
         max_queue=args.max_queue,
-        flush_interval=args.flush_ms / 1000.0,
         default_deadline=args.deadline_ms / 1000.0,
         max_retries=args.max_retries,
     )
@@ -927,8 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch size cap")
     serve.add_argument("--max-queue", type=int, default=256,
                        help="admission queue bound (beyond: overloaded)")
-    serve.add_argument("--flush-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window")
     serve.add_argument("--deadline-ms", type=float, default=2000.0,
                        help="default per-request deadline")
     serve.add_argument("--max-retries", type=int, default=2,

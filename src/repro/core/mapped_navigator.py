@@ -5,9 +5,10 @@
 must rebuild from the cover — O(n·ζ) work and O(n·ζ) private heap per
 worker.  :class:`PackedMetricNavigator` is the zero-copy alternative:
 all query state lives in the flat arrays of the checkpoint raw-array
-section (:func:`navigator_arrays`), so a worker attaches by
-``np.memmap`` in milliseconds and N workers share one physical copy of
-the pages through the page cache.
+section (:func:`navigator_arrays`), so a worker attaches by memory-mapping
+the file in milliseconds — the fields are plain read-only ``np.ndarray``
+views of the mapping — and N workers share one physical copy of the
+pages through the page cache.
 
 The mapped navigator answers ``find_path`` / ``find_paths`` /
 ``approx_distance(s)`` bit-identically to the in-memory navigator it

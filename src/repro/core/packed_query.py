@@ -25,8 +25,9 @@ The same class runs in *mapped* mode: :func:`pack_suite_arrays`
 concatenates every pack of every tree of a cover into flat numpy
 arenas (for the checkpoint raw-array section) and
 :func:`suite_from_arrays` reconstructs read-only packs whose fields are
-views into an ``np.memmap`` — N serving processes then share one copy
-of the query state.  See docs/CHECKPOINTS.md.
+plain ``np.ndarray`` views of the checkpoint's file mapping — N serving
+processes then share one copy of the query state.  See
+docs/CHECKPOINTS.md.
 """
 
 from __future__ import annotations
@@ -402,9 +403,9 @@ def pack_suite_arrays(navigators: Sequence) -> Dict[str, np.ndarray]:
 def suite_from_arrays(arrays: Dict[str, np.ndarray]) -> List[QueryPack]:
     """Rebuild per-tree root packs from :func:`pack_suite_arrays` output.
 
-    Fields are views into the given arrays (zero-copy: slicing a memmap
-    keeps the data on the mapping).  Returns ``root_packs`` — one
-    :class:`QueryPack` per tree, in tree order.
+    Fields are views into the given arrays (zero-copy: slicing a view of
+    a file mapping keeps the data on the mapping).  Returns
+    ``root_packs`` — one :class:`QueryPack` per tree, in tree order.
     """
     home_off = arrays["pk/home_off"]
     phi_off = arrays["pk/phi_off"]

@@ -4,21 +4,32 @@ BENCH_navigation shows the batched query kernels run ~24x faster than
 scalar queries; the :class:`MicroBatcher` is what converts concurrent
 single-pair requests into those batches without giving up tail-latency
 control.  It is a pure asyncio component with an injectable ``execute``
-callable, so every admission behavior — flush-on-size vs
-flush-on-timer, shedding, deadline expiry, retry-with-backoff — unit
-tests deterministically against a fake executor, independent of the
-navigation stack.
+callable, so every admission behavior — work-conserving flushes,
+inline vs offloaded batches, shedding, deadline expiry,
+retry-with-backoff — unit tests deterministically against a fake
+executor, independent of the navigation stack.
 
 Lifecycle: requests enter through :meth:`MicroBatcher.submit` (which
-returns each request's resolved payload), a single flusher task drains
-the queue into per-op batches, and batches execute on the event loop's
-default thread pool so the CPU-bound navigation kernels never block
-admission of new work.
+returns each request's resolved payload) and a single flusher task
+drains the queue into per-op batches.  The flusher never waits for
+company: as soon as the previous batch returns it takes everything
+queued, up to ``max_batch``, so requests that arrive while a batch runs
+form the next one.
+
+A batch runs on the event loop itself when the previous batch of the
+same op took less than one GIL switch interval
+(:func:`sys.getswitchinterval`): a worker thread holding the GIL for
+less than that does not let the loop run meanwhile, so the thread hop
+would only add latency.  The first batch of an op, batches after a
+slower one, and batches that must first build per-generation state
+(``needs_setup``) run on the loop's default thread pool, so heavy work
+never blocks admission.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from collections import deque
 from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
@@ -41,6 +52,8 @@ _C_SHED = OBS.registry.counter("serve.shed")
 _C_TIMEOUTS = OBS.registry.counter("serve.timeouts")
 _C_RETRIES = OBS.registry.counter("serve.retries")
 _C_FAILURES = OBS.registry.counter("serve.batch_failures")
+_C_INLINE = OBS.registry.counter("serve.batches_inline")
+_C_OFFLOADED = OBS.registry.counter("serve.batches_offloaded")
 
 
 class _Pending:
@@ -64,29 +77,40 @@ class MicroBatcher:
     Parameters
     ----------
     execute:
-        ``(op, pairs) -> payloads`` — synchronous, called on a worker
-        thread.  Exceptions are treated as transient and retried per
-        the policy before the batch's requests fail with ``error``.
+        ``(op, pairs) -> payloads`` — synchronous, called on the event
+        loop or on a worker thread (see the module docstring).
+        Exceptions are treated as transient and retried per the policy
+        before the batch's requests fail with ``error``.
     policy:
         The :class:`~repro.serve.policy.AdmissionPolicy` in force.
+    needs_setup:
+        Optional ``op -> bool``: True when the next batch of ``op``
+        must first build state the executor has not cached, so it runs
+        on a worker thread however fast the previous batch was.
     """
 
-    def __init__(self, execute: BatchExecutor, policy: AdmissionPolicy):
+    def __init__(
+        self,
+        execute: BatchExecutor,
+        policy: AdmissionPolicy,
+        needs_setup: Optional[Callable[[str], bool]] = None,
+    ):
         self._execute = execute
         self.policy = policy
+        self._needs_setup = needs_setup
         self._queue: Deque[_Pending] = deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._have_work: Optional[asyncio.Event] = None
-        self._batch_full: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._running = False
+        #: op -> wall seconds the last batch of that op took.
+        self._last_seconds: Dict[str, float] = {}
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._have_work = asyncio.Event()
-        self._batch_full = asyncio.Event()
         self._running = True
         self._task = asyncio.ensure_future(self._flush_loop())
 
@@ -152,8 +176,6 @@ class MicroBatcher:
             _C_ADMITTED.inc()
             _G_QUEUE_DEPTH.set(len(self._queue))
         self._have_work.set()
-        if len(self._queue) >= self.policy.max_batch:
-            self._batch_full.set()
         try:
             payload = await asyncio.wait_for(item.future, timeout=remaining)
         except asyncio.TimeoutError:
@@ -178,31 +200,19 @@ class MicroBatcher:
             await self._have_work.wait()
             if not self._running:
                 break
-            # Batch window: flush immediately when full, else give the
-            # queue flush_interval seconds to fill up.
-            if (
-                len(self._queue) < self.policy.max_batch
-                and self.policy.flush_interval > 0
-            ):
-                try:
-                    await asyncio.wait_for(
-                        self._batch_full.wait(),
-                        timeout=self.policy.flush_interval,
-                    )
-                except asyncio.TimeoutError:
-                    pass
             batch: List[_Pending] = []
             while self._queue and len(batch) < self.policy.max_batch:
                 batch.append(self._queue.popleft())
-            self._batch_full.clear()
             if not self._queue:
                 self._have_work.clear()
             if OBS.enabled:
                 _G_QUEUE_DEPTH.set(len(self._queue))
             live = self._drop_dead(batch)
-            if not live:
-                continue
-            await self._run_batch(live)
+            if live:
+                await self._run_batch(live)
+            # Let the resolved requests write their responses, and the
+            # loop read new ones, before the next batch is taken.
+            await asyncio.sleep(0)
 
     def _drop_dead(self, batch: List[_Pending]) -> List[_Pending]:
         """Shed abandoned/expired requests instead of computing them."""
@@ -243,16 +253,29 @@ class MicroBatcher:
             for item, payload in zip(items, payloads):
                 self._resolve(item, payload)
 
+    def _runs_inline(self, op: str) -> bool:
+        """Run on the loop: the last ``op`` batch beat the switch interval."""
+        last = self._last_seconds.get(op)
+        if last is None or last >= sys.getswitchinterval():
+            return False
+        return self._needs_setup is None or not self._needs_setup(op)
+
     async def _execute_with_retry(
         self, op: str, pairs: List[Tuple[int, int]]
     ) -> Optional[List[Dict[str, Any]]]:
         obs = OBS.enabled
         for attempt in range(self.policy.max_retries + 1):
+            inline = self._runs_inline(op)
+            if obs:
+                (_C_INLINE if inline else _C_OFFLOADED).inc()
             start = time.perf_counter()
             try:
-                payloads = await self._loop.run_in_executor(
-                    None, self._execute, op, pairs
-                )
+                if inline:
+                    payloads = self._execute(op, pairs)
+                else:
+                    payloads = await self._loop.run_in_executor(
+                        None, self._execute, op, pairs
+                    )
             except Exception:
                 if obs:
                     _C_RETRIES.inc()
@@ -262,9 +285,11 @@ class MicroBatcher:
                     return None
                 await asyncio.sleep(self.policy.backoff_delay(attempt))
                 continue
+            seconds = time.perf_counter() - start
+            self._last_seconds[op] = seconds
             if obs:
                 _H_BATCH_SIZE.observe(len(pairs))
-                _H_BATCH_US.observe((time.perf_counter() - start) * 1e6)
+                _H_BATCH_US.observe(seconds * 1e6)
             return payloads
         return None
 

@@ -1,8 +1,9 @@
 """Batch query execution against a live :class:`CheckpointService`.
 
 The engine is the synchronous half of the daemon: the batcher hands it
-``(op, pairs)`` micro-batches on a worker thread and it answers them
-through the vectorized kernels — ``approx_distances`` for ``distance``,
+``(op, pairs)`` micro-batches (on the event loop, or on a worker thread
+for slow batches and :meth:`QueryEngine.needs_setup`) and it answers
+them through the vectorized kernels — ``approx_distances`` for ``distance``,
 ``find_paths`` for ``path``, and the Theorem 5.1 compact-routing scheme
 for ``route`` (per the local-routing model of arXiv:2012.00959, route
 answers come from per-tree labels/tables, not global state).
@@ -112,6 +113,15 @@ class QueryEngine:
             payload.setdefault("error", None)
             payload["service"] = status
         return payloads
+
+    def needs_setup(self, op: str) -> bool:
+        """Must a batch of ``op`` build a routing scheme first?
+
+        True for ``route`` while the current generation has no cached
+        scheme: the build is heavy, so the batcher keeps that batch off
+        the event loop.
+        """
+        return op == "route" and self.service.generation not in self._routers
 
     # -- per-op kernels --------------------------------------------------
 

@@ -10,9 +10,10 @@ place.  The semantics (enforced by :mod:`repro.serve.batcher`):
   latency growth.
 * **Micro-batches.**  Waiting requests are coalesced into batches of at
   most ``max_batch`` and executed through the vectorized
-  ``find_paths``/``approx_distances`` kernels.  A batch flushes as soon
-  as it is full, or ``flush_interval`` seconds after work first became
-  available — the short timer bounds the latency cost of coalescing.
+  ``find_paths``/``approx_distances`` kernels.  Batching is
+  work-conserving: there is no coalescing timer, a batch is whatever
+  queued up while the previous one ran, so a lone request flushes at
+  once and batches grow only with load.
 * **Deadlines.**  Every request carries an absolute deadline (its
   ``deadline_ms``, else ``default_deadline``).  A request whose
   deadline passes — in the queue or mid-execution — resolves to a
@@ -36,7 +37,6 @@ class AdmissionPolicy:
 
     max_batch: int = 32
     max_queue: int = 256
-    flush_interval: float = 0.002
     default_deadline: float = 2.0
     max_retries: int = 2
     backoff_base: float = 0.01
@@ -47,10 +47,6 @@ class AdmissionPolicy:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.flush_interval < 0:
-            raise ValueError(
-                f"flush_interval must be >= 0, got {self.flush_interval}"
-            )
         if self.default_deadline <= 0:
             raise ValueError(
                 f"default_deadline must be > 0, got {self.default_deadline}"

@@ -70,7 +70,10 @@ class SpannerServer:
         self.requested_host = host
         self.requested_port = port
         self.engine = QueryEngine(service, router_seed=router_seed)
-        self.batcher = MicroBatcher(self.engine.execute, self.policy)
+        self.batcher = MicroBatcher(
+            self.engine.execute, self.policy,
+            needs_setup=self.engine.needs_setup,
+        )
         self.chaos = ChaosController(service)
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -147,7 +150,6 @@ class SpannerServer:
             "policy": {
                 "max_batch": self.policy.max_batch,
                 "max_queue": self.policy.max_queue,
-                "flush_interval_ms": self.policy.flush_interval * 1000.0,
                 "default_deadline_ms": self.policy.default_deadline * 1000.0,
                 "max_retries": self.policy.max_retries,
             },

@@ -460,7 +460,7 @@ def dynamic_server(metric, tmp_path):
     svc = CheckpointService(metric, k=K).load(path)
     svc.enable_dynamic()
     with ThreadedServer(
-        svc, policy=AdmissionPolicy(max_batch=8, flush_interval=0.002)
+        svc, policy=AdmissionPolicy(max_batch=8)
     ) as threaded:
         yield threaded
     svc.close()

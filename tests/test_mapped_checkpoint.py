@@ -10,6 +10,7 @@ answer parity, and cross-process bit-identity under the ``spawn`` start
 method.
 """
 
+import mmap
 import multiprocessing
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestFormat:
         assert not view.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             view[...] = 0
+
+
+    def test_mapped_arrays_are_plain_views_of_the_file_mapping(self, stack):
+        _, _, path = stack
+        _, _, bodies = open_envelope(read_checkpoint_file(path))
+        arrays = load_mapped_arrays(path, bodies[RAW_SECTION])
+        for view in arrays.values():
+            # Plain ndarrays: scalar indexing skips np.memmap's
+            # Python-level __getitem__.
+            assert type(view) is np.ndarray
+            assert not view.flags.writeable
+            # Zero-copy: every array in the base chain borrows its
+            # memory, down to the file mapping itself.
+            owner = view
+            while isinstance(owner, np.ndarray):
+                assert not owner.flags.owndata
+                owner = owner.base
+            assert isinstance(owner, mmap.mmap)
 
 
 class TestCompatibility:

@@ -12,7 +12,9 @@ module pins the *integration* surface the ISSUE demands:
 * the dynamic-mutation layer refuses pruned and compact checkpoints
   with a typed error instead of corrupting patch replay,
 * the pair-cache hit/miss counters ride the observability registry out
-  through the Prometheus exporter (the daemon's ``/metrics``).
+  through the Prometheus exporter (the daemon's ``/metrics``),
+* a checkpoint pruned over all pairs declares the prune's γ, and every
+  answer of its mapped navigator lies within that declared α.
 """
 
 import pytest
@@ -26,6 +28,7 @@ from repro.checkpoint import (
     save_navigator_checkpoint,
 )
 from repro.checkpoint.format import open_envelope, read_checkpoint_file
+from repro.cli import main as cli_main
 from repro.core import MetricNavigator
 from repro.metrics import random_points, sample_pairs
 from repro.observability import OBS
@@ -142,3 +145,54 @@ class TestPairCacheObservability:
             text = OBS.registry.export_prom_text()
         assert "repro_cover_pair_cache_hits" in text
         assert "repro_cover_pair_cache_misses" in text
+
+
+def _declared(path):
+    _, meta, _ = open_envelope(read_checkpoint_file(path))
+    return meta["contract"]
+
+
+class TestDeclaredContract:
+    def test_every_mapped_answer_is_within_the_pruned_alpha(self, tmp_path):
+        n = 200
+        path = str(tmp_path / "nav.ckpt")
+        assert cli_main([
+            "checkpoint", "--family", "euclidean", "--n", str(n),
+            "--k", "3", "--eps", "0.5", "--seed", "1",
+            "--what", "navigator", "--packed", "--prune", "--out", path,
+        ]) == 0
+        contract = _declared(path)
+        assert contract["pairs"] == n * (n - 1) // 2  # measured, all pairs
+        alpha = contract["gamma"]
+        metric = random_points(n, dim=2, seed=1)
+        mapped = load_navigator_checkpoint(path, metric, mmap=True)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        answers = zip(
+            pairs, mapped.find_paths(pairs), mapped.approx_distances(pairs)
+        )
+        worst = 1.0
+        for (u, v), (route, _), distance in answers:
+            base = metric.distance(u, v)
+            weight = sum(
+                metric.distance(a, b) for a, b in zip(route, route[1:])
+            )
+            assert route[0] == u and route[-1] == v and len(route) <= 4
+            assert base <= distance * (1 + 1e-9)
+            worst = max(worst, weight / base, distance / base)
+        assert worst <= alpha * (1 + 1e-9)
+
+    def test_unpruned_cover_declares_its_sampled_stretch(self, tmp_path):
+        path = str(tmp_path / "cover.ckpt")
+        assert cli_main([
+            "checkpoint", "--family", "euclidean", "--n", "40",
+            "--eps", "0.5", "--what", "cover", "--out", path,
+        ]) == 0
+        assert _declared(path)["pairs"] == 300
+        explicit = str(tmp_path / "explicit.ckpt")
+        assert cli_main([
+            "checkpoint", "--family", "euclidean", "--n", "40",
+            "--eps", "0.5", "--what", "cover", "--gamma", "9",
+            "--out", explicit,
+        ]) == 0
+        declared = _declared(explicit)
+        assert (declared["gamma"], declared["pairs"]) == (9.0, None)

@@ -3,9 +3,10 @@
 Three layers, mirroring the subsystem:
 
 * protocol units — request decode validation and envelope round-trips;
-* batcher units — flush-on-size vs flush-on-timer, bounded-queue
-  shedding, deadline expiry and retry-with-backoff, all against fake
-  executors so every admission behavior is deterministic;
+* batcher units — work-conserving flushes (no coalescing timer),
+  inline vs offloaded batches, bounded-queue shedding, deadline expiry
+  and retry-with-backoff, all against fake executors so every
+  admission behavior is deterministic;
 * end-to-end — a real daemon on a background thread over a real
   checkpoint, driven by the bundled client, including the
   chaos-under-traffic scenario from the acceptance criteria: with a
@@ -20,7 +21,9 @@ The long soak variant additionally carries ``-m stress`` (opt-in).
 import asyncio
 import json
 import random
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -33,6 +36,7 @@ from repro.serve import (
     AdmissionPolicy,
     MicroBatcher,
     ProtocolError,
+    QueryEngine,
     ServeClient,
     ThreadedServer,
     encode_line,
@@ -130,9 +134,7 @@ class TestBatcher:
                 batches.append(list(pairs))
                 return _ok_payloads(op, pairs)
 
-            policy = AdmissionPolicy(
-                max_batch=4, flush_interval=5.0, default_deadline=30.0
-            )
+            policy = AdmissionPolicy(max_batch=4, default_deadline=30.0)
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
@@ -146,36 +148,196 @@ class TestBatcher:
             return batches, payloads, elapsed
 
         batches, payloads, elapsed = asyncio.run(main())
-        # One full batch, flushed far sooner than the 5s timer.
+        # Requests queued in one loop turn flush as one full batch.
         assert batches == [[(i, i + 1) for i in range(4)]]
         assert [p["result"]["u"] for p in payloads] == [0, 1, 2, 3]
         assert elapsed < 2.0
 
-    def test_flush_on_timer_for_partial_batch(self):
+    def test_lone_request_flushes_without_waiting(self, monkeypatch):
+        # A wide switch interval keeps the second batch inline even if
+        # the host stalls the first one's thread hop.
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+
         async def main():
+            threads = []
+
+            def execute(op, pairs):
+                threads.append(threading.get_ident())
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=32))
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            first = await batcher.submit("path", 1, 2, loop.time() + 30.0)
+            # No coalescing window: a lone request is answered within a
+            # few turns of the loop, with no wall-clock wait at all.
+            lone = asyncio.ensure_future(
+                batcher.submit("path", 7, 8, loop.time() + 30.0)
+            )
+            turns = 0
+            while not lone.done() and turns < 10:
+                await asyncio.sleep(0)
+                turns += 1
+            done = lone.done()
+            await lone
+            await batcher.stop()
+            return first, lone.result(), done, threads
+
+        first, lone, done, threads = asyncio.run(main())
+        assert first["status"] == lone["status"] == "ok"
+        assert done
+        # The first batch of an op runs on a worker thread; the next,
+        # after a fast predecessor, on the loop (the submitting thread).
+        assert threads[0] != threads[1] == threading.get_ident()
+
+    def test_requests_during_a_batch_form_the_next_batch(self):
+        async def main():
+            gate = threading.Event()
             batches = []
 
             def execute(op, pairs):
                 batches.append(list(pairs))
+                gate.wait(10.0)
                 return _ok_payloads(op, pairs)
 
-            policy = AdmissionPolicy(
-                max_batch=32, flush_interval=0.05, default_deadline=30.0
+            batcher = MicroBatcher(
+                execute, AdmissionPolicy(max_batch=4, default_deadline=30.0)
             )
-            batcher = MicroBatcher(execute, policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
-            started = loop.time()
-            payload = await batcher.submit("path", 7, 8, loop.time() + 30.0)
-            elapsed = loop.time() - started
+            deadline = loop.time() + 30.0
+            blocked = asyncio.ensure_future(
+                batcher.submit("path", 0, 1, deadline)
+            )
+            await asyncio.sleep(0.05)  # r0 is now blocked in execute
+            queued = [
+                asyncio.ensure_future(batcher.submit("path", i, i + 1, deadline))
+                for i in range(1, 7)
+            ]
+            await asyncio.sleep(0.05)
+            depth = batcher.queue_depth
+            gate.set()
+            payloads = await asyncio.gather(blocked, *queued)
             await batcher.stop()
-            return batches, payload, elapsed
+            return batches, depth, payloads
 
-        batches, payload, elapsed = asyncio.run(main())
-        # A lone request still flushes — after the coalescing window.
-        assert batches == [[(7, 8)]]
-        assert payload["status"] == "ok"
-        assert elapsed >= 0.04
+        batches, depth, payloads = asyncio.run(main())
+        assert depth == 6  # admitted while the batch ran, none executed
+        assert batches == [
+            [(0, 1)],
+            [(i, i + 1) for i in range(1, 5)],  # capped at max_batch
+            [(5, 6), (6, 7)],
+        ]
+        assert [p["result"]["u"] for p in payloads] == list(range(7))
+
+    def test_slow_predecessor_runs_next_batch_on_the_executor(
+        self, monkeypatch
+    ):
+        # A wide switch interval makes "fast" robust to a stalled host;
+        # the slow batch sleeps past it.
+        interval = 0.2
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: interval)
+
+        async def main():
+            gate = threading.Event()
+            calls = []
+
+            def execute(op, pairs):
+                calls.append((pairs[0][0], threading.get_ident()))
+                if pairs[0][0] == 2:
+                    time.sleep(interval * 1.5)
+                if pairs[0][0] == 3:
+                    gate.wait(10.0)
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(
+                execute, AdmissionPolicy(max_batch=1, default_deadline=30.0)
+            )
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            for u in (1, 2):  # fast (offloaded: first), slow (inline)
+                await batcher.submit("path", u, u + 1, deadline)
+            blocked = asyncio.ensure_future(
+                batcher.submit("path", 3, 4, deadline)
+            )
+            await asyncio.sleep(0.05)  # batch 3 is blocked in execute
+            # ... and the loop keeps admitting work meanwhile.
+            admitted = asyncio.ensure_future(
+                batcher.submit("path", 4, 5, deadline)
+            )
+            await asyncio.sleep(interval)  # batch 3 turns slow too
+            depth = batcher.queue_depth
+            gate.set()
+            payloads = await asyncio.gather(blocked, admitted)
+            await batcher.stop()
+            return calls, depth, payloads
+
+        calls, depth, payloads = asyncio.run(main())
+        loop_thread = threading.get_ident()
+        on_loop = [ident == loop_thread for _, ident in calls]
+        assert [u for u, _ in calls] == [1, 2, 3, 4]
+        # first -> executor; after fast -> loop; after slow -> executor;
+        # after the gated batch (slow too) -> executor.
+        assert on_loop == [False, True, False, False]
+        assert depth == 1
+        assert [p["status"] for p in payloads] == ["ok", "ok"]
+
+    def test_route_batch_that_builds_a_scheme_is_offloaded(
+        self, serve_metric, serve_ckpt, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        engine = QueryEngine(service)
+        threads = []
+
+        def execute(op, pairs):
+            threads.append(threading.get_ident())
+            return engine.execute(op, pairs)
+
+        async def main():
+            batcher = MicroBatcher(
+                execute, AdmissionPolicy(max_batch=8),
+                needs_setup=engine.needs_setup,
+            )
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 60.0
+            payloads = [await batcher.submit("route", 1, 2, deadline),
+                        await batcher.submit("route", 3, 4, deadline)]
+            service.kill_trees([0])  # new generation, no scheme cached
+            needed = engine.needs_setup("route")
+            payloads.append(await batcher.submit("route", 5, 6, deadline))
+            await batcher.stop()
+            return payloads, needed
+
+        payloads, needed = asyncio.run(main())
+        loop_thread = threading.get_ident()
+        assert needed
+        # first -> executor; cached scheme -> loop; new generation's
+        # scheme build -> executor, although its predecessor was fast.
+        assert [t == loop_thread for t in threads] == [False, True, False]
+        assert engine.needs_setup("route") is False
+        assert [p["status"] for p in payloads] == ["ok", "ok", "degraded"]
+
+    def test_batch_paths_are_counted(self, monkeypatch):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+        inline = OBS.registry.counter("serve.batches_inline")
+        offloaded = OBS.registry.counter("serve.batches_offloaded")
+
+        async def main():
+            batcher = MicroBatcher(_ok_payloads, AdmissionPolicy())
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            for u in range(3):
+                await batcher.submit("path", u, u + 1, loop.time() + 30.0)
+            await batcher.stop()
+
+        with OBS.scoped(True):
+            before = (inline.value, offloaded.value)
+            asyncio.run(main())
+            after = (inline.value, offloaded.value)
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
 
     def test_queue_full_sheds_with_overloaded(self):
         async def main():
@@ -186,8 +348,7 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             policy = AdmissionPolicy(
-                max_batch=1, max_queue=2, flush_interval=0.0,
-                default_deadline=30.0,
+                max_batch=1, max_queue=2, default_deadline=30.0,
             )
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
@@ -222,8 +383,7 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             policy = AdmissionPolicy(
-                max_batch=1, max_queue=8, flush_interval=0.0,
-                default_deadline=30.0,
+                max_batch=1, max_queue=8, default_deadline=30.0,
             )
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
@@ -258,7 +418,7 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             policy = AdmissionPolicy(
-                max_batch=4, flush_interval=0.0, default_deadline=30.0,
+                max_batch=4, default_deadline=30.0,
                 max_retries=2, backoff_base=0.001,
             )
             batcher = MicroBatcher(execute, policy)
@@ -278,7 +438,7 @@ class TestBatcher:
                 raise RuntimeError("permanently broken")
 
             policy = AdmissionPolicy(
-                max_batch=4, flush_interval=0.0, default_deadline=30.0,
+                max_batch=4, default_deadline=30.0,
                 max_retries=1, backoff_base=0.001,
             )
             batcher = MicroBatcher(execute, policy)
@@ -315,7 +475,7 @@ def server(serve_metric, serve_ckpt):
     service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
     with ThreadedServer(
         service,
-        policy=AdmissionPolicy(max_batch=8, flush_interval=0.002),
+        policy=AdmissionPolicy(max_batch=8),
     ) as threaded:
         yield threaded
 
@@ -468,7 +628,7 @@ class TestChaosUnderTraffic:
         service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
         with ThreadedServer(
             service,
-            policy=AdmissionPolicy(max_batch=8, flush_interval=0.002),
+            policy=AdmissionPolicy(max_batch=8),
         ) as threaded:
             yield threaded
 
@@ -568,7 +728,7 @@ class TestChaosUnderTraffic:
         service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
         with ThreadedServer(
             service,
-            policy=AdmissionPolicy(max_batch=8, flush_interval=0.002),
+            policy=AdmissionPolicy(max_batch=8),
         ) as threaded:
             stop = threading.Event()
             failures = []
@@ -609,7 +769,7 @@ def test_cli_parser_accepts_serve(tmp_path):
 
     args = build_parser().parse_args([
         "serve", str(tmp_path / "cover.ckpt"),
-        "--n", "60", "--port", "0", "--max-batch", "16", "--flush-ms", "1.5",
+        "--n", "60", "--port", "0", "--max-batch", "16",
     ])
     assert args.func.__name__ == "cmd_serve"
     assert args.max_batch == 16
