@@ -90,8 +90,9 @@ fi
 # Second pass: zero-copy serving.  A navigator checkpoint saved with
 # --packed carries the raw query-array region; `serve --mmap` attaches
 # to it without rebuilding.  Queries must answer with the full
-# contract; route (which needs the cover object) must degrade to a
-# labelled undelivered, never crash.
+# contract and exactly as the same checkpoint loaded in memory (no
+# mmap) answers them; route (which needs the cover object) must
+# degrade to a labelled undelivered, never crash.
 MMAP_CKPT="$WORK_DIR/nav.ckpt"
 MMAP_LOG="$WORK_DIR/serve_mmap.log"
 MMAP_PORT=$((PORT + 1))
@@ -104,24 +105,38 @@ PYTHONPATH=src python -m repro serve "$MMAP_CKPT" --family euclidean \
 MMAP_PID=$!
 trap 'kill "$MMAP_PID" 2>/dev/null || true' EXIT
 
-PYTHONPATH=src python - "$MMAP_PORT" "$N" <<'EOF'
+PYTHONPATH=src python - "$MMAP_CKPT" "$MMAP_PORT" "$N" <<'EOF'
 import sys
 
+from repro.checkpoint import load_navigator_checkpoint
+from repro.metrics import random_points, sample_pairs
 from repro.serve import ServeClient, wait_for_server
 
-port, n = int(sys.argv[1]), int(sys.argv[2])
+path, port, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+# The daemon's metric (`--family euclidean`, default seed 0).
+in_memory = load_navigator_checkpoint(path, random_points(n, dim=2, seed=0))
 wait_for_server("127.0.0.1", port, timeout=120)
 
 with ServeClient("127.0.0.1", port) as client:
     health = client.health()
     assert health["ready"], health
     assert health["service"]["mapped"] is True, health
-    for u, v in [(0, n - 1), (1, n // 2), (3, 7)]:
+    pairs = [(0, n - 1), (1, n // 2), (3, 7), (4, 4)]
+    pairs += sample_pairs(n, 30, seed=5)
+    for u, v in pairs:
         response = client.path(u, v)
         assert response["status"] == "ok", response
         assert response["result"]["hops"] <= 3, response
         assert response["service"]["mapped"] is True, response
-    assert client.distance(2, n - 2)["status"] == "ok"
+        expected, tree = in_memory.find_path_with_tree(u, v)
+        assert response["result"]["path"] == expected, (u, v, response)
+        assert response["result"]["tree"] == tree, (u, v, response)
+        distance = client.distance(u, v)
+        assert distance["status"] == "ok", distance
+        assert distance["result"]["distance"] == \
+            in_memory.approx_distance(u, v), (u, v, distance)
+    print(f"mmap parity ok: {len(pairs)} path and distance answers "
+          "identical to the in-memory navigator")
     routed = client.route(5, n - 5)
     assert routed["status"] == "undelivered", routed
     assert "memory-mapped" in (routed["error"] or ""), routed

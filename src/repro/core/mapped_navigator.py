@@ -1,22 +1,28 @@
-"""Read-only navigator served from memory-mapped checkpoint arrays.
+"""The navigation query (Theorem 1.2) answered from flat arrays.
 
-``MetricNavigator`` answers queries from per-tree python object graphs
-(Φ recursion trees, contracted-tree dicts) that every serving process
-must rebuild from the cover — O(n·ζ) work and O(n·ζ) private heap per
-worker.  :class:`PackedMetricNavigator` is the zero-copy alternative:
-all query state lives in the flat arrays of the checkpoint raw-array
-section (:func:`navigator_arrays`), so a worker attaches by memory-mapping
-the file in milliseconds — the fields are plain read-only ``np.ndarray``
-views of the mapping — and N workers share one physical copy of the
-pages through the page cache.
+A query ``(u, v)`` takes two steps: pick the cover tree that
+approximates the pair best, then run the O(k) tree navigation of
+Theorem 1.1 inside it.  :class:`PackedMetricNavigator` answers both
+from plain arrays and is the only implementation of the query surface:
 
-The mapped navigator answers ``find_path`` / ``find_paths`` /
-``approx_distance(s)`` bit-identically to the in-memory navigator it
-was packed from (same tree selection tie-breaks, same float op order,
-same counters).  What it cannot do — anything that needs the cover's
-python objects — is explicit: :attr:`cover` is ``None``,
-:attr:`supports_routing` is ``False``, and the serving layer degrades
-those operations with typed errors instead of crashing.
+* tree selection — the :class:`PackedCoverIndex` tables, or the Ramsey
+  home table plus the index's single-tree distance;
+* tree navigation — one :class:`~repro.core.packed_query.QueryPack`
+  per cover tree;
+* the per-tree host-vertex (``vop``) and representative-point
+  (``rep`` / ``rep_off``) tables that map points in and vertices out.
+
+In-memory and memory-mapped navigators differ only in where those
+arrays come from.  :class:`~repro.core.metric_navigator.MetricNavigator`
+builds them from a cover on the heap (and keeps the cover for what
+needs it: spanner edges, fingerprints, routing, chaos).  A navigator
+loaded with ``mmap=True`` attaches them from the checkpoint raw-array
+section (:func:`navigator_arrays`): the fields are read-only
+``np.ndarray`` views of the file mapping, so a worker attaches in
+milliseconds and N workers share one physical copy of the pages
+through the page cache.  Such a navigator has no cover (:attr:`cover`
+is ``None``), and the serving layer refuses what needs one with typed
+errors.
 """
 
 from __future__ import annotations
@@ -32,8 +38,6 @@ from .packed_query import pack_suite_arrays, suite_from_arrays
 
 __all__ = ["PackedMetricNavigator", "navigator_arrays"]
 
-# Same registry names as metric_navigator.py: the registry dedups by
-# name, so mapped and in-memory navigators feed one set of instruments.
 _C_QUERIES = OBS.registry.counter("navigator.queries")
 _H_HOPS = OBS.registry.histogram("navigator.hops")
 _H_TREE = OBS.registry.histogram("navigator.tree_chosen")
@@ -49,57 +53,58 @@ def navigator_arrays(navigator) -> Dict[str, np.ndarray]:
     :class:`ValueError` when the cover exceeds the packed-index budget
     (such covers can only serve in-memory).
     """
-    cover = navigator.cover
-    index = cover.packed_index()
-    if index is None:
+    if navigator.index is None:
         raise ValueError(
-            f"cover with {cover.size} trees exceeds the packed-index "
-            "budget (REPRO_PACKED_INDEX_MAX_MB); cannot write a mapped "
-            "checkpoint"
+            f"cover with {navigator.num_trees} trees exceeds the "
+            "packed-index budget (REPRO_PACKED_INDEX_MAX_MB); cannot "
+            "write a mapped checkpoint"
         )
-    arrays = dict(index.arrays())
-    arrays.update(pack_suite_arrays(navigator.navigators))
-    zeta = cover.size
-    n = cover.metric.n
-    vop = np.empty((zeta, n), dtype=np.int32)
-    rep_off = np.zeros(zeta + 1, dtype=np.int64)
-    reps: List[np.ndarray] = []
-    for t, cover_tree in enumerate(cover.trees):
-        vop[t] = np.asarray(cover_tree.vertex_of_point, dtype=np.int32)
-        rep = np.asarray(cover_tree.rep_point, dtype=np.int32)
-        reps.append(rep)
-        rep_off[t + 1] = rep_off[t] + len(rep)
-    arrays["cov/vop"] = vop
-    arrays["cov/rep"] = np.concatenate(reps)
-    arrays["cov/rep_off"] = rep_off
-    if cover.home is not None:
-        arrays["cov/home"] = np.asarray(cover.home, dtype=np.int32)
+    arrays = dict(navigator.index.arrays())
+    arrays.update(pack_suite_arrays(navigator.packs))
+    arrays["cov/vop"] = navigator.vop
+    arrays["cov/rep"] = navigator.rep
+    arrays["cov/rep_off"] = navigator.rep_off
+    if navigator.home is not None:
+        arrays["cov/home"] = navigator.home
     return arrays
 
 
 class PackedMetricNavigator:
-    """Navigation queries straight off (memory-mapped) flat arrays.
+    """Navigation queries straight off flat arrays.
 
-    Construct via :func:`repro.checkpoint.load_navigator_checkpoint`
-    with ``mmap=True``; the arrays come back CRC-verified and
-    read-only.  Mirrors the query surface of
-    :class:`~repro.core.metric_navigator.MetricNavigator`
-    (``find_path`` / ``find_paths`` / ``find_path_with_tree`` /
-    ``approx_distance`` / ``approx_distances`` / ``path_weight`` /
-    ``query_stretch``) with bit-identical answers.
+    Construct from the arrays of :func:`navigator_arrays` — in practice
+    via :func:`repro.checkpoint.load_navigator_checkpoint` with
+    ``mmap=True``, where they come back CRC-verified and read-only —
+    or build from a cover with
+    :class:`~repro.core.metric_navigator.MetricNavigator`.
+
+    Query state (shared by both):
+
+    ``index``
+        the :class:`PackedCoverIndex`; ``None`` only for an in-memory
+        cover over ``REPRO_PACKED_INDEX_MAX_MB``, whose selection falls
+        back to the cover's O(ζ) scan;
+    ``packs``
+        the root :class:`~repro.core.packed_query.QueryPack` per tree;
+    ``vop`` / ``rep`` / ``rep_off``
+        int32 ``(ζ, n)`` host vertex of each point per tree, and the
+        concatenated representative point of each tree vertex with its
+        per-tree offsets;
+    ``home``
+        the Ramsey home tree per point (int32), or ``None``.
     """
 
     #: Mapped navigators carry no cover object: spanner materialization,
     #: routing-scheme construction and per-tree chaos surgery all need
     #: the python cover and are unavailable in mapped mode.
     cover = None
-    supports_routing = False
-    mapped = True
 
     def __init__(self, metric, k: int, arrays: Dict[str, np.ndarray]):
         self.metric = metric
         self.k = k
-        self.index = PackedCoverIndex.from_arrays(arrays)
+        self.index: Optional[PackedCoverIndex] = PackedCoverIndex.from_arrays(
+            arrays
+        )
         self.packs = suite_from_arrays(arrays)
         self.vop = arrays["cov/vop"]
         self.rep = arrays["cov/rep"]
@@ -108,12 +113,30 @@ class PackedMetricNavigator:
 
     @property
     def num_trees(self) -> int:
+        """Trees serving queries."""
         return len(self.packs)
+
+    def _check_pair(self, u: int, v: int) -> None:
+        n = self.metric.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"point pair ({u}, {v}) outside [0, {n})")
 
     # ------------------------------------------------------------------
     # Tree selection (same tie-breaks as TreeCover.best_tree)
 
     def best_tree(self, u: int, v: int) -> Tuple[int, float]:
+        """The tree answering ``(u, v)`` and its tree distance.
+
+        O(1) with a Ramsey cover (the home tree of ``u``); otherwise
+        the lowest tree index minimizing the tree distance, read off
+        the packed index in a few vectorized ops over ζ entries.
+        """
+        self._check_pair(u, v)
+        return self._best_tree(u, v)
+
+    def _best_tree(self, u: int, v: int) -> Tuple[int, float]:
+        if self.index is None:
+            return self.cover.best_tree(u, v)
         if self.home is not None:
             t = int(self.home[u])
             return t, self.index.distance(t, u, v)
@@ -122,6 +145,8 @@ class PackedMetricNavigator:
     def _best_trees(
         self, pairs: Sequence[Tuple[int, int]]
     ) -> List[Tuple[int, float]]:
+        if self.index is None:
+            return self.cover.best_trees(pairs)
         ps = [u for u, _ in pairs]
         qs = [v for _, v in pairs]
         if self.home is not None:
@@ -134,6 +159,11 @@ class PackedMetricNavigator:
     # Queries
 
     def find_path(self, u: int, v: int) -> List[int]:
+        """A <= k hop path between metric points, as point ids.
+
+        The path's weight (sum of metric distances of consecutive
+        points) is at most the cover stretch γ times δ(u, v).
+        """
         path, _ = self.find_path_with_tree(u, v)
         return path
 
@@ -145,9 +175,12 @@ class PackedMetricNavigator:
         return dedup_path([int(self.rep[base + x]) for x in vertex_path])
 
     def find_path_with_tree(self, u: int, v: int) -> Tuple[List[int], int]:
+        """Like :meth:`find_path` but also reports the tree used
+        (``-1`` for ``u == v``)."""
+        self._check_pair(u, v)
         if u == v:
             return [u], -1
-        index, _ = self.best_tree(u, v)
+        index, _ = self._best_tree(u, v)
         points = self._tree_path(index, u, v)
         if OBS.enabled:
             _C_QUERIES.inc()
@@ -158,10 +191,17 @@ class PackedMetricNavigator:
     def find_paths(
         self, pairs: Sequence[Tuple[int, int]]
     ) -> List[Tuple[List[int], int]]:
+        """Batched :meth:`find_path_with_tree` over many pairs.
+
+        Tree selection runs once for all pairs; only the O(k) tree
+        navigation remains per pair.  Returns ``(point_path,
+        tree_index)`` per pair, in input order.
+        """
         pairs = list(pairs)
         results: List[Optional[Tuple[List[int], int]]] = [None] * len(pairs)
         nontrivial: List[Tuple[int, int, int]] = []
         for t, (u, v) in enumerate(pairs):
+            self._check_pair(u, v)
             if u == v:
                 results[t] = ([u], -1)
             else:
@@ -179,14 +219,27 @@ class PackedMetricNavigator:
         return results  # type: ignore[return-value]
 
     def approx_distance(self, u: int, v: int) -> float:
+        """A γ-approximate distance without reporting the path.
+
+        O(1) with a Ramsey cover, O(ζ) otherwise — the distance-oracle
+        view the paper contrasts with (Question 1.2): unlike [MN06]-style
+        oracles, the matching path is always available via
+        :meth:`find_path` and lives on the spanner.
+        """
+        self._check_pair(u, v)
         if u == v:
             return 0.0
-        return self.best_tree(u, v)[1]
+        return self._best_tree(u, v)[1]
 
     def approx_distances(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Batched :meth:`approx_distance`."""
         pairs = list(pairs)
         out = np.zeros(len(pairs))
-        nontrivial = [t for t, (u, v) in enumerate(pairs) if u != v]
+        nontrivial = []
+        for t, (u, v) in enumerate(pairs):
+            self._check_pair(u, v)
+            if u != v:
+                nontrivial.append(t)
         if nontrivial:
             best = self._best_trees([pairs[t] for t in nontrivial])
             for t, (_, d) in zip(nontrivial, best):
@@ -194,9 +247,11 @@ class PackedMetricNavigator:
         return out
 
     def path_weight(self, path: List[int]) -> float:
+        """Metric weight of a reported point path."""
         return sum(self.metric.distance(a, b) for a, b in zip(path, path[1:]))
 
     def query_stretch(self, u: int, v: int) -> Tuple[int, float]:
+        """(hops, stretch) of the reported path for one pair."""
         path = self.find_path(u, v)
         base = self.metric.distance(u, v)
         stretch = self.path_weight(path) / base if base > 0 else 1.0

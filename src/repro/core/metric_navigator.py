@@ -1,17 +1,24 @@
-"""Two-step navigation on metric spaces (Theorem 1.2).
+"""Two-step navigation on metric spaces (Theorem 1.2), built from a cover.
 
 Given any metric that admits a ``(γ, ζ)``-tree cover, build one
 navigable 1-spanner per tree (Theorem 1.1) and answer a query
 ``(u, v)`` by (1) picking the tree that approximates the pair best —
-O(1) via the home tree for Ramsey covers, an O(ζ) scan of per-tree O(1)
-distance oracles otherwise — and (2) running the O(k) tree navigation
-inside it.  The union of all per-tree spanner edges, mapped back to
-metric points through the vertices' representative points, is a
-γ-spanner ``H_X`` with hop-diameter ``k`` and ``O(n·αk(n)·ζ)`` edges.
+O(1) via the home tree for Ramsey covers, an O(ζ) selection otherwise —
+and (2) running the O(k) tree navigation inside it.  The union of all
+per-tree spanner edges, mapped back to metric points through the
+vertices' representative points, is a γ-spanner ``H_X`` with
+hop-diameter ``k`` and ``O(n·αk(n)·ζ)`` edges.
+
+:class:`MetricNavigator` only builds: after the per-tree 𝒟_T builds it
+fills the flat query state of
+:class:`~repro.core.mapped_navigator.PackedMetricNavigator` (which
+answers every query) from the cover, and keeps the cover for what needs
+it — spanner edges, checkpoint fingerprints and :meth:`verify_query`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,16 +26,13 @@ import numpy as np
 from ..errors import check
 from ..graphs.graph import Graph
 from ..metrics.base import Metric
-from ..observability import OBS, trace
+from ..observability import trace
 from ..parallel import map_per_tree
 from ..treecover.base import TreeCover
-from .navigation import TreeNavigator, dedup_path
+from .mapped_navigator import PackedMetricNavigator
+from .navigation import TreeNavigator
 
 __all__ = ["MetricNavigator"]
-
-_C_QUERIES = OBS.registry.counter("navigator.queries")
-_H_HOPS = OBS.registry.histogram("navigator.hops")
-_H_TREE = OBS.registry.histogram("navigator.tree_chosen")
 
 
 def _build_tree_navigator(ctx, index: int) -> TreeNavigator:
@@ -49,7 +53,7 @@ def _build_tree_navigator(ctx, index: int) -> TreeNavigator:
     )
 
 
-class MetricNavigator:
+class MetricNavigator(PackedMetricNavigator):
     """Navigable k-hop spanner over a metric space with a tree cover.
 
     Parameters
@@ -66,6 +70,9 @@ class MetricNavigator:
         Worker processes for the per-tree 𝒟_T builds (the trees of a
         cover are independent).  ``None`` defers to ``REPRO_WORKERS``,
         0/1 builds serially; results are identical either way.
+
+    Every query method is inherited: the answers are those of a
+    :class:`PackedMetricNavigator` over the same arrays, bit for bit.
     """
 
     def __init__(
@@ -99,105 +106,30 @@ class MetricNavigator:
                 workers=workers,
                 payload=(cover.trees, k),
             )
-        for slot, navigator in zip(pending, built):
-            navigators[slot] = navigator
-        self.navigators: List[TreeNavigator] = navigators  # type: ignore[assignment]
-
-    # ------------------------------------------------------------------
-    # Queries
-
-    def find_path(self, u: int, v: int) -> List[int]:
-        """A <= k hop path between metric points, as point ids.
-
-        The path's weight (sum of metric distances of consecutive
-        points) is at most the cover stretch γ times δ(u, v).
-        """
-        path, _ = self.find_path_with_tree(u, v)
-        return path
-
-    def find_path_with_tree(self, u: int, v: int) -> Tuple[List[int], int]:
-        """Like :meth:`find_path` but also reports the tree used."""
-        if u == v:
-            return [u], -1
-        index, _ = self.cover.best_tree(u, v)
-        cover_tree = self.cover.trees[index]
-        vertex_path = self.navigators[index].find_path(
-            cover_tree.vertex_of_point[u], cover_tree.vertex_of_point[v]
-        )
-        points = dedup_path([cover_tree.rep_point[x] for x in vertex_path])
-        if OBS.enabled:
-            _C_QUERIES.inc()
-            _H_HOPS.observe(len(points) - 1)
-            _H_TREE.observe(index)
-        return points, index
-
-    def find_paths(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Tuple[List[int], int]]:
-        """Batched :meth:`find_path_with_tree` over many pairs.
-
-        Tree selection — the O(ζ)-scan that dominates query time for
-        non-Ramsey covers — runs once for all pairs through
-        :meth:`TreeCover.best_trees` (one vectorized LCA batch per
-        tree); only the O(k) tree navigation remains per pair.  Returns
-        ``(point_path, tree_index)`` per pair, in input order.
-        """
-        pairs = list(pairs)
-        results: List[Optional[Tuple[List[int], int]]] = [None] * len(pairs)
-        nontrivial: List[Tuple[int, int, int]] = []
-        for t, (u, v) in enumerate(pairs):
-            if u == v:
-                results[t] = ([u], -1)
-            else:
-                nontrivial.append((t, u, v))
-        best = self.cover.best_trees([(u, v) for _, u, v in nontrivial])
-        obs = OBS.enabled
-        for (t, u, v), (index, _) in zip(nontrivial, best):
-            cover_tree = self.cover.trees[index]
-            vertex_path = self.navigators[index].find_path(
-                cover_tree.vertex_of_point[u], cover_tree.vertex_of_point[v]
+            for slot, navigator in zip(pending, built):
+                navigators[slot] = navigator
+            self.navigators: List[TreeNavigator] = navigators  # type: ignore[assignment]
+            # The query state of the base class, filled from the cover.
+            # The index is built here, not on first query, so a snapshot
+            # keeps answering after a mutation retires its cover.
+            trees = cover.trees
+            self.index = cover.packed_index()
+            self.packs = [navigator.query_pack() for navigator in navigators]
+            self.vop = np.asarray(
+                [ct.vertex_of_point for ct in trees], dtype=np.int32
+            ).reshape(len(trees), metric.n)
+            self.rep_off = np.zeros(len(trees) + 1, dtype=np.int64)
+            self.rep_off[1:] = np.cumsum([len(ct.rep_point) for ct in trees])
+            self.rep = np.fromiter(
+                chain.from_iterable(ct.rep_point for ct in trees),
+                dtype=np.int32,
+                count=int(self.rep_off[-1]),
             )
-            points = dedup_path([cover_tree.rep_point[x] for x in vertex_path])
-            if obs:
-                _C_QUERIES.inc()
-                _H_HOPS.observe(len(points) - 1)
-                _H_TREE.observe(index)
-            results[t] = (points, index)
-        return results  # type: ignore[return-value]
-
-    def approx_distances(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Batched :meth:`approx_distance` (one LCA sweep per tree)."""
-        pairs = list(pairs)
-        out = np.zeros(len(pairs))
-        nontrivial = [t for t, (u, v) in enumerate(pairs) if u != v]
-        if nontrivial:
-            best = self.cover.best_trees([pairs[t] for t in nontrivial])
-            for t, (_, d) in zip(nontrivial, best):
-                out[t] = d
-        return out
-
-    def approx_distance(self, u: int, v: int) -> float:
-        """A γ-approximate distance without reporting the path.
-
-        O(1) with a Ramsey cover, O(ζ) otherwise — the distance-oracle
-        view the paper contrasts with (Question 1.2): unlike [MN06]-style
-        oracles, the matching path is always available via
-        :meth:`find_path` and lives on the spanner.
-        """
-        if u == v:
-            return 0.0
-        return self.cover.best_tree(u, v)[1]
-
-    def path_weight(self, path: List[int]) -> float:
-        """Metric weight of a reported point path."""
-        return sum(self.metric.distance(a, b) for a, b in zip(path, path[1:]))
-
-    def query_stretch(self, u: int, v: int) -> Tuple[int, float]:
-        """(hops, stretch) of the reported path for one pair."""
-        path = self.find_path(u, v)
-        base = self.metric.distance(u, v)
-        stretch = self.path_weight(path) / base if base > 0 else 1.0
-        return len(path) - 1, stretch
+            self.home = (
+                np.asarray(cover.home, dtype=np.int32)
+                if cover.home is not None
+                else None
+            )
 
     # ------------------------------------------------------------------
     # The spanner H_X
@@ -226,12 +158,6 @@ class MetricNavigator:
     @property
     def num_edges(self) -> int:
         return len(self.spanner_edges())
-
-    @property
-    def num_trees(self) -> int:
-        """Trees serving queries (shared surface with the mapped
-        navigator, whose :attr:`cover` is ``None``)."""
-        return self.cover.size
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -311,7 +237,7 @@ class MetricNavigator:
         base = self.metric.distance(u, v)
         if base > 0:
             weight = self.path_weight(path)
-            _, best = self.cover.best_tree(u, v)
+            _, best = self.best_tree(u, v)
             check(
                 weight <= best + 1e-6 * max(1.0, best),
                 f"path weight {weight} exceeds the tree distance {best}",

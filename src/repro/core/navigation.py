@@ -37,12 +37,11 @@ E9 ablation.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from contextlib import nullcontext
 
-from ..errors import InvariantViolation, check
+from ..errors import check
 from ..graphs.graph import Graph
 from ..graphs.index import TreeIndex
 from ..graphs.tree import Tree
@@ -88,7 +87,6 @@ class _PhiNode:
         "level",
         "is_leaf",
         "cut_vertices",
-        "base_adjacency",
         "contracted",
         "sub_navigator",
         "child_component",
@@ -102,9 +100,6 @@ class _PhiNode:
         # Inner vertices: the cut vertices CV (internal node) or the
         # required vertices of the base case (leaf).
         self.cut_vertices: List[int] = []
-        # Leaf only: adjacency of the base-case subgraph of G_T; None
-        # means the implicit clique on ``cut_vertices``.
-        self.base_adjacency: Optional[Dict[int, List[int]]] = None
         # Internal, k >= 3 only: the contracted tree 𝒯_β.
         self.contracted: Optional[_ContractedTree] = None
         # Internal, k >= 4 only: navigator over the pruned cut-vertex copy.
@@ -414,8 +409,8 @@ class TreeNavigator:
             for b in ordered[i + 1 :]:
                 if (a, b) not in edges:
                     edges[(a, b)] = -1.0
-        # base_adjacency stays None: the subgraph is the clique on
-        # ``ordered``, so adjacency is implicit (see _base_case_bfs).
+        # The base-case subgraph is the clique on ``ordered``: every
+        # query between two of its vertices is the direct edge.
         home = self.home
         for u in ordered:
             home[u] = leaf.id
@@ -479,9 +474,10 @@ class TreeNavigator:
     def query_pack(self):
         """The flat-array query engine for this navigator (lazy).
 
-        Built once on first scalar query; all subsequent ``find_path``
-        calls run on plain positional arrays with no per-query index
-        builds.  See :mod:`repro.core.packed_query`.
+        Built once on first use (a :class:`MetricNavigator` asks for
+        every tree's pack when it is built); all ``find_path`` calls
+        run on plain positional arrays with no per-query index builds.
+        See :mod:`repro.core.packed_query`.
         """
         pack = self._qpack
         if pack is None:
@@ -521,10 +517,10 @@ class TreeNavigator:
         hu = self._phi_nodes[self.home[u]]
         hv = self._phi_nodes[self.home[v]]
         if hu.id == hv.id and hu.is_leaf:
-            path = self._base_case_bfs(hu, u, v)
+            # Line 3 of Algorithm 2 on the base-case clique: one hop.
             if obs:
-                _C_NODES.inc(len(path))
-            return path
+                _C_NODES.inc(2)
+            return [u, v]
         beta = self._phi_nodes[self._phi.lca(hu.id, hv.id)]
         if self.k == 2:
             w = beta.cut_vertices[0]
@@ -551,29 +547,6 @@ class TreeNavigator:
         if obs:
             _C_NODES.inc(2)
         return dedup_path([u] + middle + [v])
-
-    def _base_case_bfs(self, leaf: _PhiNode, u: int, v: int) -> List[int]:
-        """BFS restricted to the base-case subgraph (line 3 of Algorithm 2)."""
-        adjacency = leaf.base_adjacency
-        if adjacency is None:
-            # _handle_base_case connects the leaf's required vertices as
-            # a clique without materializing the adjacency, so the BFS
-            # always terminates at the direct edge.
-            return [u, v]
-        parent: Dict[int, int] = {u: u}
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            if a == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            for b in adjacency[a]:
-                if b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        raise InvariantViolation("base-case subgraph must connect its vertices")
 
     def _locate_contracted(self, u: int, beta: _PhiNode) -> int:
         """The vertex of 𝒯_β standing for ``u`` (``LocateContracted``)."""

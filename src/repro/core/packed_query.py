@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import InvariantViolation
 from ..observability import OBS
 
 __all__ = ["QueryPack", "pack_suite_arrays", "suite_from_arrays"]
@@ -61,17 +60,16 @@ def _dedup(path: List[int]) -> List[int]:
 class QueryPack:
     """Flat-array query state for one :class:`TreeNavigator`.
 
-    Build from a navigator (in-memory mode: fields are python lists and
-    dicts referencing the navigator's own structures, so construction is
-    O(Φ) and copies nothing heavy) or from mapped arenas
-    (:func:`suite_from_arrays`; fields are numpy views, ``navigator`` is
-    ``None`` and explicit base-case adjacencies are unsupported — the
-    current construction never emits them).
+    Build from a navigator (in-memory mode: the Φ and contracted-tree
+    fields are python lists referencing the navigator's own structures,
+    so construction copies nothing heavy) or from mapped arenas
+    (:func:`suite_from_arrays`; fields are numpy views).  Either way the
+    home and rank tables are dense over the host tree's vertices: ``-1``
+    marks a vertex that is not required.
     """
 
     __slots__ = (
         "k",
-        "navigator",
         "home",
         "rank",
         "n",
@@ -79,7 +77,6 @@ class QueryPack:
         "phi_depth",
         "phi_leaf",
         "phi_cuts",
-        "phi_adj",
         "phi_comp",
         "phi_sub",
         "ct_parent",
@@ -93,22 +90,23 @@ class QueryPack:
         if OBS.enabled:
             _C_PACK_BUILDS.inc()
         self.k = navigator.k
-        self.navigator = navigator
-        self.home = navigator.home  # dict: vertex -> Φ id (shared)
-        self.n = navigator.tree.n
+        self.n = n = navigator.tree.n
+        home = [-1] * n
+        for vertex, phi_id in navigator.home.items():
+            home[vertex] = phi_id
+        self.home = home
         nodes = navigator.phi_nodes
         m = len(nodes)
         self.phi_parent = [node.parent for node in nodes]
         self.phi_depth = [node.level for node in nodes]
         self.phi_leaf = [node.is_leaf for node in nodes]
         self.phi_cuts = [node.cut_vertices for node in nodes]
-        self.phi_adj = [node.base_adjacency for node in nodes]
         comp = [-1] * m
         sub: List[Optional["QueryPack"]] = [None] * m
         ct_parent: List[Optional[Sequence[int]]] = [None] * m
         ct_depth: List[Optional[Sequence[int]]] = [None] * m
         ct_p = [0] * m
-        rank: Dict[int, int] = {}
+        rank = [0] * n
         for node in nodes:
             for child_id, comp_index in node.child_component.items():
                 comp[child_id] = comp_index
@@ -134,26 +132,12 @@ class QueryPack:
 
     def _home_of(self, u: int, v: int) -> Tuple[int, int]:
         home = self.home
-        if type(home) is dict:
-            try:
-                return home[u], home[v]
-            except KeyError:
-                raise KeyError(
-                    "find_path endpoints must be required vertices"
-                ) from None
-        # Mapped mode: dense int32 array with -1 for non-required ids.
         n = self.n
         hu = int(home[u]) if 0 <= u < n else -1
         hv = int(home[v]) if 0 <= v < n else -1
         if hu < 0 or hv < 0:
             raise KeyError("find_path endpoints must be required vertices")
         return hu, hv
-
-    def _rank_of(self, u: int) -> int:
-        rank = self.rank
-        if type(rank) is dict:
-            return rank[u]
-        return int(rank[u])
 
     def find_path(self, u: int, v: int) -> List[int]:
         """A T-monotone 1-spanner path with <= k hops (Algorithm 2).
@@ -176,16 +160,8 @@ class QueryPack:
                 core = [u]
                 break
             if hu == hv and pack.phi_leaf[hu]:
-                adjacency = pack.phi_adj[hu] if pack.phi_adj is not None else None
-                if adjacency is None:
-                    core = [u, v]
-                else:
-                    # Only reachable with an explicit base-case subgraph,
-                    # which the in-memory build may carry; mapped packs
-                    # never do (pack_suite_arrays refuses to emit them).
-                    core = pack.navigator._base_case_bfs(
-                        pack.navigator.phi_nodes[hu], u, v
-                    )
+                # The base case is the clique on the leaf's vertices.
+                core = [u, v]
                 if obs:
                     _C_NODES.inc(len(core))
                 break
@@ -262,7 +238,7 @@ class QueryPack:
     ) -> int:
         """``LocateContracted`` on arrays: the 𝒯_β vertex standing for w."""
         if hw == beta:
-            return p + self._rank_of(w)
+            return p + int(self.rank[w])
         child = hw
         d = pd[child]
         target = beta_depth + 1
@@ -296,23 +272,19 @@ def _walk_packs(pack: QueryPack, out: List[QueryPack]) -> None:
             _walk_packs(sub, out)
 
 
-def pack_suite_arrays(navigators: Sequence) -> Dict[str, np.ndarray]:
-    """Concatenate the :class:`QueryPack` forest of a navigator list.
+def pack_suite_arrays(root_packs: Sequence[QueryPack]) -> Dict[str, np.ndarray]:
+    """Concatenate the :class:`QueryPack` forest under per-tree root packs.
 
     Returns a name → array dict ready for the checkpoint raw-array
     section.  Home/rank tables are stored dense per pack (int32 of the
     host tree's vertex count) — exact for any k, and linear in total
     vertex count for the default k=3 where each tree has one pack.
-
-    Raises :class:`InvariantViolation` if any leaf carries an explicit
-    ``base_adjacency`` (never produced by the current construction);
-    such navigators cannot be mapped.
     """
     packs: List[QueryPack] = []
     tree_root = []
-    for navigator in navigators:
+    for root in root_packs:
         tree_root.append(len(packs))
-        _walk_packs(navigator.query_pack(), packs)
+        _walk_packs(root, packs)
     pack_ids = {id(pack): index for index, pack in enumerate(packs)}
 
     pk_k = []
@@ -334,28 +306,15 @@ def pack_suite_arrays(navigators: Sequence) -> Dict[str, np.ndarray]:
     ct_p: List[int] = []
     for pack in packs:
         pk_k.append(pack.k)
-        n = pack.n
-        home = np.full(n, -1, dtype=np.int32)
-        rank = np.zeros(n, dtype=np.int32)
-        for vertex, phi_id in pack.home.items():
-            home[vertex] = phi_id
-        if type(pack.rank) is dict:
-            for vertex, r in pack.rank.items():
-                rank[vertex] = r
-        homes.append(home)
-        ranks.append(rank)
-        home_off.append(home_off[-1] + n)
+        homes.append(np.asarray(pack.home, dtype=np.int32))
+        ranks.append(np.asarray(pack.rank, dtype=np.int32))
+        home_off.append(home_off[-1] + pack.n)
         m = len(pack.phi_parent)
         phi_parent.extend(int(x) for x in pack.phi_parent)
         phi_depth.extend(int(x) for x in pack.phi_depth)
         phi_leaf.extend(1 if leaf else 0 for leaf in pack.phi_leaf)
         phi_comp.extend(int(x) for x in pack.phi_comp)
         for i in range(m):
-            adj = pack.phi_adj[i] if pack.phi_adj is not None else None
-            if adj is not None:
-                raise InvariantViolation(
-                    "explicit base-case adjacency cannot be mapped"
-                )
             sub = pack.phi_sub[i]
             phi_sub.append(pack_ids[id(sub)] if sub is not None else -1)
             if pack.ct_parent[i] is not None:
@@ -421,14 +380,12 @@ def suite_from_arrays(arrays: Dict[str, np.ndarray]) -> List[QueryPack]:
         h0, h1 = int(home_off[index]), int(home_off[index + 1])
         f0, f1 = int(phi_off[index]), int(phi_off[index + 1])
         pack.k = int(pk_k[index])
-        pack.navigator = None
         pack.home = arrays["pk/home"][h0:h1]
         pack.rank = arrays["pk/rank"][h0:h1]
         pack.n = h1 - h0
         pack.phi_parent = arrays["pk/phi_parent"][f0:f1]
         pack.phi_depth = arrays["pk/phi_depth"][f0:f1]
         pack.phi_leaf = arrays["pk/phi_leaf"][f0:f1]
-        pack.phi_adj = None
         pack.phi_comp = arrays["pk/phi_comp"][f0:f1]
         m = f1 - f0
         cuts: List[Optional[np.ndarray]] = [None] * m

@@ -73,8 +73,7 @@ class QueryEngine:
         # Use the snapshot navigator's own metric: in dynamic mode
         # `service.metric` tracks the newest generation, which may be
         # one mutation ahead of the snapshot this batch answers on.
-        metric = getattr(navigator, "metric", None) or self.service.metric
-        n = metric.n
+        n = navigator.metric.n
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 # The server validates ids before admission; this guards
@@ -133,7 +132,7 @@ class QueryEngine:
         ]
 
     def _paths(self, navigator, pairs) -> List[Dict[str, Any]]:
-        metric = getattr(navigator, "metric", None) or self.service.metric
+        metric = navigator.metric
         payloads: List[Dict[str, Any]] = []
         for (u, v), (path, tree) in zip(pairs, navigator.find_paths(pairs)):
             weight = navigator.path_weight(path)
@@ -152,7 +151,7 @@ class QueryEngine:
 
     def _routes(self, navigator, generation, pairs) -> List[Dict[str, Any]]:
         scheme = self._router_for(navigator, generation)
-        metric = getattr(navigator, "metric", None) or self.service.metric
+        metric = navigator.metric
         payloads: List[Dict[str, Any]] = []
         for u, v in pairs:
             if u == v:
@@ -187,11 +186,8 @@ class QueryEngine:
         with self._router_lock:
             scheme = self._routers.get(generation)
             if scheme is None:
-                metric = (
-                    getattr(navigator, "metric", None) or self.service.metric
-                )
                 scheme = MetricRoutingScheme(
-                    metric, navigator.cover, seed=self.router_seed
+                    navigator.metric, navigator.cover, seed=self.router_seed
                 )
                 self._routers[generation] = scheme
                 while len(self._routers) > self.ROUTER_CACHE:

@@ -16,7 +16,6 @@ vertex has itself as representative.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,15 +33,9 @@ __all__ = ["CoverTree", "TreeCover"]
 # lookups, ζ for the ordinary scan — the O(1) vs O(ζ) contrast of
 # Section 3.2 made measurable.  The packed index answers the scan with
 # vectorized array ops but still *consults* ζ oracles, so the
-# histogram's semantics are unchanged; cache hits count as selections
-# too (the selection happened, just from memory).
+# histogram's semantics are unchanged.
 _C_SELECTIONS = OBS.registry.counter("cover.selections")
 _H_CONSULTED = OBS.registry.histogram("cover.trees_consulted")
-_C_CACHE_HITS = OBS.registry.counter("cover.pair_cache_hits")
-_C_CACHE_MISSES = OBS.registry.counter("cover.pair_cache_misses")
-
-# Entries kept by the per-cover (p, q) -> (tree, distance) LRU.
-_PAIR_CACHE_CAP = 4096
 
 
 class CoverTree:
@@ -157,13 +150,10 @@ class TreeCover:
         #: Ramsey covers: home[p] = index of the tree covering p against
         #: every other point; ``None`` for ordinary covers.
         self.home = home
-        # Derived query state: the packed selection index (built lazily
-        # on first scalar selection) and the (p, q) LRU over results.
+        # Derived query state: the packed selection index, built by the
+        # first navigator over this cover or the first scalar selection.
         self._packed: Optional[PackedCoverIndex] = None
         self._packed_failed = False
-        self._pair_cache: "OrderedDict[Tuple[int, int], Tuple[int, float]]" = (
-            OrderedDict()
-        )
         # Set by the dynamic layer when a mutation supersedes this
         # cover; see :meth:`retire`.
         self._retired_reason: Optional[str] = None
@@ -174,12 +164,11 @@ class TreeCover:
         return len(self.trees)
 
     def __getstate__(self):
-        # The packed index and LRU are derived (and may hold memmap
-        # views); rebuild lazily on the receiving side.
+        # The packed index is derived (and may hold memmap views);
+        # rebuild lazily on the receiving side.
         state = dict(self.__dict__)
         state["_packed"] = None
         state["_packed_failed"] = False
-        state["_pair_cache"] = OrderedDict()
         return state
 
     def __setstate__(self, state):
@@ -187,7 +176,6 @@ class TreeCover:
         # Covers pickled before these fields existed.
         self.__dict__.setdefault("_packed", None)
         self.__dict__.setdefault("_packed_failed", False)
-        self.__dict__.setdefault("_pair_cache", OrderedDict())
         self.__dict__.setdefault("_retired_reason", None)
 
     def retire(self, reason: str) -> None:
@@ -208,7 +196,7 @@ class TreeCover:
         return self._retired_reason is not None
 
     def packed_index(self, build: bool = True) -> Optional[PackedCoverIndex]:
-        """The packed best-tree index; built on first scalar selection.
+        """The packed best-tree index, built on first use.
 
         Returns ``None`` when over the size budget (the legacy scan
         stays in charge) or when ``build=False`` and it does not exist
@@ -227,10 +215,9 @@ class TreeCover:
         return self._packed
 
     def invalidate_query_state(self) -> None:
-        """Drop the packed index and the pair LRU (tree content changed)."""
+        """Drop the packed index (tree content changed)."""
         self._packed = None
         self._packed_failed = False
-        self._pair_cache.clear()
 
     def replace_tree(self, index: int, cover_tree: CoverTree) -> None:
         """Swap one tree of the cover for a freshly built replacement.
@@ -254,42 +241,23 @@ class TreeCover:
         if OBS.enabled:
             _C_SELECTIONS.inc()
             _H_CONSULTED.observe(1 if self.home is not None else len(self.trees))
-        cache = self._pair_cache
-        key = (p, q) if p <= q else (q, p)
-        hit = cache.get(key)
-        if hit is not None:
-            # Tree distances are symmetric and the scan's tie-break is
-            # deterministic, so the cached answer is the exact answer.
-            cache.move_to_end(key)
-            if OBS.enabled:
-                _C_CACHE_HITS.inc()
-            return hit
-        if OBS.enabled:
-            _C_CACHE_MISSES.inc()
         if self.home is not None:
             index = self.home[p]
             packed = self.packed_index(build=False)
             if packed is not None:
-                result = (index, packed.distance(index, p, q))
-            else:
-                result = (index, self.trees[index].tree_distance(p, q))
-        else:
-            packed = self.packed_index()
-            if packed is not None:
-                result = packed.best_pair(p, q)
-            else:
-                best_index = -1
-                best = float("inf")
-                for index, cover_tree in enumerate(self.trees):
-                    d = cover_tree.tree_distance(p, q)
-                    if d < best:
-                        best = d
-                        best_index = index
-                result = (best_index, best)
-        cache[key] = result
-        if len(cache) > _PAIR_CACHE_CAP:
-            cache.popitem(last=False)
-        return result
+                return index, packed.distance(index, p, q)
+            return index, self.trees[index].tree_distance(p, q)
+        packed = self.packed_index()
+        if packed is not None:
+            return packed.best_pair(p, q)
+        best_index = -1
+        best = float("inf")
+        for index, cover_tree in enumerate(self.trees):
+            d = cover_tree.tree_distance(p, q)
+            if d < best:
+                best = d
+                best_index = index
+        return best_index, best
 
     def best_trees(self, pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, float]]:
         """:meth:`best_tree` for many pairs at once.
@@ -307,9 +275,9 @@ class TreeCover:
             consulted = 1 if self.home is not None else len(self.trees)
             for _ in pairs:
                 _H_CONSULTED.observe(consulted)
-        # The packed index also answers batches; use it when a scalar
-        # query already paid for the build (never build it for a batch —
-        # the per-tree vectorized scan below is already O(ζ) python).
+        # The packed index also answers batches; use it when a navigator
+        # or a scalar selection already paid for the build (never build
+        # it for a batch — the vectorized scan below is O(ζ) python).
         packed = self.packed_index(build=False)
         if self.home is not None:
             if packed is not None:
@@ -360,8 +328,8 @@ class TreeCover:
         widths (int64 parent + float64 weight per vertex, int64 per
         point mapping) and the home table if present — deliberately not
         ``sys.getsizeof``, which would measure python object headers
-        instead of the data.  Derived state (LCA tables, packed arena,
-        LRU) is excluded; see ``PackedCoverIndex.nbytes`` for the arena.
+        instead of the data.  Derived state (LCA tables, packed arena)
+        is excluded; see ``PackedCoverIndex.nbytes`` for the arena.
         """
         total = 0
         for cover_tree in self.trees:

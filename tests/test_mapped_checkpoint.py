@@ -28,7 +28,7 @@ from repro.core import MetricNavigator, PackedMetricNavigator
 from repro.errors import CheckpointCorruption
 from repro.metrics import random_points, sample_pairs
 from repro.parallel import attach_mapped_navigator, mapped_navigator_descriptor
-from repro.treecover import robust_tree_cover
+from repro.treecover import prune_cover, ramsey_tree_cover, robust_tree_cover
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +127,27 @@ class TestCompatibility:
             load_navigator_checkpoint(path, other, mmap=True)
 
 
+@pytest.fixture(scope="module", params=["robust", "pruned", "ramsey"])
+def cover_stack(request, tmp_path_factory):
+    """One packed checkpoint per cover kind: the full robust cover, a
+    pruned one (retained trees, remapped indexes) and a Ramsey one
+    (home-table selection)."""
+    metric = random_points(80, dim=2, seed=0)
+    if request.param == "ramsey":
+        cover = ramsey_tree_cover(metric, ell=2, seed=1)
+    else:
+        cover = robust_tree_cover(metric, eps=0.5)
+        if request.param == "pruned":
+            cover = prune_cover(cover, eps=0.05, seed=3).cover
+    navigator = MetricNavigator(metric, cover, 3)
+    path = str(tmp_path_factory.mktemp("ckpt") / "nav.ckpt")
+    save_navigator_checkpoint(navigator, path, packed=True)
+    return metric, navigator, path
+
+
 class TestParity:
-    def test_mapped_answers_bit_identical(self, stack):
-        metric, navigator, path = stack
+    def test_mapped_answers_bit_identical(self, cover_stack):
+        metric, navigator, path = cover_stack
         mapped = load_navigator_checkpoint(path, metric, mmap=True)
         assert isinstance(mapped, PackedMetricNavigator)
         assert mapped.num_trees == navigator.num_trees

@@ -110,24 +110,53 @@ class TestPlanarNavigation:
 
 class TestQueryWorkScaling:
     def _count_distance_evaluations(self, metric, cover, queries):
-        """Tree-distance evaluations per find_path (the O(ζ) scan)."""
+        """Single-tree distance evaluations per find_path (the O(ζ)
+        scan), whether a cover tree's oracle or the packed index's
+        single-tree distance answers them."""
         from repro.treecover.base import CoverTree
+        from repro.treecover.packed_index import PackedCoverIndex
 
         nav = MetricNavigator(metric, cover, 2)
         counter = {"calls": 0}
-        original = CoverTree.tree_distance
+        originals = {
+            CoverTree: CoverTree.tree_distance,
+            PackedCoverIndex: PackedCoverIndex.distance,
+        }
 
-        def counting(self, p, q):
-            counter["calls"] += 1
-            return original(self, p, q)
+        def counting(original):
+            def count(self, *args):
+                counter["calls"] += 1
+                return original(self, *args)
+            return count
 
-        CoverTree.tree_distance = counting
+        CoverTree.tree_distance = counting(originals[CoverTree])
+        PackedCoverIndex.distance = counting(originals[PackedCoverIndex])
         try:
             for u, v in queries:
                 nav.find_path(u, v)
         finally:
-            CoverTree.tree_distance = original
+            CoverTree.tree_distance = originals[CoverTree]
+            PackedCoverIndex.distance = originals[PackedCoverIndex]
         return counter["calls"] / len(queries)
+
+    def _count_batch_scans(self, metric, cover, pairs, monkeypatch):
+        """Per-tree LCA batches made by one find_paths and one
+        approx_distances call."""
+        from repro.treecover.base import CoverTree
+
+        nav = MetricNavigator(metric, cover, 2)
+        counter = {"calls": 0}
+        original = CoverTree.tree_distances_many
+
+        def counting(self, ps, qs):
+            counter["calls"] += 1
+            return original(self, ps, qs)
+
+        monkeypatch.setattr(CoverTree, "tree_distances_many", counting)
+        nav.find_paths(pairs)
+        after_paths = counter["calls"]
+        nav.approx_distances(pairs)
+        return after_paths, counter["calls"] - after_paths
 
     def test_scan_cost_is_zeta_not_n(self, monkeypatch):
         """O(k + ζ) query: legacy tree selection evaluates exactly ζ
@@ -151,6 +180,38 @@ class TestQueryWorkScaling:
         )
         assert per_query == 0.0
 
+    def test_batches_select_from_the_packed_index(self, monkeypatch):
+        """Batched queries select trees from the packed index the
+        navigator builds; only a cover over the index budget falls back
+        to one vectorized LCA batch per tree."""
+        metric = random_points(80, dim=2, seed=4)
+        pairs = sample_pairs(80, 30, seed=5)
+        cover = robust_tree_cover(metric, eps=0.6)
+        assert self._count_batch_scans(metric, cover, pairs, monkeypatch) \
+            == (0, 0)
+        monkeypatch.setenv("REPRO_PACKED_INDEX_MAX_MB", "0")
+        cover.invalidate_query_state()
+        assert self._count_batch_scans(metric, cover, pairs, monkeypatch) \
+            == (cover.size, cover.size)
+
+    def test_snapshot_answers_after_its_cover_is_retired(self):
+        """A navigator keeps answering after a mutation retires the
+        cover it was built from (in-flight batches hold such a
+        snapshot); only building a new index from the cover is refused."""
+        from repro.errors import StalePackError
+
+        metric = random_points(60, dim=2, seed=8)
+        cover = robust_tree_cover(metric, eps=0.6)
+        nav = MetricNavigator(metric, cover, 3)
+        pairs = sample_pairs(60, 25, seed=9)
+        before = nav.find_paths(pairs)
+        cover.retire("a mutation superseded this generation")
+        assert nav.find_paths(pairs) == before
+        assert [nav.find_path_with_tree(u, v) for u, v in pairs] == before
+        cover.invalidate_query_state()
+        with pytest.raises(StalePackError):
+            MetricNavigator(metric, cover, 3)
+
     def test_ramsey_scan_cost_is_constant(self):
         metric = random_graph_metric(80, seed=6)
         cover = ramsey_tree_cover(metric, ell=2, seed=7)
@@ -158,3 +219,43 @@ class TestQueryWorkScaling:
             metric, cover, sample_pairs(80, 40, seed=8)
         )
         assert per_query == 1.0  # home-tree lookup only
+
+
+@pytest.fixture(scope="module", params=["robust", "ramsey"])
+def forty_point_cover(request):
+    metric = random_points(40, dim=2, seed=3)
+    if request.param == "robust":
+        return metric, robust_tree_cover(metric, eps=0.6)
+    return metric, ramsey_tree_cover(metric, ell=2, seed=4)
+
+
+class TestPointIdValidation:
+    """Ids outside [0, n) are refused before any lookup: a negative id
+    must not wrap around to the last points, and a too-large one must
+    not surface as a bare IndexError."""
+
+    @pytest.mark.parametrize("mode", ["in_memory", "mapped"])
+    def test_out_of_range_ids_raise_value_error(self, forty_point_cover, mode):
+        from repro.core import PackedMetricNavigator, navigator_arrays
+
+        metric, cover = forty_point_cover
+        nav = MetricNavigator(metric, cover, 3)
+        if mode == "mapped":
+            nav = PackedMetricNavigator(metric, 3, navigator_arrays(nav))
+        for u, v in [(-1, 5), (5, -1), (40, 5), (5, 40), (-1, -1)]:
+            match = rf"\({u}, {v}\) outside \[0, 40\)"
+            with pytest.raises(ValueError, match=match):
+                nav.find_path(u, v)
+            with pytest.raises(ValueError, match=match):
+                nav.find_path_with_tree(u, v)
+            with pytest.raises(ValueError, match=match):
+                nav.approx_distance(u, v)
+            with pytest.raises(ValueError, match=match):
+                nav.best_tree(u, v)
+            with pytest.raises(ValueError, match=match):
+                nav.query_stretch(u, v)
+            with pytest.raises(ValueError, match=match):
+                nav.find_paths([(0, 1), (u, v)])
+            with pytest.raises(ValueError, match=match):
+                nav.approx_distances([(0, 1), (u, v)])
+        assert nav.find_path(39, 5)[0] == 39

@@ -182,7 +182,7 @@ class TestAllocationRegression:
         cover = robust_tree_cover(metric, eps=0.5)
         navigator = MetricNavigator(metric, cover, 3)
         pairs = sample_pairs(150, 50, seed=8)
-        for u, v in pairs:  # warm: packed index, query packs, LRU
+        for u, v in pairs:  # warm: first-touch lazy state
             navigator.find_path(u, v)
         tracemalloc.start()
         before = tracemalloc.take_snapshot()

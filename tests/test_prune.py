@@ -11,8 +11,6 @@ module pins the *integration* surface the ISSUE demands:
   family) replay deterministically through :func:`builder_from_meta`,
 * the dynamic-mutation layer refuses pruned and compact checkpoints
   with a typed error instead of corrupting patch replay,
-* the pair-cache hit/miss counters ride the observability registry out
-  through the Prometheus exporter (the daemon's ``/metrics``),
 * a checkpoint pruned over all pairs declares the prune's γ, and every
   answer of its mapped navigator lies within that declared α.
 """
@@ -31,7 +29,6 @@ from repro.checkpoint.format import open_envelope, read_checkpoint_file
 from repro.cli import main as cli_main
 from repro.core import MetricNavigator
 from repro.metrics import random_points, sample_pairs
-from repro.observability import OBS
 from repro.treecover import (
     compact_tree_cover,
     prune_cover,
@@ -129,22 +126,6 @@ class TestDynamicRefusals:
         service = CheckpointService(metric, 3).load(path)
         with pytest.raises(ValueError, match="robust cover family"):
             service.enable_dynamic(journal_path=str(tmp_path / "j.journal"))
-
-
-class TestPairCacheObservability:
-    def test_hit_miss_counters_reach_prom_export(self, metric):
-        cover = robust_tree_cover(metric, eps=0.5)
-        hits = OBS.registry.counter("cover.pair_cache_hits")
-        misses = OBS.registry.counter("cover.pair_cache_misses")
-        with OBS.scoped(True):
-            h0, m0 = hits.value, misses.value
-            cover.best_tree(0, 1)  # cold: a miss
-            cover.best_tree(1, 0)  # symmetric key: a hit
-            assert misses.value == m0 + 1
-            assert hits.value == h0 + 1
-            text = OBS.registry.export_prom_text()
-        assert "repro_cover_pair_cache_hits" in text
-        assert "repro_cover_pair_cache_misses" in text
 
 
 def _declared(path):
