@@ -2,7 +2,8 @@
 # Smoke the cover-pruning + compact-backend pipeline end to end through
 # the CLI: build a pruned cover checkpoint -> audit it -> build a
 # pruned *packed* navigator checkpoint -> verify in-memory vs mmap
-# query parity -> serve it memory-mapped and verify the daemon answers
+# query parity -> check that a traced prune's stage spans cover its wall
+# time -> serve it memory-mapped and verify the daemon answers
 # the identical paths -> build + audit a compact-backend checkpoint ->
 # finally prove the dynamic layer refuses a pruned checkpoint with a
 # typed error (non-zero exit), never silent corruption.  Fast enough
@@ -47,6 +48,37 @@ for u, v in sample_pairs(n, 80, seed=3):
     assert mapped.find_path(u, v) == rebuilt.find_path(u, v), (u, v)
 print(f"mmap parity ok: 80 pairs bit-identical across {mapped.num_trees} "
       "retained trees")
+EOF
+
+# Leg 2b: the prune's stages account for its wall time — the direct
+# children of every traced cover.prune span (γ scan, coverage matrix,
+# greedy, re-audit) sum to at least 95% of it.
+TRACE="$WORK_DIR/prune_trace.json"
+PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
+    --what navigator --prune --packed --out "$WORK_DIR/traced_nav.ckpt" \
+    --trace --trace-out "$TRACE"
+
+PYTHONPATH=src python - "$TRACE" <<'EOF'
+import json
+import sys
+
+
+def walk(spans):
+    for span in spans:
+        yield span
+        yield from walk(span.get("children", []))
+
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    doc = json.load(handle)
+prunes = [s for s in walk(doc["spans"]) if s["name"] == "cover.prune"]
+assert prunes, "no cover.prune span in the trace"
+for span in prunes:
+    children = span.get("children", [])
+    covered = sum(c["duration_ns"] for c in children) / span["duration_ns"]
+    names = ", ".join(c["name"] for c in children)
+    assert covered >= 0.95, f"cover.prune children ({names}) cover {covered:.3f}"
+    print(f"cover.prune stage coverage ok: {covered:.3f} by {names}")
 EOF
 
 # Leg 3: serve the pruned checkpoint memory-mapped; the daemon must

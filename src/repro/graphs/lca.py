@@ -8,17 +8,71 @@ preprocessing is vectorized.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
 from .tree import Tree
 
-__all__ = ["LcaIndex"]
+__all__ = ["LcaIndex", "euler_tour"]
+
+# Scalar-path mirrors of the numpy arrays, built by the first scalar
+# query (see LcaIndex.__getattr__).
+_SCALAR_MIRRORS = frozenset({"_first", "_tour_list", "_tour_depth", "_table"})
+
+
+def euler_tour(tree: Tree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first-visit positions, tour vertices, tour depths) of a tree, int64.
+
+    The standard tour of length ``2n - 1``: the sequence of vertices as
+    a DFS enters them and returns to them.  The python walk only
+    records the tour: it climbs parent pointers instead of keeping a
+    (vertex, child) stack and reads the children from
+    :meth:`Tree.child_ranges`, so it allocates no per-vertex objects.
+    An entry is a descent iff the previous entry is its parent; the
+    first visits and the depths follow from that in numpy.  This runs
+    once per cover tree.
+    """
+    root = tree.root
+    parents = tree.parents
+    kids, start = tree.child_ranges()
+    cursor = start[:-1]
+    end = start[1:]
+    tour = [root]
+    append = tour.append
+    v = root
+    while True:
+        i = cursor[v]
+        if i < end[v]:
+            cursor[v] = i + 1
+            v = kids[i]
+        elif v == root:
+            break
+        else:
+            v = parents[v]
+        append(v)
+    tour_np = np.asarray(tour, dtype=np.int64)
+    down = np.empty(len(tour), dtype=bool)
+    down[0] = True
+    down[1:] = np.asarray(parents, dtype=np.int64)[tour_np[1:]] == tour_np[:-1]
+    first = np.empty(tree.n, dtype=np.int64)
+    first[tour_np[down]] = np.flatnonzero(down)
+    depths = np.cumsum(np.where(down, 1, -1)) - 1
+    return first, tour_np, depths
 
 
 class LcaIndex:
     """LCA structure over a :class:`~repro.graphs.tree.Tree`.
+
+    The numpy arrays ``first`` (tour position of each vertex's first
+    visit), ``tour`` and ``tour_depth`` describe the Euler tour.  The
+    sparse table holds, per level ``j`` and start ``i``, the key
+    ``depth << bits | position`` of the shallowest entry of
+    ``tour[i : i + 2^j]`` (the lowest position on ties), so a batched
+    query merges its two windows with one ``np.minimum``.  The scalar
+    queries read plain-list mirrors of the positions, built on the
+    first scalar call (per-query numpy scalar indexing would dominate
+    the O(1) lookups, and batch-only users never need them).
 
     >>> from repro.graphs.tree import balanced_tree
     >>> t = balanced_tree(2, 3)
@@ -28,70 +82,63 @@ class LcaIndex:
 
     def __init__(self, tree: Tree):
         self.tree = tree
-        n = tree.n
-        # Euler tour: sequence of vertices as a DFS enters/returns to them
-        # (standard tour of length 2n - 1).  The walk climbs parent
-        # pointers instead of keeping a (vertex, child) stack and tracks
-        # the depth inline, so no tuples are allocated and tree.depths()
-        # never runs — this constructor is called once per cover tree.
-        tour: List[int] = []
-        tour_depth_list: List[int] = []
-        first = [-1] * n
-        next_child = [0] * n
-        children = tree.children
-        parents = tree.parents
-        root = tree.root
-        v = root
-        d = 0
-        while True:
-            if first[v] == -1:
-                first[v] = len(tour)
-            tour.append(v)
-            tour_depth_list.append(d)
-            index = next_child[v]
-            ch = children[v]
-            if index < len(ch):
-                next_child[v] = index + 1
-                v = ch[index]
-                d += 1
-            else:
-                if v == root:
-                    break
-                v = parents[v]
-                d -= 1
-        self._first = first
-        self._tour = np.asarray(tour, dtype=np.int64)
-        tour_depth = np.asarray(tour_depth_list, dtype=np.int64)
+        self.first, self.tour, self.tour_depth = euler_tour(tree)
 
-        m = len(tour)
-        levels = max(1, m.bit_length())
-        # table[j] holds, for each i, the index (into the tour) of the
-        # minimum-depth entry in tour[i : i + 2^j].  Built vectorized,
-        # then converted to plain lists: per-query numpy scalar indexing
-        # would dominate the O(1) lookups.
-        table = np.empty((levels, m), dtype=np.int64)
-        table[0] = np.arange(m)
+        m = len(self.tour)
+        bits = m.bit_length()
+        self._mask = (1 << bits) - 1
+        levels = max(1, bits)
+        # Keys need 2 * bits bits: int32 for any tour under 2^15.
+        dtype = np.int32 if bits < 16 else np.int64
+        keys = np.empty((levels, m), dtype=dtype)
+        np.bitwise_or(self.tour_depth << bits, np.arange(m), out=keys[0])
         for j in range(1, levels):
             half = 1 << (j - 1)
-            span = m - (1 << j) + 1
-            if span <= 0:
-                table[j] = table[j - 1]
-                continue
-            left = table[j - 1, :span]
-            right = table[j - 1, half : half + span]
-            choose_right = tour_depth[right] < tour_depth[left]
-            table[j, :span] = np.where(choose_right, right, left)
-            table[j, span:] = table[j - 1, span:]
+            span = max(m - (1 << j) + 1, 0)
+            np.minimum(
+                keys[j - 1, :span], keys[j - 1, half : half + span], out=keys[j, :span]
+            )
+            keys[j, span:] = keys[j - 1, span:]
+        self._keys = keys.ravel()
+        # Per window length L: the flat offsets of the two level-j
+        # windows, j = floor(log2(L)) (exact: frexp's exponent is
+        # floor(log2(L)) + 1, and every length is exact in float64).
+        lengths = np.arange(m + 1)
+        lengths[0] = 1
+        j = (np.frexp(lengths)[1] - 1).astype(dtype)
+        self._left_off = j * m
+        self._right_off = j * m + 1 - (1 << j)
+        self._wd_tour: "np.ndarray | None" = None
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails, i.e. before the first
+        # scalar query: build every mirror at once, so later scalar
+        # calls pay nothing extra.
+        if name not in _SCALAR_MIRRORS:
+            raise AttributeError(name)
+        self._first = self.first.tolist()
+        self._tour_list = self.tour.tolist()
+        self._tour_depth = self.tour_depth.tolist()
+        table = self._keys.reshape(-1, len(self._tour_list)) & self._mask
         self._table = table.tolist()
-        self._tour_depth = tour_depth.tolist()
-        self._tour_list = tour
-        # numpy mirrors for the batched queries (lca_many/distance_many);
-        # the scalar path keeps the plain lists above.
-        self._table_np = table
-        self._tour_depth_np = tour_depth
-        self._tour_np = self._tour
-        self._first_np = np.asarray(first, dtype=np.int64)
-        self._wdepth_np: "np.ndarray | None" = None
+        return self.__dict__[name]
+
+    @property
+    def wd_tour(self) -> np.ndarray:
+        """Weighted root distance of each tour entry (built on first use).
+
+        The recurrence of ``Tree.weighted_depths`` (so the values are
+        bit-identical), walked in the preorder the tour's first visits
+        give, which spares the tree its child lists.
+        """
+        if self._wd_tour is None:
+            parents = self.tree.parents
+            weights = self.tree.weights
+            wdepth = [0.0] * self.tree.n
+            for v in self.tour[np.sort(self.first)[1:]].tolist():
+                wdepth[v] = wdepth[parents[v]] + weights[v]
+            self._wd_tour = np.asarray(wdepth, dtype=np.float64)[self.tour]
+        return self._wd_tour
 
     def lca(self, u: int, v: int) -> int:
         """Lowest common ancestor of ``u`` and ``v`` in O(1)."""
@@ -113,33 +160,38 @@ class LcaIndex:
         w = self.lca(u, v)
         return wdepth[u] + wdepth[v] - 2.0 * wdepth[w]
 
+    def _lca_positions(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Tour position of the LCA for each pair of first-visit positions."""
+        l = np.minimum(lo, hi)
+        h = np.maximum(lo, hi)
+        length = h - l
+        length += 1
+        keys = self._keys
+        best = np.minimum(
+            keys[l + self._left_off[length]], keys[h + self._right_off[length]]
+        )
+        best &= self._mask
+        return best
+
     def lca_many(self, us: "np.ndarray", vs: "np.ndarray") -> np.ndarray:
         """Vectorized :meth:`lca` over aligned id arrays."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        lo = self._first_np[us]
-        hi = self._first_np[vs]
-        swap = lo > hi
-        lo2 = np.where(swap, hi, lo)
-        hi2 = np.where(swap, lo, hi)
-        length = hi2 - lo2 + 1
-        # floor(log2) of a positive int64; exact for all lengths < 2^53.
-        j = np.floor(np.log2(length)).astype(np.int64)
-        a = self._table_np[j, lo2]
-        b = self._table_np[j, hi2 - (np.int64(1) << j) + 1]
-        depth = self._tour_depth_np
-        best = np.where(depth[a] <= depth[b], a, b)
-        return self._tour_np[best]
+        first = self.first
+        best = self._lca_positions(
+            first[np.asarray(us, dtype=np.int64)], first[np.asarray(vs, dtype=np.int64)]
+        )
+        return self.tour[best]
 
     def distance_many(self, us: "np.ndarray", vs: "np.ndarray") -> np.ndarray:
         """Vectorized :meth:`distance` over aligned id arrays."""
-        if self._wdepth_np is None:
-            self._wdepth_np = np.asarray(self.tree.weighted_depths(), dtype=float)
+        wd_tour = self.wd_tour
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        w = self.lca_many(us, vs)
-        wdepth = self._wdepth_np
-        return wdepth[us] + wdepth[vs] - 2.0 * wdepth[w]
+        first = self.first
+        lo = first[us]
+        hi = first[vs]
+        best = self._lca_positions(lo, hi)
+        # A vertex's first tour entry carries its own weighted depth.
+        return wd_tour[lo] + wd_tour[hi] - 2.0 * wd_tour[best]
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff ``a`` is an ancestor of ``v``, in O(1)."""

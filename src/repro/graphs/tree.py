@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Tree",
     "random_tree",
@@ -114,6 +116,27 @@ class Tree:
                     children[p].append(v)
             self._children = children
         return self._children
+
+    def child_ranges(self) -> Tuple[List[int], List[int]]:
+        """Child lists as two flat lists, ``(kids, start)``.
+
+        The children of ``v`` are ``kids[start[v] : start[v + 1]]``, in
+        the order of :attr:`children`.  Built with one stable numpy
+        sort and not cached: one-pass walks over thousands of large
+        trees (the Euler tours of a cover's LCA indexes) would
+        otherwise allocate ``n`` long-lived lists per tree, and the
+        garbage collector's full passes over them grow with every
+        tree already built.
+        """
+        parents = np.asarray(self.parents, dtype=np.int64)
+        n = len(parents)
+        bad = np.flatnonzero((parents != -1) & ((parents < 0) | (parents >= n)))
+        if len(bad):
+            v = int(bad[0])
+            raise ValueError(f"parent {self.parents[v]} of vertex {v} out of range")
+        order = np.argsort(parents, kind="stable")
+        start = np.searchsorted(parents[order], np.arange(n + 1))
+        return order.tolist(), start.tolist()
 
     def preorder(self) -> List[int]:
         """Vertices in preorder (root first); cached."""

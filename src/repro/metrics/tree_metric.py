@@ -50,6 +50,10 @@ class TreeMetric(Metric):
             self._lca_index = LcaIndex(self.tree)
         return self._lca_index
 
+    def built_lca_index(self) -> Optional[LcaIndex]:
+        """The LCA index if a query already built it, else ``None``."""
+        return self._lca_index
+
     def __getstate__(self):
         # The sparse table is pure derived state and dwarfs the tree
         # arrays; rebuild it lazily on the other side of the pickle

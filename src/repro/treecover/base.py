@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import StalePackError, check
+from ..graphs.lca import euler_tour
 from ..graphs.tree import Tree
 from ..metrics.base import Metric, sample_pairs
 from ..metrics.tree_metric import TreeMetric
@@ -94,12 +95,26 @@ class CoverTree:
 
         One vectorized sparse-table LCA batch per call instead of one
         python-level query per pair — the kernel the O(ζ)-scan tree
-        selection of :meth:`TreeCover.best_trees` is built on.
+        selection of :meth:`TreeCover.best_trees` and the pruning
+        passes of :func:`~repro.treecover.prune.prune_cover` are built
+        on.  Points map to their host vertices with one int64 gather.
         """
-        vop = self.vertex_of_point
+        vop = np.asarray(self.vertex_of_point, dtype=np.int64)
         return self.tree_metric.pair_distances(
-            [vop[p] for p in ps], [vop[q] for q in qs]
+            vop[np.asarray(ps, dtype=np.int64)], vop[np.asarray(qs, dtype=np.int64)]
         )
+
+    def euler_tour(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first-visit positions, tour vertices, tour depths), int64.
+
+        Reuses the tour of this tree's LCA index when one is already
+        built; otherwise walks the tree without building an index.
+        """
+        metric = self._tree_metric
+        built = None if metric is None else metric.built_lca_index()
+        if built is not None:
+            return built.first, built.tour, built.tour_depth
+        return euler_tour(self.tree)
 
     def tree_path_points(self, p: int, q: int) -> List[int]:
         """The tree path between two points, as representative points."""

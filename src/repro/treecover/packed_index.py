@@ -100,17 +100,13 @@ class PackedCoverIndex:
             tour_off = np.zeros(zeta + 1, dtype=np.int64)
             offset = 0
             for t, ct in enumerate(trees):
-                tree = ct.tree
-                n = tree.n
-                first, tour, depths = _euler_tour(tree)
+                first, tour, depths = ct.euler_tour()
                 m = len(tour)
-                tour_np = np.asarray(tour, dtype=np.int64)
                 tour_depth[offset : offset + m] = depths
-                wdepth = np.asarray(tree.weighted_depths(), dtype=np.float64)
-                wd_tour[offset : offset + m] = wdepth[tour_np]
+                wdepth = np.asarray(ct.tree.weighted_depths(), dtype=np.float64)
+                wd_tour[offset : offset + m] = wdepth[tour]
                 vop = np.asarray(ct.vertex_of_point, dtype=np.int64)
-                first_np = np.asarray(first, dtype=np.int64)
-                first_pt[t] = first_np[vop] + offset
+                first_pt[t] = first[vop] + offset
                 wd_pt[t] = wdepth[vop]
                 tour_off[t + 1] = offset = offset + m
             table = np.empty((levels, total_tour), dtype=np.int32)
@@ -224,35 +220,3 @@ class PackedCoverIndex:
         qs = np.asarray(qs, dtype=np.int64)
         best = self._lca_pos(self.first_pt[ts, ps], self.first_pt[ts, qs])
         return (self.wd_pt[ts, ps] + self.wd_pt[ts, qs]) - 2.0 * self.wd_tour[best]
-
-
-def _euler_tour(tree) -> Tuple[List[int], List[int], List[int]]:
-    """(first-visit positions, tour vertices, tour depths) of one tree."""
-    n = tree.n
-    root = tree.root
-    parents = tree.parents
-    children = tree.children
-    first = [0] * n
-    tour = [root]
-    depths = [0]
-    cursor = [0] * n
-    v = root
-    d = 0
-    while True:
-        ch = children[v]
-        i = cursor[v]
-        if i < len(ch):
-            cursor[v] = i + 1
-            v = ch[i]
-            d += 1
-            first[v] = len(tour)
-            tour.append(v)
-            depths.append(d)
-        else:
-            if v == root:
-                break
-            v = parents[v]
-            d -= 1
-            tour.append(v)
-            depths.append(d)
-    return first, tour, depths

@@ -7,35 +7,48 @@ other trees too.  Every downstream cost — navigator build, per-query
 fan-out, checkpoint size, mmap arena, daemon memory — scales with ζ,
 so dropping dominated trees compounds with every hot-path win.
 
-:func:`prune_cover` makes the redundancy explicit and removes it:
+:func:`prune_cover` makes the redundancy explicit and removes it.  The
+evaluation pairs (all pairs when small enough, else a deterministic
+sample) stay two aligned int64 arrays throughout, and every tree
+distance comes from one per-tree kernel,
+:meth:`CoverTree.tree_distances_many` (a vectorized sparse-table LCA
+batch).  Each stage runs under its own span below ``cover.prune``:
 
-1. **Pair-coverage matrix.**  For an evaluation pair set (all pairs
-   when small enough, else a deterministic sample) and a stretch
-   budget γ, tree ``t`` covers pair ``(p, q)`` iff
-   ``d_T(p, q) <= γ · δ(p, q)``.  Rows are computed with the batched
-   LCA distance kernels (:meth:`CoverTree.tree_distances_many`) and
-   fanned out per tree via :func:`repro.parallel.map_per_tree`,
-   returned bit-packed so the matrix stays a few MB even at ζ ≈ 3000.
-2. **Greedy set cover.**  Trees are retained greedily by marginal pair
-   coverage (ties to the lowest index, so the result is deterministic
-   at any worker count); everything else is a candidate drop.  Ramsey
-   home trees are mandatory — the O(1) home-tree contract survives.
-3. **Contract re-verification.**  Each candidate drop is admitted only
+1. **Stretch budget** (``cover.prune.gamma``).  γ is the worst stretch
+   the full cover answers with over the evaluation pairs, times
+   ``1 + eps``: the reference distance is a running minimum over the
+   trees' kernel rows for ordinary covers, the home tree's row for
+   Ramsey covers.
+2. **Pair-coverage matrix** (``cover.prune.coverage``).  Tree ``t``
+   covers pair ``(p, q)`` iff ``d_T(p, q) <= γ · δ(p, q)``.  Rows are
+   fanned out per tree via :func:`repro.parallel.map_per_tree` and
+   returned bit-packed, so the matrix stays a few MB even at ζ ≈ 3000.
+3. **Greedy set cover** (``cover.prune.greedy``).  Trees are retained
+   by marginal pair coverage, ties to the lowest index, so the result
+   is deterministic at any worker count.  The greedy is lazy — a heap
+   of stale gains, re-scored only at the top — which picks exactly the
+   trees a full re-scan would.  Everything else is a candidate drop.
+   Ramsey home trees are mandatory — the O(1) home-tree contract
+   survives.
+4. **Contract re-verification.**  Each candidate drop is admitted only
    because the retained set still covers every evaluated pair within γ
    (checked against the coverage matrix), and the pruned cover is then
-   re-audited with the existing :class:`~repro.checkpoint.audit.CoverContract`
-   machinery before it is returned — a failed audit raises instead of
-   returning a cover that silently broke Table 1.
+   re-audited (``audit.cover``) with the existing
+   :class:`~repro.checkpoint.audit.CoverContract` machinery before it
+   is returned — a failed audit raises instead of returning a cover
+   that silently broke Table 1.
 
 Retained trees are the *same objects* as in the input cover, so query
 answers on them are bit-identical pre/post prune (pinned by
 ``tests/test_packed_query.py``); the pruned cover is a fresh
-:class:`TreeCover` with its own packed-arena/LRU state, honoring the
-``TreeCover.retire`` / :class:`~repro.errors.StalePackError` protocol.
+:class:`TreeCover` that builds its own packed query arena on first
+use, honoring the ``TreeCover.retire`` /
+:class:`~repro.errors.StalePackError` protocol.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -57,12 +70,6 @@ DEFAULT_MAX_PAIRS = 50_000
 
 _C_PRUNES = OBS.registry.counter("cover.prunes")
 _G_DROPPED = OBS.registry.gauge("cover.pruned_trees_dropped")
-
-# Bits-set lookup for uint8: greedy marginal gains over the bit-packed
-# coverage matrix are two gathers and a sum instead of an unpack.
-_POPCOUNT = np.array(
-    [bin(v).count("1") for v in range(256)], dtype=np.int64
-)
 
 
 @dataclass
@@ -99,12 +106,19 @@ class PruneReport:
 
 def _evaluation_pairs(
     n: int, max_pairs: int, seed: int
-) -> Tuple[List[Tuple[int, int]], bool]:
-    """(pairs, exact): all pairs when affordable, else a seeded sample."""
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """(ps, qs, exact): all pairs when affordable, else a seeded sample.
+
+    Pairs come as two aligned int64 arrays, ordered as the row-major
+    ``(p, q)``, ``p < q`` enumeration (exact) or as ``sample_pairs``
+    returns them (sampled).
+    """
     total = n * (n - 1) // 2
     if total <= max_pairs:
-        return [(p, q) for p in range(n) for q in range(p + 1, n)], True
-    return sample_pairs(n, max_pairs, seed=seed), False
+        ps, qs = np.triu_indices(n, k=1)
+        return ps.astype(np.int64), qs.astype(np.int64), True
+    pairs = np.asarray(sample_pairs(n, max_pairs, seed=seed), dtype=np.int64)
+    return pairs[:, 0].copy(), pairs[:, 1].copy(), False
 
 
 def _coverage_row(ctx, cover_tree) -> np.ndarray:
@@ -114,8 +128,72 @@ def _coverage_row(ctx, cover_tree) -> np.ndarray:
     ``ceil(P/8)`` bytes so shipping ζ rows back stays cheap.
     """
     ps, qs, limits = ctx.payload
-    d = np.asarray(cover_tree.tree_distances_many(ps, qs), dtype=float)
-    return np.packbits(d <= limits)
+    return np.packbits(cover_tree.tree_distances_many(ps, qs) <= limits)
+
+
+def _reference_distances(
+    cover: TreeCover, ps: np.ndarray, qs: np.ndarray
+) -> np.ndarray:
+    """Per pair, the tree distance the cover answers with.
+
+    The same per-tree kernel as the coverage rows: a running minimum
+    over all trees for ordinary covers (the O(ζ) scan), the home tree
+    for Ramsey covers (whose home answer is *worse* than the min —
+    deriving γ from the min would declare a contract the home-tree
+    path cannot meet).
+    """
+    if cover.home is None:
+        best = np.full(len(ps), np.inf)
+        for cover_tree in cover.trees:
+            np.minimum(best, cover_tree.tree_distances_many(ps, qs), out=best)
+        return best
+    homes = np.asarray(cover.home, dtype=np.int64)[ps]
+    order = np.argsort(homes, kind="stable")
+    bounds = np.searchsorted(homes[order], np.arange(cover.size + 1))
+    best = np.empty(len(ps))
+    for t in np.flatnonzero(np.diff(bounds)).tolist():
+        idx = order[bounds[t] : bounds[t + 1]]
+        best[idx] = cover.trees[t].tree_distances_many(ps[idx], qs[idx])
+    return best
+
+
+def _lazy_greedy(
+    matrix: np.ndarray, uncovered: np.ndarray, selected: List[int], gamma: float
+) -> List[int]:
+    """Greedy set cover over the bit-packed rows, lazily re-scored.
+
+    Extends ``selected`` (whose coverage ``uncovered`` already
+    excludes) by the tree of largest marginal gain until every pair is
+    covered, ties to the lowest index.  Marginal gains only fall as
+    pairs get covered, so a heap of stale gains keyed
+    ``(-gain, tree)`` whose top re-scores unchanged is the exact
+    argmax of a full re-scan — same trees, same order.
+    """
+    remaining = int(np.bitwise_count(uncovered).sum())
+    in_set = np.zeros(len(matrix), dtype=bool)
+    in_set[selected] = True
+    candidates = np.flatnonzero(~in_set)
+    gains = np.bitwise_count(matrix[candidates] & uncovered).sum(axis=1, dtype=np.int64)
+    heap = list(zip((-gains).tolist(), candidates.tolist()))
+    heapq.heapify(heap)
+    while remaining:
+        gain = 0
+        while heap:
+            stale, t = heap[0]
+            gain = int(np.bitwise_count(matrix[t] & uncovered).sum())
+            if gain == -stale:
+                heapq.heappop(heap)
+                break
+            heapq.heapreplace(heap, (-gain, t))
+        if gain <= 0:
+            raise InvariantViolation(
+                "evaluation pairs left uncoverable within "
+                f"γ={gamma}: the coverage matrix is inconsistent"
+            )
+        selected.append(t)
+        uncovered &= ~matrix[t]
+        remaining -= gain
+    return selected
 
 
 def prune_cover(
@@ -167,18 +245,14 @@ def _prune_cover(
     metric = cover.metric
     n = metric.n
     zeta = cover.size
-    pairs, exact = _evaluation_pairs(n, max_pairs, seed)
-    ps = [p for p, _ in pairs]
-    qs = [q for _, q in pairs]
+    ps, qs, exact = _evaluation_pairs(n, max_pairs, seed)
     base = np.asarray(metric.pair_distances(ps, qs), dtype=float)
 
-    # The budget comes from how the cover actually answers: the O(ζ)
-    # min-scan for ordinary covers, the home tree for Ramsey covers
-    # (whose home answer is *worse* than the min — deriving γ from the
-    # min would declare a contract the home-tree path cannot meet).
-    # The scan also warms each consulted tree's LCA index, which the
-    # coverage fan-out reuses on the serial path.
-    best = np.asarray([d for _, d in cover.best_trees(pairs)], dtype=float)
+    # The budget comes from how the cover actually answers.  On the
+    # serial path the scan also warms each tree's LCA index, which the
+    # coverage fan-out reuses.
+    with trace("cover.prune.gamma", pairs=len(ps)):
+        best = _reference_distances(cover, ps, qs)
     positive = base > 0
     worst = float((best[positive] / base[positive]).max()) if positive.any() else 1.0
     if gamma is None:
@@ -192,7 +266,7 @@ def _prune_cover(
     # covers them.
     limits = np.where(positive, base * gamma + 1e-9, np.inf)
 
-    with trace("cover.prune.coverage", pairs=len(pairs)):
+    with trace("cover.prune.coverage", pairs=len(ps)):
         rows = map_per_tree(
             _coverage_row,
             cover.trees,
@@ -204,7 +278,8 @@ def _prune_cover(
 
     # packbits pads the last byte with zero bits, so starting from the
     # packed all-ones mask never counts phantom pairs.
-    uncovered = np.packbits(np.ones(len(pairs), dtype=bool))
+    full = np.packbits(np.ones(len(ps), dtype=bool))
+    uncovered = full.copy()
     selected: List[int] = []
     if cover.home is not None:
         # Home trees are mandatory: the Ramsey O(1) lookup contract
@@ -212,21 +287,8 @@ def _prune_cover(
         selected = sorted(set(cover.home))
         for t in selected:
             uncovered &= ~matrix[t]
-    in_set = np.zeros(zeta, dtype=bool)
-    in_set[selected] = True
     with trace("cover.prune.greedy"):
-        while uncovered.any():
-            gains = _POPCOUNT[matrix & uncovered].sum(axis=1)
-            gains[in_set] = -1
-            t = int(np.argmax(gains))  # first occurrence: lowest index
-            if gains[t] <= 0:
-                raise InvariantViolation(
-                    "evaluation pairs left uncoverable within "
-                    f"γ={gamma}: the coverage matrix is inconsistent"
-                )
-            selected.append(t)
-            in_set[t] = True
-            uncovered &= ~matrix[t]
+        _lazy_greedy(matrix, uncovered, selected, gamma)
 
     retained = sorted(selected)
     # Every non-selected tree is a candidate drop; re-verify the
@@ -234,10 +296,9 @@ def _prune_cover(
     # every evaluated pair on its own (the drop's coverage must be
     # dominated), which is exactly the Table 1 stretch contract
     # restricted to the evaluation pairs.
-    retained_or = np.zeros_like(uncovered)
+    retained_or = np.zeros_like(full)
     for t in retained:
         retained_or |= matrix[t]
-    full = np.packbits(np.ones(len(pairs), dtype=bool))
     check(
         bool(((retained_or & full) == full).all()),
         "a candidate drop would uncover evaluated pairs "
@@ -257,8 +318,8 @@ def _prune_cover(
     # package.
     from ..checkpoint.audit import CoverContract, audit_cover
 
-    order = np.argsort(-np.where(positive, best / np.maximum(base, 1e-300), 1.0))
-    audit_pairs = [pairs[i] for i in order[:200]]
+    order = np.argsort(-np.where(positive, best / np.maximum(base, 1e-300), 1.0))[:200]
+    audit_pairs = list(zip(ps[order].tolist(), qs[order].tolist()))
     audit_cover(
         pruned,
         contract=CoverContract(gamma=gamma, max_trees=len(retained)),
@@ -275,7 +336,7 @@ def _prune_cover(
         zeta_before=zeta,
         zeta_after=len(retained),
         gamma=float(gamma),
-        pairs_evaluated=len(pairs),
+        pairs_evaluated=len(ps),
         exact=exact,
         seconds=time.perf_counter() - start,
     )

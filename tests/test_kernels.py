@@ -4,8 +4,9 @@ The construction rewrites (net hierarchies, HSTs, robust covers) are
 only allowed to change *speed*, never *results*.  These tests pin that
 down: every batch kernel must agree with the scalar ``distance`` loop
 on Euclidean, tree, and general matrix metrics, ``CachedMetric`` must
-be transparent, and the vectorized ``greedy_net`` must reproduce the
-frozen seed implementation point for point.
+be transparent, the batched LCA queries must equal the scalar ones bit
+for bit, and the vectorized ``greedy_net`` must reproduce the frozen
+seed implementation point for point.
 """
 
 import random
@@ -20,7 +21,7 @@ from repro._seed_baseline import (
     SeedNetHierarchy,
     seed_greedy_net,
 )
-from repro.graphs import random_tree
+from repro.graphs import LcaIndex, Tree, random_tree
 from repro.metrics import (
     CachedMetric,
     NetHierarchy,
@@ -180,3 +181,71 @@ def test_net_hierarchy_matches_seed_hierarchy():
         fast = random_points(250, dim=2, seed=seed)
         slow = SeedEuclideanMetric(fast.points)
         assert NetHierarchy(fast).nets == SeedNetHierarchy(slow).nets
+
+
+@st.composite
+def _weighted_trees(draw):
+    """Random recursive trees, relabelled so the root is any vertex, with
+    weights that include zeros and wide magnitudes."""
+    n = draw(st.integers(min_value=1, max_value=45))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    attach = [-1] + [rng.randrange(v) for v in range(1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    parents = [0] * n
+    weights = [0.0] * n
+    for v in range(n):
+        parents[label[v]] = -1 if attach[v] == -1 else label[attach[v]]
+        if attach[v] != -1:
+            weights[label[v]] = rng.choice(
+                (0.0, rng.uniform(0.0, 1e-3), rng.uniform(1.0, 1e4))
+            )
+    return Tree(parents, weights)
+
+
+@given(_weighted_trees())
+@settings(max_examples=40, deadline=None)
+def test_lca_many_and_distance_many_equal_scalar_bit_for_bit(tree):
+    """All vertex pairs (so u == v, the root, and windows whose length is
+    exactly a power of two all occur): the batch kernel returns the
+    scalar answers, distances compared as raw float64 bits."""
+    index = LcaIndex(tree)
+    us, vs = (g.ravel() for g in np.meshgrid(np.arange(tree.n), np.arange(tree.n)))
+    scalar_lca = np.array([index.lca(u, v) for u, v in zip(us.tolist(), vs.tolist())])
+    scalar_dist = np.array(
+        [index.distance(u, v) for u, v in zip(us.tolist(), vs.tolist())], dtype=np.float64
+    )
+    np.testing.assert_array_equal(index.lca_many(us, vs), scalar_lca)
+    np.testing.assert_array_equal(
+        index.distance_many(us, vs).view(np.int64), scalar_dist.view(np.int64)
+    )
+    lengths = np.abs(index.first[us] - index.first[vs]) + 1
+    powers = lengths[(lengths & (lengths - 1)) == 0]
+    assert (tree.root in us) and (powers == 1).any()
+    if tree.n > 1:
+        assert (powers >= 2).any()
+
+
+def test_lca_many_matches_scalar_on_a_tour_needing_wide_keys():
+    """A tour of 2^15 entries or more packs its keys into int64."""
+    tree = random_tree(20_000, seed=6)
+    index = LcaIndex(tree)
+    rng = random.Random(7)
+    us = [rng.randrange(tree.n) for _ in range(3000)] + [tree.root, 5]
+    vs = [rng.randrange(tree.n) for _ in range(3000)] + [19_999, 5]
+    assert np.array_equal(
+        index.lca_many(us, vs), [index.lca(u, v) for u, v in zip(us, vs)]
+    )
+    np.testing.assert_array_equal(
+        index.distance_many(us, vs), [index.distance(u, v) for u, v in zip(us, vs)]
+    )
+
+
+def test_lca_index_builds_scalar_mirrors_only_on_scalar_use():
+    index = LcaIndex(random_tree(50, seed=4))
+    batch = index.distance_many(np.arange(50), np.arange(50)[::-1])
+    assert "_table" not in index.__dict__
+    assert index.distance(0, 49) == batch[0]
+    assert "_table" in index.__dict__
+    with pytest.raises(AttributeError):
+        index.no_such_attribute

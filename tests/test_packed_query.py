@@ -125,6 +125,23 @@ class TestCoverBackends:
         self._check(metric, planar_tree_cover(metric), 3, seed=6)
 
 
+def test_packed_index_reuses_built_tours_byte_for_byte():
+    """Trees whose LCA index is already built lend their Euler tour to
+    the packed arena; the arrays are the ones a fresh walk produces."""
+    metric = random_points(50, dim=2, seed=12)
+    warm = robust_tree_cover(metric, eps=0.5)
+    cold = robust_tree_cover(metric, eps=0.5)
+    for cover_tree in warm.trees[::2]:
+        cover_tree.tree_distances_many([0], [1])
+    warm_arrays = warm.packed_index().arrays()
+    cold_arrays = cold.packed_index().arrays()
+    assert all(ct.tree_metric.built_lca_index() is None for ct in cold.trees)
+    assert warm_arrays.keys() == cold_arrays.keys()
+    for name, array in warm_arrays.items():
+        assert array.dtype == cold_arrays[name].dtype
+        assert array.tobytes() == cold_arrays[name].tobytes(), name
+
+
 class TestPrunedDifferential:
     """Pruning must not perturb a single retained path.
 

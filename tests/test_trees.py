@@ -212,3 +212,47 @@ def test_property_lca_depth_is_max_common_prefix(n, seed):
     while common < min(len(pu), len(pv)) and pu[common] == pv[common]:
         common += 1
     assert lca.lca(u, v) == pu[common - 1]
+
+
+def _recursive_tour(tree):
+    """The Euler tour straight from the definition, over ``children``."""
+    tour, depths = [], []
+
+    def visit(v, d):
+        tour.append(v)
+        depths.append(d)
+        for c in tree.children[v]:
+            visit(c, d + 1)
+            tour.append(v)
+            depths.append(d)
+
+    visit(tree.root, 0)
+    return tour, depths
+
+
+@given(st.integers(min_value=1, max_value=80), st.integers(min_value=0, max_value=1000))
+@settings(max_examples=40, deadline=None)
+def test_child_ranges_and_euler_tour_match_child_lists(n, seed):
+    from repro.graphs.lca import euler_tour
+
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    parents = [0] * n
+    for v in range(n):
+        parents[label[v]] = -1 if v == 0 else label[rng.randrange(v)]
+    tree = Tree(parents)
+    kids, start = tree.child_ranges()
+    assert [kids[start[v]:start[v + 1]] for v in range(n)] == tree.children
+    first, tour, depths = euler_tour(tree)
+    expected_tour, expected_depths = _recursive_tour(tree)
+    assert tour.tolist() == expected_tour
+    assert depths.tolist() == expected_depths
+    assert first.tolist() == [expected_tour.index(v) for v in range(n)]
+
+
+def test_child_ranges_rejects_out_of_range_parent():
+    tree = Tree([-1, 0, 1], validate=False)
+    tree.parents[2] = 7
+    with pytest.raises(ValueError, match="out of range"):
+        tree.child_ranges()
