@@ -10,6 +10,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 WORK_DIR="${1:-$(mktemp -d)}"
+mkdir -p "$WORK_DIR"
 CKPT="$WORK_DIR/cover.ckpt"
 
 # Run the whole pipeline through the process-pool engine: every build,

@@ -13,6 +13,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 WORK_DIR="${1:-$(mktemp -d)}"
+mkdir -p "$WORK_DIR"
 CKPT="$WORK_DIR/cover.ckpt"
 LOG="$WORK_DIR/serve.log"
 N=70

@@ -3,18 +3,21 @@
 Implements the classic Euler tour + sparse-table RMQ reduction
 [BFC00/BFC04 as cited by the paper]: ``O(n log n)`` preprocessing and
 ``O(1)`` per query.  The sparse table is stored in numpy arrays so the
-preprocessing is vectorized.
+preprocessing is vectorized.  The batch queries run in place over
+a :class:`PairWorkspace`, so a pass that asks the same pairs of many
+trees allocates nothing per tree that scales with the pair count.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import threading
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .tree import Tree
 
-__all__ = ["LcaIndex", "euler_tour"]
+__all__ = ["LcaIndex", "PairWorkspace", "euler_tour"]
 
 # Scalar-path mirrors of the numpy arrays, built by the first scalar
 # query (see LcaIndex.__getattr__).
@@ -61,6 +64,56 @@ def euler_tour(tree: Tree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, tour_np, depths
 
 
+class PairWorkspace:
+    """Scratch arrays for the batch queries of :class:`LcaIndex`.
+
+    The arrays are allocated on first use, sized for ``size`` pairs (or
+    the call, if larger), and every later call of at most that many
+    pairs works inside them.  Each thread gets its own arrays, and a
+    pickled workspace ships only its size, so one workspace can ride in
+    a fan-out payload to threads and worker processes alike.
+    """
+
+    def __init__(self, size: int = 0):
+        self.size = size
+        self._local = threading.local()
+
+    def __reduce__(self):
+        return PairWorkspace, (self.size,)
+
+    def _reserve(self, count: int):
+        local = self._local
+        ints = getattr(local, "ints", None)
+        if ints is None or ints.shape[1] < count:
+            capacity = max(count, self.size)
+            local.ints = np.empty((4, capacity), dtype=np.int64)
+            local.floats = np.empty((2, capacity))
+            local.keys = {}
+        return local
+
+    def arrays(self, count: int, key_dtype: np.dtype) -> Tuple[np.ndarray, ...]:
+        """Scratch views of ``count`` slots: four int64, two ``key_dtype``, one float64."""
+        local = self._reserve(count)
+        keys = local.keys.get(key_dtype)
+        if keys is None:
+            keys = np.empty((2, local.ints.shape[1]), dtype=key_dtype)
+            local.keys[key_dtype] = keys
+        return (*local.ints[:, :count], *keys[:, :count], local.floats[0, :count])
+
+    def output(self, count: int) -> np.ndarray:
+        """A float64 view of ``count`` slots that no query uses as scratch,
+        for a caller that consumes each result before the next query."""
+        return self._reserve(count).floats[1, :count]
+
+
+def _check_ids(us: np.ndarray, vs: np.ndarray, n: int) -> None:
+    # The kernels gather with np.take(mode="clip"): with mode="raise"
+    # numpy buffers the output, the very allocation they avoid.  So the
+    # range check happens here, once per call.
+    if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+        raise IndexError(f"vertex ids must lie in [0, {n})")
+
+
 class LcaIndex:
     """LCA structure over a :class:`~repro.graphs.tree.Tree`.
 
@@ -72,7 +125,9 @@ class LcaIndex:
     query merges its two windows with one ``np.minimum``.  The scalar
     queries read plain-list mirrors of the positions, built on the
     first scalar call (per-query numpy scalar indexing would dominate
-    the O(1) lookups, and batch-only users never need them).
+    the O(1) lookups, and batch-only users never need them).  The
+    batch queries :meth:`lca_many` and :meth:`distance_many` share one
+    in-place window lookup, :meth:`_lca_positions`.
 
     >>> from repro.graphs.tree import balanced_tree
     >>> t = balanced_tree(2, 3)
@@ -160,38 +215,83 @@ class LcaIndex:
         w = self.lca(u, v)
         return wdepth[u] + wdepth[v] - 2.0 * wdepth[w]
 
-    def _lca_positions(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Tour position of the LCA for each pair of first-visit positions."""
-        l = np.minimum(lo, hi)
-        h = np.maximum(lo, hi)
-        length = h - l
-        length += 1
+    def _lca_positions(self, lo, hi, low, index, key_a, key_b) -> np.ndarray:
+        """Tour position of the LCA for each pair of first-visit positions.
+
+        In place: ``lo`` and ``hi`` are overwritten, ``low``, ``key_a``
+        and ``key_b`` are scratch, and the positions land in ``index``.
+        The window offsets share the keys' dtype, so they pass through
+        the key arrays.
+        """
+        np.minimum(lo, hi, out=low)
+        np.maximum(lo, hi, out=hi)
+        np.subtract(hi, low, out=lo)
+        lo += 1  # window lengths
         keys = self._keys
-        best = np.minimum(
-            keys[l + self._left_off[length]], keys[h + self._right_off[length]]
-        )
-        best &= self._mask
-        return best
+        np.take(self._left_off, lo, out=key_a, mode="clip")
+        np.add(key_a, low, out=index)
+        np.take(keys, index, out=key_a, mode="clip")
+        np.take(self._right_off, lo, out=key_b, mode="clip")
+        np.add(key_b, hi, out=index)
+        np.take(keys, index, out=key_b, mode="clip")
+        np.minimum(key_a, key_b, out=key_a)
+        np.bitwise_and(key_a, self._mask, out=index)
+        return index
 
     def lca_many(self, us: "np.ndarray", vs: "np.ndarray") -> np.ndarray:
         """Vectorized :meth:`lca` over aligned id arrays."""
-        first = self.first
-        best = self._lca_positions(
-            first[np.asarray(us, dtype=np.int64)], first[np.asarray(vs, dtype=np.int64)]
-        )
-        return self.tour[best]
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        _check_ids(us, vs, self.tree.n)
+        lo, hi, *scratch, _ = PairWorkspace().arrays(len(us), self._keys.dtype)
+        np.take(self.first, us, out=lo, mode="clip")
+        np.take(self.first, vs, out=hi, mode="clip")
+        return self.tour[self._lca_positions(lo, hi, *scratch)]
 
-    def distance_many(self, us: "np.ndarray", vs: "np.ndarray") -> np.ndarray:
-        """Vectorized :meth:`distance` over aligned id arrays."""
-        wd_tour = self.wd_tour
+    def distance_many(
+        self,
+        us: "np.ndarray",
+        vs: "np.ndarray",
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[PairWorkspace] = None,
+        hosts: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Vectorized :meth:`distance` over aligned id arrays.
+
+        ``hosts``, when given, maps the ids to tree vertices first (a
+        cover tree's host vertex per point): the first-visit table is
+        composed with it once, at id level, instead of per pair.  A
+        vertex's first tour entry carries its own weighted depth, so
+        each pair costs gathers only.  With ``out`` (float64, one slot
+        per pair) and a ``workspace`` the call allocates nothing that
+        scales with the pair count.  The values are bit-identical to
+        :meth:`distance`: ``wd[u] + wd[v] - 2.0 * wd[lca]`` in that
+        order.
+        """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         first = self.first
-        lo = first[us]
-        hi = first[vs]
-        best = self._lca_positions(lo, hi)
-        # A vertex's first tour entry carries its own weighted depth.
-        return wd_tour[lo] + wd_tour[hi] - 2.0 * wd_tour[best]
+        if hosts is not None:
+            first = first[np.asarray(hosts, dtype=np.int64)]
+        _check_ids(us, vs, len(first))
+        count = len(us)
+        if out is None:
+            out = np.empty(count)
+        workspace = workspace if workspace is not None else PairWorkspace()
+        lo, hi, low, index, key_a, key_b, total = workspace.arrays(
+            count, self._keys.dtype
+        )
+        wd_tour = self.wd_tour
+        np.take(first, us, out=lo, mode="clip")
+        np.take(first, vs, out=hi, mode="clip")
+        np.take(wd_tour, lo, out=total, mode="clip")
+        np.take(wd_tour, hi, out=out, mode="clip")
+        total += out
+        index = self._lca_positions(lo, hi, low, index, key_a, key_b)
+        np.take(wd_tour, index, out=out, mode="clip")
+        out *= 2.0
+        np.subtract(total, out, out=out)
+        return out
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff ``a`` is an ancestor of ``v``, in O(1)."""

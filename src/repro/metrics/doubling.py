@@ -17,13 +17,15 @@ issuing one python-level ball query per net point.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .base import Metric
 from .euclidean import EuclideanMetric
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["NetHierarchy", "greedy_net", "doubling_constant_estimate", "scale_levels"]
 
@@ -48,6 +50,8 @@ def greedy_net(metric: Metric, candidates: Sequence[int], radius: float) -> List
         # Position-space sweep: one parallel KD-tree ball query over a
         # sub-tree of just the candidates, then a boolean-mask scan —
         # no id translation, no per-point python KD calls.
+        from scipy.spatial import cKDTree
+
         pts = metric.points[candidates]
         hits = cKDTree(pts).query_ball_point(pts, radius, workers=-1)
         covered = np.zeros(len(candidates), dtype=bool)
@@ -177,6 +181,8 @@ class NetHierarchy:
     def _level_kdtree(self, level: int) -> cKDTree:
         tree = self._kdtrees.get(level)
         if tree is None:
+            from scipy.spatial import cKDTree
+
             pts = self.metric.points[self.nets[level]]
             tree = cKDTree(pts)
             self._kdtrees[level] = tree

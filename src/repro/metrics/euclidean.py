@@ -9,14 +9,15 @@ the KD-tree batch kernels (:meth:`EuclideanMetric.ball_many`,
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from ..observability import OBS
 from .base import Metric
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "EuclideanMetric",
@@ -50,6 +51,8 @@ class EuclideanMetric(Metric):
     @property
     def kdtree(self) -> cKDTree:
         if self._kdtree is None:
+            from scipy.spatial import cKDTree
+
             self._kdtree = cKDTree(self.points)
         return self._kdtree
 
@@ -80,6 +83,8 @@ class EuclideanMetric(Metric):
         if OBS.enabled:
             _C_BATCH.inc()
             _C_BATCH_VALUES.inc(rows.size * cols.size)
+        from scipy.spatial.distance import cdist
+
         return cdist(self.points[rows], self.points[cols])
 
     def pair_distances(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
@@ -110,6 +115,8 @@ class EuclideanMetric(Metric):
                 self.points[centers], radius, return_sorted=True, workers=-1
             )
             return [list(h) for h in hits]
+        from scipy.spatial import cKDTree
+
         within = np.asarray(within, dtype=np.int64)
         subtree = cKDTree(self.points[within])
         hits = subtree.query_ball_point(
@@ -126,6 +133,8 @@ class EuclideanMetric(Metric):
         candidates = np.asarray(list(candidates), dtype=np.int64)
         if candidates.size == 0:
             raise ValueError("nearest_many needs at least one candidate")
+        from scipy.spatial import cKDTree
+
         points = np.asarray(points, dtype=np.int64)
         subtree = cKDTree(self.points[candidates])
         dist, idx = subtree.query(self.points[points], k=1)

@@ -13,7 +13,6 @@ import random
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .base import Metric
 
@@ -106,6 +105,8 @@ def delaunay_metric(n: int, seed: int = 0, scale: float = 1000.0) -> PlanarGraph
     Edge weights are Euclidean lengths, so the metric is a planar
     perturbation of the underlying point set's metric.
     """
+    from scipy.spatial import Delaunay
+
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, scale, size=(n, 2))
     tri = Delaunay(pts)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..graphs.lca import LcaIndex
+from ..graphs.lca import LcaIndex, PairWorkspace
 from ..graphs.tree import Tree
 from ..observability import OBS
 from .base import Metric
@@ -74,14 +74,22 @@ class TreeMetric(Metric):
         all_ids = np.arange(self.n, dtype=np.int64)
         return self._lca.distance_many(np.full(self.n, u, dtype=np.int64), all_ids)
 
-    def pair_distances(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
+    def pair_distances(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        *,
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[PairWorkspace] = None,
+        hosts: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Elementwise distances; the keywords are those of
+        :meth:`~repro.graphs.lca.LcaIndex.distance_many`."""
         if len(us) != len(vs):
             raise ValueError("us and vs must have equal length")
         if OBS.enabled:
             _C_BATCH.inc()
-        return self._lca.distance_many(
-            np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        )
+        return self._lca.distance_many(us, vs, out=out, workspace=workspace, hosts=hosts)
 
     def pairwise(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)

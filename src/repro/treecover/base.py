@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import StalePackError, check
-from ..graphs.lca import euler_tour
+from ..graphs.lca import PairWorkspace, euler_tour
 from ..graphs.tree import Tree
 from ..metrics.base import Metric, sample_pairs
 from ..metrics.tree_metric import TreeMetric
@@ -90,18 +90,27 @@ class CoverTree:
         """Distance between two metric points inside this tree (O(1))."""
         return self.tree_metric.distance(self.vertex_of_point[p], self.vertex_of_point[q])
 
-    def tree_distances_many(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
+    def tree_distances_many(
+        self,
+        ps: Sequence[int],
+        qs: Sequence[int],
+        out: Optional[np.ndarray] = None,
+        workspace: Optional[PairWorkspace] = None,
+    ) -> np.ndarray:
         """Elementwise tree distances for many point pairs in one sweep.
 
         One vectorized sparse-table LCA batch per call instead of one
         python-level query per pair — the kernel the O(ζ)-scan tree
         selection of :meth:`TreeCover.best_trees` and the pruning
         passes of :func:`~repro.treecover.prune.prune_cover` are built
-        on.  Points map to their host vertices with one int64 gather.
+        on.  The first-visit table is composed with the point → host
+        vertex map at point level, so a pair costs gathers only; with ``out``
+        and a ``workspace`` (see
+        :meth:`~repro.graphs.lca.LcaIndex.distance_many`) a pass over
+        many trees reuses the same arrays for every tree.
         """
-        vop = np.asarray(self.vertex_of_point, dtype=np.int64)
         return self.tree_metric.pair_distances(
-            vop[np.asarray(ps, dtype=np.int64)], vop[np.asarray(qs, dtype=np.int64)]
+            ps, qs, out=out, workspace=workspace, hosts=self.vertex_of_point
         )
 
     def euler_tour(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,10 @@ evaluation pairs (all pairs when small enough, else a deterministic
 sample) stay two aligned int64 arrays throughout, and every tree
 distance comes from one per-tree kernel,
 :meth:`CoverTree.tree_distances_many` (a vectorized sparse-table LCA
-batch).  Each stage runs under its own span below ``cover.prune``:
+batch).  Each pass hands the kernel one
+:class:`~repro.graphs.lca.PairWorkspace`, so its arrays are allocated
+once per pass (and thread), not once per tree.  Each stage runs under
+its own span below ``cover.prune``:
 
 1. **Stretch budget** (``cover.prune.gamma``).  γ is the worst stretch
    the full cover answers with over the evaluation pairs, times
@@ -56,6 +59,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import InvariantViolation, StalePackError, check
+from ..graphs.lca import PairWorkspace
 from ..metrics.base import sample_pairs
 from ..observability import OBS, trace
 from ..parallel import map_per_tree
@@ -124,11 +128,15 @@ def _evaluation_pairs(
 def _coverage_row(ctx, cover_tree) -> np.ndarray:
     """Per-tree fan-out unit: bit-packed within-γ pair coverage.
 
-    One vectorized LCA batch per tree; the bool row packs to
-    ``ceil(P/8)`` bytes so shipping ζ rows back stays cheap.
+    One vectorized LCA batch per tree, inside the calling thread's
+    arrays of the pass's workspace; the bool row packs to ``ceil(P/8)``
+    bytes so shipping ζ rows back stays cheap.
     """
-    ps, qs, limits = ctx.payload
-    return np.packbits(cover_tree.tree_distances_many(ps, qs) <= limits)
+    ps, qs, limits, workspace = ctx.payload
+    row = cover_tree.tree_distances_many(
+        ps, qs, out=workspace.output(len(ps)), workspace=workspace
+    )
+    return np.packbits(row <= limits)
 
 
 def _reference_distances(
@@ -140,20 +148,30 @@ def _reference_distances(
     over all trees for ordinary covers (the O(ζ) scan), the home tree
     for Ramsey covers (whose home answer is *worse* than the min —
     deriving γ from the min would declare a contract the home-tree
-    path cannot meet).
+    path cannot meet).  Ramsey pairs are grouped by home tree, so each
+    tree's pairs are one contiguous slice.
     """
+    workspace = PairWorkspace(len(ps))
     if cover.home is None:
         best = np.full(len(ps), np.inf)
+        row = workspace.output(len(ps))
         for cover_tree in cover.trees:
-            np.minimum(best, cover_tree.tree_distances_many(ps, qs), out=best)
+            cover_tree.tree_distances_many(ps, qs, out=row, workspace=workspace)
+            np.minimum(best, row, out=best)
         return best
     homes = np.asarray(cover.home, dtype=np.int64)[ps]
     order = np.argsort(homes, kind="stable")
-    bounds = np.searchsorted(homes[order], np.arange(cover.size + 1))
+    bounds = np.searchsorted(homes[order], np.arange(cover.size + 1)).tolist()
+    ps, qs = ps[order], qs[order]
+    grouped = np.empty(len(ps))
+    for t, cover_tree in enumerate(cover.trees):
+        a, b = bounds[t], bounds[t + 1]
+        if a < b:
+            cover_tree.tree_distances_many(
+                ps[a:b], qs[a:b], out=grouped[a:b], workspace=workspace
+            )
     best = np.empty(len(ps))
-    for t in np.flatnonzero(np.diff(bounds)).tolist():
-        idx = order[bounds[t] : bounds[t + 1]]
-        best[idx] = cover.trees[t].tree_distances_many(ps[idx], qs[idx])
+    best[order] = grouped
     return best
 
 
@@ -272,7 +290,7 @@ def _prune_cover(
             cover.trees,
             workers=workers,
             metric=metric,
-            payload=(ps, qs, limits),
+            payload=(ps, qs, limits, PairWorkspace(len(ps))),
         )
     matrix = np.vstack(rows)  # (ζ, ceil(P/8)) uint8
 

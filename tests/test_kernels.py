@@ -5,11 +5,15 @@ only allowed to change *speed*, never *results*.  These tests pin that
 down: every batch kernel must agree with the scalar ``distance`` loop
 on Euclidean, tree, and general matrix metrics, ``CachedMetric`` must
 be transparent, the batched LCA queries must equal the scalar ones bit
-for bit, and the vectorized ``greedy_net`` must reproduce the frozen
-seed implementation point for point.
+for bit (also when a pass reuses one workspace across trees), and the
+vectorized ``greedy_net`` must reproduce the frozen seed implementation
+point for point.
 """
 
+import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro._seed_baseline import (
     seed_greedy_net,
 )
 from repro.graphs import LcaIndex, Tree, random_tree
+from repro.graphs.lca import PairWorkspace
 from repro.metrics import (
     CachedMetric,
     NetHierarchy,
@@ -29,6 +34,12 @@ from repro.metrics import (
     greedy_net,
     random_graph_metric,
     random_points,
+    sample_pairs,
+)
+from repro.treecover import (
+    prune_cover,
+    ramsey_tree_cover,
+    robust_tree_cover,
 )
 
 
@@ -249,3 +260,131 @@ def test_lca_index_builds_scalar_mirrors_only_on_scalar_use():
     assert "_table" in index.__dict__
     with pytest.raises(AttributeError):
         index.no_such_attribute
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def covers():
+    points = random_points(40, dim=2, seed=71)
+    graph = random_graph_metric(40, seed=72)
+    robust = robust_tree_cover(points, eps=0.45)
+    ramsey = ramsey_tree_cover(graph, ell=1, seed=8)
+    return {
+        "robust": robust,
+        "ramsey": ramsey,
+        "pruned": prune_cover(robust).cover,
+    }
+
+
+@pytest.mark.parametrize("family", ["robust", "ramsey", "pruned"])
+def test_workspace_kernel_equals_scalar_bit_for_bit(covers, family):
+    """One workspace for the whole pass, trees of different tour
+    lengths in one order and then the other: every row equals the
+    allocating call and the scalar ``tree_distance``, as raw bits."""
+    cover = covers[family]
+    assert len({ct.tree.n for ct in cover.trees}) > 1
+    pairs = sample_pairs(40, 300, seed=5) + [(3, 3), (0, 39)]
+    ps = np.array([p for p, _ in pairs], dtype=np.int64)
+    qs = np.array([q for _, q in pairs], dtype=np.int64)
+    workspace = PairWorkspace(len(ps))
+    row = workspace.output(len(ps))
+    for cover_tree in cover.trees + cover.trees[::-1]:
+        got = cover_tree.tree_distances_many(ps, qs, out=row, workspace=workspace)
+        assert got is row
+        scalar = [cover_tree.tree_distance(p, q) for p, q in pairs]
+        np.testing.assert_array_equal(_bits(got), _bits(scalar))
+        np.testing.assert_array_equal(
+            _bits(got), _bits(cover_tree.tree_distances_many(ps, qs))
+        )
+
+
+def test_workspace_kernel_on_ramsey_home_row_subsets(covers):
+    """Pairs grouped by the home tree of their first point: slices of
+    every length, each written into its own slice of one output."""
+    cover = covers["ramsey"]
+    pairs = sample_pairs(40, 400, seed=6)
+    homes = np.array([cover.home[p] for p, _ in pairs])
+    order = np.argsort(homes, kind="stable")
+    ps = np.array([pairs[i][0] for i in order], dtype=np.int64)
+    qs = np.array([pairs[i][1] for i in order], dtype=np.int64)
+    bounds = np.searchsorted(homes[order], np.arange(cover.size + 1))
+    assert len(set(np.diff(bounds).tolist())) > 1
+    workspace = PairWorkspace(len(ps))
+    grouped = np.full(len(ps), np.nan)
+    for t, cover_tree in enumerate(cover.trees):
+        a, b = bounds[t], bounds[t + 1]
+        cover_tree.tree_distances_many(ps[a:b], qs[a:b], out=grouped[a:b], workspace=workspace)
+    expected = [cover.trees[cover.home[p]].tree_distance(p, q) for p, q in zip(ps, qs)]
+    np.testing.assert_array_equal(_bits(grouped), _bits(expected))
+
+
+def test_workspace_grows_for_a_larger_call_and_rejects_bad_ids():
+    tree = random_tree(30, seed=3)
+    index = LcaIndex(tree)
+    workspace = PairWorkspace(4)
+    us = np.arange(30, dtype=np.int64)
+    vs = us[::-1].copy()
+    got = index.distance_many(us, vs, workspace=workspace)
+    np.testing.assert_array_equal(
+        _bits(got), _bits([index.distance(u, v) for u, v in zip(us, vs)])
+    )
+    assert workspace.output(30).shape == (30,)
+    for bad in ([0, 30], [-1, 2]):
+        with pytest.raises(IndexError):
+            index.distance_many(bad, [1, 1], workspace=workspace)
+        with pytest.raises(IndexError):
+            index.lca_many(bad, [1, 1])
+
+
+def test_workspace_arrays_are_per_thread_and_pickle_as_size():
+    workspace = PairWorkspace(8)
+    mine = workspace.output(8)
+    assert workspace.output(8) is not mine
+    assert np.shares_memory(workspace.output(8), mine)
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(workspace.output(8)))
+    thread.start()
+    thread.join()
+    assert not np.shares_memory(theirs[0], mine)
+    copy = pickle.loads(pickle.dumps(workspace))
+    assert copy.size == 8
+    assert not np.shares_memory(copy.output(8), mine)
+
+
+def test_shared_workspace_under_thread_contention():
+    """More threads than cores answer different trees through one
+    workspace, switching every microsecond: every row stays its own
+    tree's, bit for bit, so no thread writes another's arrays."""
+    indexes = [LcaIndex(random_tree(80 + 9 * i, seed=i)) for i in range(4)]
+    rng = np.random.default_rng(0)
+    us = rng.integers(0, 80, 4000)
+    vs = rng.integers(0, 80, 4000)
+    expected = [_bits(index.distance_many(us, vs)) for index in indexes]
+    workspace = PairWorkspace(len(us))
+    done, wrong = [], []
+
+    def work(i):
+        out = workspace.output(len(us))
+        for _ in range(150):
+            got = indexes[i].distance_many(us, vs, out=out, workspace=workspace)
+            if not np.array_equal(_bits(got), expected[i]):
+                wrong.append(i)
+                return
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert sorted(done) == [0, 1, 2, 3]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvariantViolation
 from repro.metrics import random_graph_metric, random_points, sample_pairs
+from repro.parallel import engine
 from repro.treecover import (
     TreeCover,
     compact_tree_cover,
@@ -116,10 +117,28 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("workers", [0, 2])
+def _no_serial_fallback(fn, ctx, items):
+    raise AssertionError("the fan-out fell back to a serial map")
+
+
+@pytest.mark.parametrize(
+    "workers,pool",
+    [
+        pytest.param(0, "serial", id="0"),
+        pytest.param(2, "processes", id="2"),
+        pytest.param(2, "threads", id="2-threads"),
+    ],
+)
 @pytest.mark.parametrize("family,max_pairs", CASES)
-def test_prune_matches_rescan_oracle(covers, family, max_pairs, workers):
+def test_prune_matches_rescan_oracle(covers, family, max_pairs, workers, pool, monkeypatch):
+    """Every fan-out runs the pool it names: a pool that failed and
+    fell back to the serial loop fails the test instead of passing on
+    the serial answer."""
     cover = covers[family]
+    if pool != "serial":
+        monkeypatch.setattr(engine, "_serial_map", _no_serial_fallback)
+    if pool == "threads":
+        monkeypatch.setattr(engine, "_picklable", lambda obj: False)
     report = prune_cover(cover, eps=0.05, max_pairs=max_pairs, workers=workers)
     retained, gamma, exact, evaluated = reference_prune(cover, max_pairs=max_pairs)
     assert report.retained == retained
