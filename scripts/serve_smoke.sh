@@ -4,7 +4,9 @@
 # background -> drive mixed traffic (paths, distances, a route, a
 # pipelined burst) -> inject one live fault and wait for background
 # recovery -> scrape /metrics over plain HTTP -> clean shutdown via the
-# protocol's shutdown op.  Exercises every serving layer (admission
+# protocol's shutdown op.  A second pass serves a packed checkpoint
+# memory-mapped and checks its answers, and a burst of 2,000 pipelined
+# queries, against the in-memory navigator.  Exercises every serving layer (admission
 # batching, degraded labelling, chaos recovery, the HTTP facade) on a
 # small instance; fast enough for CI.  The exhaustive suite lives in
 # tests/test_serve.py behind the `serve` pytest marker.
@@ -101,17 +103,24 @@ MMAP_PORT=$((PORT + 1))
 PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
     --what navigator --packed --out "$MMAP_CKPT"
 
+# The queue holds the whole burst leg below, so none of it is shed.
 PYTHONPATH=src python -m repro serve "$MMAP_CKPT" --family euclidean \
-    --n "$N" --mmap --port "$MMAP_PORT" >"$MMAP_LOG" 2>&1 &
+    --n "$N" --mmap --port "$MMAP_PORT" --max-queue 2048 \
+    >"$MMAP_LOG" 2>&1 &
 MMAP_PID=$!
 trap 'kill "$MMAP_PID" 2>/dev/null || true' EXIT
 
 PYTHONPATH=src python - "$MMAP_CKPT" "$MMAP_PORT" "$N" <<'EOF'
+import json
+import random
+import re
+import socket
 import sys
+import urllib.request
 
 from repro.checkpoint import load_navigator_checkpoint
 from repro.metrics import random_points, sample_pairs
-from repro.serve import ServeClient, wait_for_server
+from repro.serve import ServeClient, encode_line, wait_for_server
 
 path, port, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 # The daemon's metric (`--family euclidean`, default seed 0).
@@ -142,6 +151,50 @@ with ServeClient("127.0.0.1", port) as client:
     assert routed["status"] == "undelivered", routed
     assert "memory-mapped" in (routed["error"] or ""), routed
     print("mmap traffic ok: paths delivered, route labelled undelivered")
+
+
+def admitted():
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/metrics", timeout=30
+    ) as response:
+        text = response.read().decode()
+    return float(re.search(r"^repro_serve_admitted (\S+)$", text,
+                           re.MULTILINE).group(1))
+
+
+# Burst: 2,000 pipelined queries in one write, then a half-close.  Every
+# id is answered exactly once before EOF, each answer matches the
+# in-memory navigator, and the daemon admitted all 2,000.
+rng = random.Random(11)
+burst = [("path" if i % 2 else "distance", rng.randrange(n), rng.randrange(n))
+         for i in range(2000)]
+before = admitted()
+with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+    sock.sendall(b"".join(
+        encode_line({"id": i, "op": op, "u": u, "v": v})
+        for i, (op, u, v) in enumerate(burst)
+    ))
+    sock.shutdown(socket.SHUT_WR)
+    with sock.makefile("rb") as reader:
+        answers = [json.loads(line) for line in reader]
+ids = sorted(answer["id"] for answer in answers)
+assert ids == list(range(len(burst))), (len(ids), len(set(ids)))
+for answer in answers:
+    op, u, v = burst[answer["id"]]
+    assert answer["status"] == "ok", answer
+    if op == "path":
+        expected, tree = in_memory.find_path_with_tree(u, v)
+        assert answer["result"]["path"] == expected, (u, v, answer)
+        assert answer["result"]["tree"] == tree, (u, v, answer)
+    else:
+        assert answer["result"]["distance"] == \
+            in_memory.approx_distance(u, v), (u, v, answer)
+moved = admitted() - before
+assert moved == len(burst), moved
+print(f"burst ok: {len(burst)} pipelined queries, each answered once and "
+      "identical to the in-memory navigator")
+
+with ServeClient("127.0.0.1", port) as client:
     client.shutdown()
 EOF
 

@@ -571,13 +571,21 @@ class CheckpointService:
         navigator: Optional[MetricNavigator],
         pending: List[int],
         salvaged: Optional[List[Optional[CoverTree]]] = None,
+        recovered: bool = False,
     ) -> None:
-        """Atomically install a new service level (bumps generation)."""
+        """Atomically install a new service level (bumps generation).
+
+        ``recovered`` ends a recovery in the same critical section, so
+        no snapshot pairs the recovered navigator with the
+        ``recovering`` state.
+        """
         with self._state_lock:
             self._navigator = navigator
             self._pending = pending
             if salvaged is not None:
                 self._salvaged = salvaged
+            if recovered:
+                self._recovering = False
             self.generation += 1
 
     # -- loading ---------------------------------------------------------
@@ -957,7 +965,8 @@ class CheckpointService:
             self._promote_dynamic(None, None)
             return dyn
 
-    def _promote_dynamic(self, prev_cover, prev_navigator) -> None:
+    def _promote_dynamic(self, prev_cover, prev_navigator,
+                         recovered: bool = False) -> None:
         """Install the dynamic cover's current generation atomically.
 
         Per-tree navigators are rebuilt only for trees the patch
@@ -981,7 +990,8 @@ class CheckpointService:
             dyn.metric, dyn.cover, self.k, workers=self.workers, _reuse=reuse
         )
         self.metric = dyn.metric
-        self._swap(navigator, [], salvaged=list(dyn.trees))
+        self._swap(navigator, [], salvaged=list(dyn.trees),
+                   recovered=recovered)
 
     def insert(self, point: Sequence[float]) -> Dict[str, Any]:
         """Insert a point: journal (fsync) first, then patch, then swap.
@@ -1116,7 +1126,8 @@ class CheckpointService:
                     self.metric, report.cover, self.k, workers=self.workers
                 )
                 self.report = report
-                self._swap(navigator, [], salvaged=list(report.cover.trees))
+                self._swap(navigator, [], salvaged=list(report.cover.trees),
+                           recovered=True)
             finally:
                 with self._state_lock:
                     self._recovering = False
@@ -1141,7 +1152,7 @@ class CheckpointService:
                 ))
                 self.report = report
                 self._dynamic = dyn
-                self._promote_dynamic(None, None)
+                self._promote_dynamic(None, None, recovered=True)
             finally:
                 with self._state_lock:
                     self._recovering = False

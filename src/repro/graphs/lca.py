@@ -17,7 +17,7 @@ import numpy as np
 
 from .tree import Tree
 
-__all__ = ["LcaIndex", "PairWorkspace", "euler_tour"]
+__all__ = ["LcaIndex", "PairWorkspace", "euler_tour", "tour_weighted_depths"]
 
 # Scalar-path mirrors of the numpy arrays, built by the first scalar
 # query (see LcaIndex.__getattr__).
@@ -62,6 +62,23 @@ def euler_tour(tree: Tree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     first[tour_np[down]] = np.flatnonzero(down)
     depths = np.cumsum(np.where(down, 1, -1)) - 1
     return first, tour_np, depths
+
+
+def tour_weighted_depths(
+    tree: Tree, first: np.ndarray, tour: np.ndarray
+) -> np.ndarray:
+    """Weighted root distance of every vertex, float64.
+
+    The recurrence of :meth:`Tree.weighted_depths` (so the values are
+    bit-identical), walked in the preorder the tour's first visits
+    give, which spares the tree its child lists.
+    """
+    parents = tree.parents
+    weights = tree.weights
+    wdepth = [0.0] * tree.n
+    for v in tour[np.sort(first)[1:]].tolist():
+        wdepth[v] = wdepth[parents[v]] + weights[v]
+    return np.asarray(wdepth, dtype=np.float64)
 
 
 class PairWorkspace:
@@ -180,19 +197,10 @@ class LcaIndex:
 
     @property
     def wd_tour(self) -> np.ndarray:
-        """Weighted root distance of each tour entry (built on first use).
-
-        The recurrence of ``Tree.weighted_depths`` (so the values are
-        bit-identical), walked in the preorder the tour's first visits
-        give, which spares the tree its child lists.
-        """
+        """Weighted root distance of each tour entry (built on first use)."""
         if self._wd_tour is None:
-            parents = self.tree.parents
-            weights = self.tree.weights
-            wdepth = [0.0] * self.tree.n
-            for v in self.tour[np.sort(self.first)[1:]].tolist():
-                wdepth[v] = wdepth[parents[v]] + weights[v]
-            self._wd_tour = np.asarray(wdepth, dtype=np.float64)[self.tour]
+            wdepth = tour_weighted_depths(self.tree, self.first, self.tour)
+            self._wd_tour = wdepth[self.tour]
         return self._wd_tour
 
     def lca(self, u: int, v: int) -> int:

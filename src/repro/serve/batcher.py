@@ -9,12 +9,23 @@ inline vs offloaded batches, shedding, deadline expiry,
 retry-with-backoff — unit tests deterministically against a fake
 executor, independent of the navigation stack.
 
-Lifecycle: requests enter through :meth:`MicroBatcher.submit` (which
-returns each request's resolved payload) and a single flusher task
-drains the queue into per-op batches.  The flusher never waits for
-company: as soon as the previous batch returns it takes everything
-queued, up to ``max_batch``, so requests that arrive while a batch runs
-form the next one.
+Lifecycle: requests enter through :meth:`MicroBatcher.admit`, which
+takes a reply sink — a ``sink(token, payload)`` callable — instead of
+returning anything.  Every request is answered exactly once through its
+sink: at once when it is shed or already expired, else when its batch
+resolves or its deadline passes.  The server's sink appends the
+response to the connection's output buffer; :meth:`MicroBatcher.submit`
+is a thin awaitable wrapper for tests and embedders whose sink settles
+a future.  A single flusher task drains the queue into per-op batches.
+The flusher never waits for company: as soon as the previous batch
+returns it takes everything queued, up to ``max_batch``, so requests
+that arrive while a batch runs form the next one.
+
+Deadlines cost one loop timer, not one per request: it is armed at the
+earliest deadline over the queued and in-flight requests, and when it
+fires it expires every request whose deadline has passed, wherever it
+is.  A request expired mid-batch is answered ``timeout`` at once and
+its computed answer is dropped when the batch returns.
 
 A batch runs on the event loop itself when the previous batch of the
 same op took less than one GIL switch interval
@@ -29,10 +40,11 @@ never blocks admission.
 from __future__ import annotations
 
 import asyncio
+import math
 import sys
 import time
 from collections import deque
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..observability import OBS
 from .policy import AdmissionPolicy
@@ -42,6 +54,10 @@ __all__ = ["MicroBatcher"]
 # Executor contract: (op, [(u, v), ...]) -> one payload dict per pair,
 # in input order.  Payloads carry at least {"status", "result"}.
 BatchExecutor = Callable[[str, List[Tuple[int, int]]], List[Dict[str, Any]]]
+
+#: ``sink(token, payload)``: delivers one request's payload; ``token``
+#: is whatever the admitter passed (the server passes the request id).
+ReplySink = Callable[[Any, Dict[str, Any]], None]
 
 _G_QUEUE_DEPTH = OBS.registry.gauge("serve.queue_depth")
 _H_BATCH_SIZE = OBS.registry.histogram("serve.batch_size")
@@ -57,18 +73,28 @@ _C_OFFLOADED = OBS.registry.counter("serve.batches_offloaded")
 
 
 class _Pending:
-    """One admitted request waiting for (or riding in) a batch."""
+    """One admitted request waiting for (or riding in) a batch.
 
-    __slots__ = ("op", "u", "v", "deadline", "future", "admitted_at")
+    ``sink`` is cleared once the request is answered (or abandoned), so
+    a request is never answered twice.
+    """
+
+    __slots__ = ("op", "u", "v", "deadline", "sink", "token", "admitted_at")
 
     def __init__(self, op: str, u: int, v: int, deadline: float,
-                 future: "asyncio.Future", admitted_at: float):
+                 sink: Optional[ReplySink], token: Any, admitted_at: float):
         self.op = op
         self.u = u
         self.v = v
         self.deadline = deadline
-        self.future = future
+        self.sink = sink
+        self.token = token
         self.admitted_at = admitted_at
+
+
+def _settle(future: "asyncio.Future", payload: Dict[str, Any]) -> None:
+    if not future.done():
+        future.set_result(payload)
 
 
 class MicroBatcher:
@@ -99,10 +125,16 @@ class MicroBatcher:
         self.policy = policy
         self._needs_setup = needs_setup
         self._queue: Deque[_Pending] = deque()
+        #: The batch being computed (its requests can still expire).
+        self._inflight: List[_Pending] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._have_work: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._running = False
+        #: The deadline timer and the time it is armed for: never later
+        #: than the earliest deadline of an unanswered request.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = math.inf
         #: op -> wall seconds the last batch of that op took.
         self._last_seconds: Dict[str, float] = {}
 
@@ -117,6 +149,7 @@ class MicroBatcher:
     async def stop(self) -> None:
         """Stop flushing; unresolved requests fail fast with ``error``."""
         self._running = False
+        inflight = self._inflight  # cleared as the cancelled batch unwinds
         if self._have_work is not None:
             self._have_work.set()
         if self._task is not None:
@@ -126,8 +159,12 @@ class MicroBatcher:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        while self._queue:
-            item = self._queue.popleft()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer, self._timer_at = None, math.inf
+        stranded = [*inflight, *self._queue]
+        self._queue.clear()
+        for item in stranded:
             self._resolve(item, {
                 "status": "error", "result": None,
                 "error": "server shutting down",
@@ -141,57 +178,109 @@ class MicroBatcher:
 
     # -- admission -------------------------------------------------------
 
-    async def submit(
-        self, op: str, u: int, v: int, deadline: float
-    ) -> Dict[str, Any]:
-        """Admit one request; returns its resolved payload.
+    def admit(
+        self, op: str, u: int, v: int, deadline: float,
+        sink: ReplySink, token: Any = None,
+    ) -> Optional[_Pending]:
+        """Admit one request; its payload goes to ``sink(token, payload)``.
 
-        Returns immediately with ``overloaded`` when the queue is full,
-        and with ``timeout`` once ``deadline`` (absolute, event-loop
-        clock) passes — whichever state the request is in.
+        ``deadline`` is absolute, on the event-loop clock.  A full queue
+        answers ``overloaded`` and a passed deadline ``timeout``, both
+        before this returns (and then it returns ``None``); otherwise
+        the request is queued and its handle returned.
         """
         obs = OBS.enabled
         if len(self._queue) >= self.policy.max_queue:
             if obs:
                 _C_SHED.inc()
-            return {
+            sink(token, {
                 "status": "overloaded", "result": None,
                 "error": (
                     f"admission queue full "
                     f"({self.policy.max_queue} requests waiting)"
                 ),
-            }
+            })
+            return None
         now = self._loop.time()
-        remaining = deadline - now
-        if remaining <= 0:
+        if deadline <= now:
             if obs:
                 _C_TIMEOUTS.inc()
-            return {
+            sink(token, {
                 "status": "timeout", "result": None,
                 "error": "deadline expired before admission",
-            }
-        item = _Pending(op, u, v, deadline, self._loop.create_future(), now)
+            })
+            return None
+        item = _Pending(op, u, v, deadline, sink, token, now)
         self._queue.append(item)
+        if deadline < self._timer_at:
+            self._arm(deadline)
         if obs:
             _C_ADMITTED.inc()
             _G_QUEUE_DEPTH.set(len(self._queue))
         self._have_work.set()
+        return item
+
+    async def submit(
+        self, op: str, u: int, v: int, deadline: float
+    ) -> Dict[str, Any]:
+        """Admit one request and await its payload (see :meth:`admit`)."""
+        future = self._loop.create_future()
+        item = self.admit(op, u, v, deadline, _settle, future)
         try:
-            payload = await asyncio.wait_for(item.future, timeout=remaining)
-        except asyncio.TimeoutError:
-            # wait_for cancelled the future; the flusher skips it.
-            if obs:
-                _C_TIMEOUTS.inc()
-            return {
-                "status": "timeout", "result": None,
-                "error": (
-                    f"deadline of {remaining * 1000:.1f}ms expired "
-                    "before the batch completed"
-                ),
-            }
-        if obs:
-            _H_REQUEST_US.observe((self._loop.time() - now) * 1e6)
-        return payload
+            return await future
+        except asyncio.CancelledError:
+            if item is not None:
+                item.sink = None  # abandoned: never computed or answered
+            raise
+
+    # -- deadlines -------------------------------------------------------
+
+    def _arm(self, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = when
+        self._timer = self._loop.call_at(when, self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        """Expire every request past its deadline; re-arm for the rest."""
+        # The loop may fire a timer up to its clock resolution early;
+        # the deadlines it was armed for count as passed regardless.
+        now = max(self._loop.time(), self._timer_at)
+        self._timer, self._timer_at = None, math.inf
+        earliest = math.inf
+        kept: Deque[_Pending] = deque()
+        for item in self._queue:
+            if item.sink is None:
+                continue
+            if item.deadline <= now:
+                self._expire(item, "in the admission queue")
+            else:
+                kept.append(item)
+                earliest = min(earliest, item.deadline)
+        self._queue = kept
+        for item in self._inflight:
+            if item.sink is None:
+                continue
+            if item.deadline <= now:
+                self._expire(item, "before the batch completed")
+            else:
+                earliest = min(earliest, item.deadline)
+        if earliest < math.inf:
+            self._arm(earliest)
+        if OBS.enabled:
+            _G_QUEUE_DEPTH.set(len(self._queue))
+
+    def _expire(self, item: _Pending, where: str) -> None:
+        if OBS.enabled:
+            _C_TIMEOUTS.inc()
+        sink, item.sink = item.sink, None
+        sink(item.token, {
+            "status": "timeout", "result": None,
+            "error": (
+                f"deadline of {(item.deadline - item.admitted_at) * 1000:.1f}"
+                f"ms expired {where}"
+            ),
+        })
 
     # -- flushing --------------------------------------------------------
 
@@ -201,34 +290,28 @@ class MicroBatcher:
             if not self._running:
                 break
             batch: List[_Pending] = []
+            now = self._loop.time()
             while self._queue and len(batch) < self.policy.max_batch:
-                batch.append(self._queue.popleft())
+                item = self._queue.popleft()
+                if item.sink is None:  # abandoned
+                    continue
+                if item.deadline <= now:  # its timer has not run yet
+                    self._expire(item, "in the admission queue")
+                    continue
+                batch.append(item)
             if not self._queue:
                 self._have_work.clear()
             if OBS.enabled:
                 _G_QUEUE_DEPTH.set(len(self._queue))
-            live = self._drop_dead(batch)
-            if live:
-                await self._run_batch(live)
-            # Let the resolved requests write their responses, and the
-            # loop read new ones, before the next batch is taken.
+            if batch:
+                self._inflight = batch
+                try:
+                    await self._run_batch(batch)
+                finally:
+                    self._inflight = []
+            # Let the connections write the answers, and the loop read
+            # new requests, before the next batch is taken.
             await asyncio.sleep(0)
-
-    def _drop_dead(self, batch: List[_Pending]) -> List[_Pending]:
-        """Shed abandoned/expired requests instead of computing them."""
-        now = self._loop.time()
-        live: List[_Pending] = []
-        for item in batch:
-            if item.future.done():  # submitter already timed out
-                continue
-            if item.deadline <= now:
-                self._resolve(item, {
-                    "status": "timeout", "result": None,
-                    "error": "deadline expired in the admission queue",
-                })
-                continue
-            live.append(item)
-        return live
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
         by_op: Dict[str, List[_Pending]] = {}
@@ -293,7 +376,11 @@ class MicroBatcher:
             return payloads
         return None
 
-    @staticmethod
-    def _resolve(item: _Pending, payload: Dict[str, Any]) -> None:
-        if not item.future.done():
-            item.future.set_result(payload)
+    def _resolve(self, item: _Pending, payload: Dict[str, Any]) -> None:
+        sink = item.sink
+        if sink is None:  # expired, or its submitter went away
+            return
+        item.sink = None
+        if OBS.enabled:
+            _H_REQUEST_US.observe((self._loop.time() - item.admitted_at) * 1e6)
+        sink(item.token, payload)

@@ -9,6 +9,13 @@ live-traffic failure mode.  Every response envelope carries the
 service block (ready/degraded/recovering + generation), so clients see
 degradation and recovery happen request by request.
 
+The query path is batch-native from the socket to the socket: a
+connection's reader parses whatever bytes are ready and admits each
+query straight into the batcher with the connection as its reply sink
+(no task, future or timer per request), and the answers of a batch
+leave in one socket write per connection.  Admin and mutation lines
+take a per-line task; they are rare.
+
 For scraping convenience the same port also answers plain HTTP GETs —
 ``/healthz`` (liveness), ``/readyz`` (200 only at full contract, 503
 while degraded/recovering/down) and ``/metrics`` (the observability
@@ -28,7 +35,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..checkpoint.recovery import CheckpointService
 from ..observability import OBS
@@ -52,6 +59,82 @@ __all__ = ["SpannerServer", "ThreadedServer"]
 _C_CONNECTIONS = OBS.registry.counter("serve.connections")
 _C_REQUESTS = OBS.registry.counter("serve.requests")
 _C_BAD_REQUESTS = OBS.registry.counter("serve.bad_requests")
+
+#: The longest request line served; a longer one is answered with an
+#: ``error`` envelope and skipped.
+MAX_LINE_BYTES = 1 << 16
+#: Bytes taken from a connection's socket per read.
+_READ_CHUNK = 1 << 16
+#: A connection's reader stops reading new requests while more than
+#: this many answer bytes wait in its socket's write buffer.
+_DRAIN_HIGH_WATER = 1 << 16
+
+
+class _Connection:
+    """The reply side of one client connection.
+
+    :meth:`answer` is the reply sink the batcher delivers to.  Answers
+    collect in ``out`` and leave in one ``writer.write`` per loop turn,
+    so a batch costs each connection it touches one socket write, not
+    one per request.
+    """
+
+    __slots__ = ("server", "writer", "loop", "out", "flush_scheduled",
+                 "unanswered", "idle", "tasks")
+
+    def __init__(self, server: "SpannerServer",
+                 writer: asyncio.StreamWriter):
+        self.server = server
+        self.writer = writer
+        self.loop = asyncio.get_running_loop()
+        self.out: List[bytes] = []
+        self.flush_scheduled = False
+        #: Queries admitted and not yet answered.
+        self.unanswered = 0
+        #: Set at end of input while answers are outstanding.
+        self.idle: Optional[asyncio.Future] = None
+        #: Admin and mutation lines in progress.
+        self.tasks: Set[asyncio.Task] = set()
+
+    def answer(self, request_id: Any, payload: Dict[str, Any]) -> None:
+        """The batcher's reply sink: one query's payload, as a response."""
+        self.send(make_response(
+            request_id,
+            payload.get("status", "error"),
+            result=payload.get("result"),
+            error=payload.get("error"),
+            # Batches stamp the snapshot that answered them; admission
+            # failures (shed/timeout) fall back to the current level.
+            service=payload.get("service") or self.server._service_block(),
+        ))
+        self.unanswered -= 1
+        if not self.unanswered and self.idle is not None \
+                and not self.idle.done():
+            self.idle.set_result(None)
+
+    def send(self, response: Dict[str, Any]) -> None:
+        self.out.append(encode_line(response))
+        if not self.flush_scheduled:
+            self.flush_scheduled = True
+            self.loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        self.flush_scheduled = False
+        if self.out:
+            data = b"".join(self.out)
+            self.out.clear()
+            if not self.writer.is_closing():
+                self.writer.write(data)
+
+    async def finish(self) -> None:
+        """After end of input: wait for every answer, then write them."""
+        if self.unanswered:
+            self.idle = self.loop.create_future()
+            await self.idle
+        if self.tasks:
+            await asyncio.gather(*self.tasks, return_exceptions=True)
+        self.flush()
+        await self.writer.drain()
 
 
 class SpannerServer:
@@ -170,31 +253,24 @@ class SpannerServer:
     ) -> None:
         if OBS.enabled:
             _C_CONNECTIONS.inc()
-        write_lock = asyncio.Lock()
-        tasks: Set[asyncio.Task] = set()
+        conn = _Connection(self, writer)
         try:
-            first = await reader.readline()
-            if first.startswith(b"GET ") or first.startswith(b"HEAD "):
-                await self._handle_http(first, reader, writer)
+            data = await reader.read(_READ_CHUNK)
+            # Enough of the first line to tell HTTP from NDJSON.
+            while data and len(data) < 5 and b"\n" not in data:
+                more = await reader.read(_READ_CHUNK)
+                if not more:
+                    break
+                data += more
+            if data.startswith((b"GET ", b"HEAD ")):
+                await self._handle_http(data, reader, writer)
                 return
-            line = first
-            while line:
-                stripped = line.strip()
-                if stripped:
-                    task = asyncio.ensure_future(
-                        self._handle_line(stripped, writer, write_lock)
-                    )
-                    tasks.add(task)
-                    self._conn_tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                    task.add_done_callback(self._conn_tasks.discard)
-                line = await reader.readline()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            await self._read_requests(conn, reader, data)
+            await conn.finish()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            for task in tasks:
+            for task in conn.tasks:
                 task.cancel()
             writer.close()
             try:
@@ -202,43 +278,71 @@ class SpannerServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+    async def _read_requests(
+        self, conn: "_Connection", reader: asyncio.StreamReader, data: bytes
     ) -> None:
+        """Admit every line the client sends, a chunk of bytes at a time.
+
+        A line longer than :data:`MAX_LINE_BYTES` is answered with an
+        ``error`` envelope and skipped up to its newline; the
+        connection keeps serving.  The reader waits for the client to
+        take its answers only once the socket's write buffer passes
+        :data:`_DRAIN_HIGH_WATER`.
+        """
+        partial = b""
+        skipping = False
+        transport = conn.writer.transport
+        while data:
+            if skipping:
+                newline = data.find(b"\n")
+                if newline < 0:
+                    data = await reader.read(_READ_CHUNK)
+                    continue
+                data, skipping = data[newline + 1:], False
+            lines = (partial + data if partial else data).split(b"\n")
+            partial = lines.pop()
+            for line in lines:
+                self._handle_line(conn, line)
+            if len(partial) > MAX_LINE_BYTES:
+                self._handle_line(conn, partial)
+                partial, skipping = b"", True
+            if transport.get_write_buffer_size() > _DRAIN_HIGH_WATER:
+                conn.flush()
+                await conn.writer.drain()
+            data = await reader.read(_READ_CHUNK)
+        if partial and not skipping:
+            self._handle_line(conn, partial)  # a last line without newline
+
+    def _handle_line(self, conn: "_Connection", line: bytes) -> None:
+        stripped = line.strip()
+        if not stripped:
+            return
         if OBS.enabled:
             _C_REQUESTS.inc()
         try:
-            request = parse_request(line.decode("utf-8", errors="replace"))
+            if len(line) > MAX_LINE_BYTES:
+                raise ProtocolError(
+                    f"request line longer than {MAX_LINE_BYTES} bytes"
+                )
+            request = parse_request(stripped.decode("utf-8", errors="replace"))
         except ProtocolError as exc:
             if OBS.enabled:
                 _C_BAD_REQUESTS.inc()
-            response = make_response(
+            conn.send(make_response(
                 exc.request_id, "error", error=str(exc),
                 service=self._service_block(),
-            )
-            await self._write(writer, write_lock, response)
+            ))
             return
         if request.op in QUERY_OPS:
-            response = await self._handle_query(request)
-        elif request.op in MUTATION_OPS:
-            # Mutations run on the default executor: the patch is heavy
-            # CPU work serialized by the service's mutate lock, and the
-            # event loop must keep pumping in-flight query batches (which
-            # answer on the pre-mutation snapshot) meanwhile.
-            loop = asyncio.get_running_loop()
-            response = await loop.run_in_executor(
-                None, self._handle_mutation, request
-            )
-        else:
-            response = self._handle_admin(request)
-        await self._write(writer, write_lock, response)
-        if request.op == "shutdown":
-            self.request_stop()
+            self._admit_query(conn, request)
+            return
+        task = asyncio.ensure_future(self._handle_request(conn, request))
+        conn.tasks.add(task)
+        self._conn_tasks.add(task)
+        task.add_done_callback(conn.tasks.discard)
+        task.add_done_callback(self._conn_tasks.discard)
 
-    async def _handle_query(self, request: Request) -> Dict[str, Any]:
+    def _admit_query(self, conn: "_Connection", request: Request) -> None:
         n = self.service.metric.n
         error = None
         if not (0 <= request.u < n and 0 <= request.v < n):
@@ -257,24 +361,41 @@ class SpannerServer:
         if error is not None:
             if OBS.enabled:
                 _C_BAD_REQUESTS.inc()
-            return make_response(
+            conn.send(make_response(
                 request.id, "error", error=error,
                 service=self._service_block(),
+            ))
+            return
+        deadline = self.policy.deadline_at(conn.loop.time(), request.deadline_ms)
+        conn.unanswered += 1
+        self.batcher.admit(
+            request.op, request.u, request.v, deadline,
+            conn.answer, request.id,
+        )
+
+    async def _handle_request(
+        self, conn: "_Connection", request: Request
+    ) -> None:
+        """The per-line path of admin and mutation ops."""
+        if request.op in MUTATION_OPS:
+            # Mutations run on the default executor: the patch is heavy
+            # CPU work serialized by the service's mutate lock, and the
+            # event loop must keep pumping in-flight query batches (which
+            # answer on the pre-mutation snapshot) meanwhile.
+            loop = asyncio.get_running_loop()
+            response = await loop.run_in_executor(
+                None, self._handle_mutation, request
             )
-        loop = asyncio.get_running_loop()
-        deadline = self.policy.deadline_at(loop.time(), request.deadline_ms)
-        payload = await self.batcher.submit(
-            request.op, request.u, request.v, deadline
-        )
-        return make_response(
-            request.id,
-            payload.get("status", "error"),
-            result=payload.get("result"),
-            error=payload.get("error"),
-            # Batches stamp the snapshot that answered them; admission
-            # failures (shed/timeout) fall back to the current level.
-            service=payload.get("service") or self._service_block(),
-        )
+        else:
+            response = self._handle_admin(request)
+        conn.send(response)
+        if request.op == "shutdown":
+            conn.flush()
+            try:
+                await conn.writer.drain()
+            except (ConnectionError, RuntimeError):
+                pass
+            self.request_stop()
 
     def _handle_admin(self, request: Request) -> Dict[str, Any]:
         if request.op == "ping":
@@ -366,32 +487,24 @@ class SpannerServer:
             request.id, "ok", result=result, service=self._service_block(),
         )
 
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: Dict[str, Any],
-    ) -> None:
-        try:
-            async with write_lock:
-                writer.write(encode_line(response))
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; nothing to deliver to
-
     # -- HTTP facade -----------------------------------------------------
 
     async def _handle_http(
         self,
-        first_line: bytes,
+        head: bytes,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        # Drain the request headers (bounded) so the peer can write.
-        for _ in range(64):
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
+        # Read the request headers (bounded) so the peer can write.
+        while (
+            b"\r\n\r\n" not in head and b"\n\n" not in head
+            and len(head) <= MAX_LINE_BYTES
+        ):
+            more = await reader.read(_READ_CHUNK)
+            if not more:
                 break
+            head += more
+        first_line = head.split(b"\n", 1)[0]
         try:
             target = first_line.split()[1].decode("ascii", errors="replace")
         except IndexError:

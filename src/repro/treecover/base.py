@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import StalePackError, check
-from ..graphs.lca import PairWorkspace, euler_tour
+from ..graphs.lca import PairWorkspace, euler_tour, tour_weighted_depths
 from ..graphs.tree import Tree
 from ..metrics.base import Metric, sample_pairs
 from ..metrics.tree_metric import TreeMetric
@@ -113,17 +113,23 @@ class CoverTree:
             ps, qs, out=out, workspace=workspace, hosts=self.vertex_of_point
         )
 
-    def euler_tour(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first-visit positions, tour vertices, tour depths), int64.
+    def weighted_euler_tour(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(first-visit positions, tour vertices, tour depths, weighted
+        root distance of each vertex).
 
-        Reuses the tour of this tree's LCA index when one is already
-        built; otherwise walks the tree without building an index.
+        Reuses the tour and weighted depths of this tree's LCA index
+        when one is already built; otherwise walks the tree without
+        building an index (or the tree's child lists).
         """
         metric = self._tree_metric
         built = None if metric is None else metric.built_lca_index()
         if built is not None:
-            return built.first, built.tour, built.tour_depth
-        return euler_tour(self.tree)
+            return (built.first, built.tour, built.tour_depth,
+                    built.wd_tour[built.first])
+        first, tour, depths = euler_tour(self.tree)
+        return first, tour, depths, tour_weighted_depths(self.tree, first, tour)
 
     def tree_path_points(self, p: int, q: int) -> List[int]:
         """The tree path between two points, as representative points."""

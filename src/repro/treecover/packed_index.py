@@ -100,10 +100,9 @@ class PackedCoverIndex:
             tour_off = np.zeros(zeta + 1, dtype=np.int64)
             offset = 0
             for t, ct in enumerate(trees):
-                first, tour, depths = ct.euler_tour()
+                first, tour, depths, wdepth = ct.weighted_euler_tour()
                 m = len(tour)
                 tour_depth[offset : offset + m] = depths
-                wdepth = np.asarray(ct.tree.weighted_depths(), dtype=np.float64)
                 wd_tour[offset : offset + m] = wdepth[tour]
                 vop = np.asarray(ct.vertex_of_point, dtype=np.int64)
                 first_pt[t] = first[vop] + offset

@@ -11,6 +11,7 @@ cover backends, and that the packed scalar path stays allocation-lean.
 import random
 import tracemalloc
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,23 @@ def test_packed_index_reuses_built_tours_byte_for_byte():
     for name, array in warm_arrays.items():
         assert array.dtype == cold_arrays[name].dtype
         assert array.tobytes() == cold_arrays[name].tobytes(), name
+
+
+def test_packed_index_weighted_depths_match_the_tree_recurrence():
+    """The arena's root distances, taken from the tour's preorder (or a
+    built index's tour), equal ``Tree.weighted_depths`` bit for bit."""
+    metric = random_points(50, dim=2, seed=13)
+    cover = robust_tree_cover(metric, eps=0.5)
+    for cover_tree in cover.trees[::2]:
+        cover_tree.tree_distances_many([0], [1])
+    index = cover.packed_index()
+    for t, cover_tree in enumerate(cover.trees):
+        wdepth = np.asarray(cover_tree.tree.weighted_depths())
+        _, tour, _, _ = cover_tree.weighted_euler_tour()
+        hosts = np.asarray(cover_tree.vertex_of_point)
+        lo, hi = index.tour_off[t], index.tour_off[t + 1]
+        assert index.wd_pt[t].tobytes() == wdepth[hosts].tobytes()
+        assert index.wd_tour[lo:hi].tobytes() == wdepth[tour].tobytes()
 
 
 class TestPrunedDifferential:

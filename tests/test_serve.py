@@ -21,6 +21,8 @@ The long soak variant additionally carries ``-m stress`` (opt-in).
 import asyncio
 import json
 import random
+import re
+import socket
 import sys
 import threading
 import time
@@ -125,6 +127,18 @@ def _ok_payloads(op, pairs):
     ]
 
 
+def _settle(future, payload):
+    assert not future.done(), "a request was answered twice"
+    future.set_result(payload)
+
+
+def _admit(batcher, op, u, v, deadline):
+    """Admit through the batcher's entry point; a future of the answer."""
+    future = asyncio.get_running_loop().create_future()
+    batcher.admit(op, u, v, deadline, _settle, future)
+    return future
+
+
 class TestBatcher:
     def test_flush_on_size_does_not_wait_for_timer(self):
         async def main():
@@ -140,7 +154,7 @@ class TestBatcher:
             loop = asyncio.get_running_loop()
             started = loop.time()
             payloads = await asyncio.gather(*[
-                batcher.submit("path", i, i + 1, loop.time() + 30.0)
+                _admit(batcher, "path", i, i + 1, loop.time() + 30.0)
                 for i in range(4)
             ])
             elapsed = loop.time() - started
@@ -168,12 +182,10 @@ class TestBatcher:
             batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=32))
             await batcher.start()
             loop = asyncio.get_running_loop()
-            first = await batcher.submit("path", 1, 2, loop.time() + 30.0)
+            first = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
             # No coalescing window: a lone request is answered within a
             # few turns of the loop, with no wall-clock wait at all.
-            lone = asyncio.ensure_future(
-                batcher.submit("path", 7, 8, loop.time() + 30.0)
-            )
+            lone = _admit(batcher, "path", 7, 8, loop.time() + 30.0)
             turns = 0
             while not lone.done() and turns < 10:
                 await asyncio.sleep(0)
@@ -206,12 +218,10 @@ class TestBatcher:
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
-            blocked = asyncio.ensure_future(
-                batcher.submit("path", 0, 1, deadline)
-            )
+            blocked = _admit(batcher, "path", 0, 1, deadline)
             await asyncio.sleep(0.05)  # r0 is now blocked in execute
             queued = [
-                asyncio.ensure_future(batcher.submit("path", i, i + 1, deadline))
+                _admit(batcher, "path", i, i + 1, deadline)
                 for i in range(1, 7)
             ]
             await asyncio.sleep(0.05)
@@ -257,15 +267,11 @@ class TestBatcher:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
             for u in (1, 2):  # fast (offloaded: first), slow (inline)
-                await batcher.submit("path", u, u + 1, deadline)
-            blocked = asyncio.ensure_future(
-                batcher.submit("path", 3, 4, deadline)
-            )
+                await _admit(batcher, "path", u, u + 1, deadline)
+            blocked = _admit(batcher, "path", 3, 4, deadline)
             await asyncio.sleep(0.05)  # batch 3 is blocked in execute
             # ... and the loop keeps admitting work meanwhile.
-            admitted = asyncio.ensure_future(
-                batcher.submit("path", 4, 5, deadline)
-            )
+            admitted = _admit(batcher, "path", 4, 5, deadline)
             await asyncio.sleep(interval)  # batch 3 turns slow too
             depth = batcher.queue_depth
             gate.set()
@@ -303,11 +309,11 @@ class TestBatcher:
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 60.0
-            payloads = [await batcher.submit("route", 1, 2, deadline),
-                        await batcher.submit("route", 3, 4, deadline)]
+            payloads = [await _admit(batcher, "route", 1, 2, deadline),
+                        await _admit(batcher, "route", 3, 4, deadline)]
             service.kill_trees([0])  # new generation, no scheme cached
             needed = engine.needs_setup("route")
-            payloads.append(await batcher.submit("route", 5, 6, deadline))
+            payloads.append(await _admit(batcher, "route", 5, 6, deadline))
             await batcher.stop()
             return payloads, needed
 
@@ -330,7 +336,7 @@ class TestBatcher:
             await batcher.start()
             loop = asyncio.get_running_loop()
             for u in range(3):
-                await batcher.submit("path", u, u + 1, loop.time() + 30.0)
+                await _admit(batcher, "path", u, u + 1, loop.time() + 30.0)
             await batcher.stop()
 
         with OBS.scoped(True):
@@ -354,16 +360,14 @@ class TestBatcher:
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
-            blocked = asyncio.ensure_future(
-                batcher.submit("path", 0, 1, deadline)
-            )
+            blocked = _admit(batcher, "path", 0, 1, deadline)
             await asyncio.sleep(0.05)  # r0 is now executing (blocked)
             queued = [
-                asyncio.ensure_future(batcher.submit("path", i, i + 1, deadline))
+                _admit(batcher, "path", i, i + 1, deadline)
                 for i in (1, 2)
             ]
             await asyncio.sleep(0.05)  # r1, r2 fill the bounded queue
-            shed = await batcher.submit("path", 3, 4, deadline)
+            shed = await _admit(batcher, "path", 3, 4, deadline)
             gate.set()
             served = await asyncio.gather(blocked, *queued)
             await batcher.stop()
@@ -388,14 +392,12 @@ class TestBatcher:
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
-            blocked = asyncio.ensure_future(
-                batcher.submit("path", 0, 1, loop.time() + 30.0)
-            )
+            blocked = _admit(batcher, "path", 0, 1, loop.time() + 30.0)
             await asyncio.sleep(0.05)
             # This one waits in the queue behind the stuck batch and
             # must time out there — never hang, never compute.
             started = loop.time()
-            expired = await batcher.submit("path", 2, 3, loop.time() + 0.1)
+            expired = await _admit(batcher, "path", 2, 3, loop.time() + 0.1)
             waited = loop.time() - started
             gate.set()
             first = await blocked
@@ -424,7 +426,7 @@ class TestBatcher:
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
-            payload = await batcher.submit("path", 1, 2, loop.time() + 30.0)
+            payload = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
             await batcher.stop()
             return attempts, payload
 
@@ -444,13 +446,103 @@ class TestBatcher:
             batcher = MicroBatcher(execute, policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
-            payload = await batcher.submit("path", 1, 2, loop.time() + 30.0)
+            payload = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
             await batcher.stop()
             return payload
 
         payload = asyncio.run(main())
         assert payload["status"] == "error"
         assert "2 attempts" in payload["error"]
+
+    def test_deadline_expires_while_its_batch_computes(self):
+        async def main():
+            gate = threading.Event()
+            answers = []
+
+            def execute(op, pairs):
+                gate.wait(10.0)
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=4))
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            batcher.admit(
+                "path", 0, 1, loop.time() + 0.1,
+                lambda token, payload: answers.append(
+                    (loop.time() - started, payload)),
+            )
+            while not answers:
+                await asyncio.sleep(0.01)
+            gate.set()
+            await asyncio.sleep(0.1)  # the batch returns; nothing more
+            await batcher.stop()
+            return answers
+
+        answers = asyncio.run(main())
+        assert len(answers) == 1  # the late batch answer is dropped
+        waited, payload = answers[0]
+        assert payload["status"] == "timeout"
+        assert "before the batch completed" in payload["error"]
+        assert waited < 5.0
+
+    def test_stop_answers_queued_and_inflight_requests(self):
+        async def main():
+            gate = threading.Event()
+
+            def execute(op, pairs):
+                gate.wait(10.0)
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=1))
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            inflight = _admit(batcher, "path", 0, 1, deadline)
+            await asyncio.sleep(0.05)  # r0 is now blocked in execute
+            queued = _admit(batcher, "path", 1, 2, deadline)
+            await batcher.stop()
+            gate.set()
+            return [inflight.result(), queued.result()]
+
+        for payload in asyncio.run(main()):
+            assert payload["status"] == "error"
+            assert payload["error"] == "server shutting down"
+
+    def test_submit_awaits_the_admitted_answer(self):
+        async def main():
+            gate = threading.Event()
+            batches = []
+
+            def execute(op, pairs):
+                batches.append(list(pairs))
+                gate.wait(10.0)
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=4))
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            blocked = asyncio.ensure_future(
+                batcher.submit("path", 0, 1, deadline)
+            )
+            await asyncio.sleep(0.05)  # r0 is now blocked in execute
+            # A submit cancelled while queued is abandoned: never computed.
+            gone = asyncio.ensure_future(batcher.submit("path", 5, 6, deadline))
+            await asyncio.sleep(0)
+            gone.cancel()
+            await asyncio.sleep(0)
+            gate.set()
+            payload = await batcher.submit("path", 1, 2, deadline)
+            first = await blocked
+            await batcher.stop()
+            return batches, first, payload, gone.cancelled()
+
+        batches, first, payload, cancelled = asyncio.run(main())
+        assert first == {"status": "ok", "result": {"u": 0, "v": 1}}
+        assert payload == {"status": "ok", "result": {"u": 1, "v": 2}}
+        assert cancelled
+        assert batches == [[(0, 1)], [(1, 2)]]
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +586,22 @@ def _pairs(count, offset=0):
         if u != v:
             pairs.append((u, v))
     return pairs
+
+
+def _read_lines(sock, count=None):
+    """Decoded response lines off a raw socket: ``count``, else to EOF."""
+    lines = []
+    with sock.makefile("rb") as reader:
+        while count is None or len(lines) < count:
+            line = reader.readline()
+            if not line:
+                break
+            lines.append(json.loads(line))
+    return lines
+
+
+def _prom_sample(text, name):
+    return float(re.search(rf"^{name} (\S+)$", text, re.MULTILINE).group(1))
 
 
 class TestServerEndToEnd:
@@ -597,6 +705,97 @@ class TestServerEndToEnd:
             assert service["state"] == "ready"
             assert service["degraded"] is False
             assert service["trees_pending"] == 0
+
+    def test_response_line_is_the_encoded_envelope(self, server):
+        engine = server.server.engine
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(encode_line({"id": 7, "op": "path", "u": 3, "v": 41}))
+            with sock.makefile("rb") as reader:
+                line = reader.readline()
+        payload = engine.execute("path", [(3, 41)])[0]
+        assert line == encode_line(make_response(
+            7, payload["status"], result=payload["result"],
+            error=payload["error"], service=payload["service"],
+        ))
+
+    def test_oversized_line_gets_error_then_serves_on(self, client):
+        client._sock.sendall(
+            b'{"id": 1, "op": "ping", "pad": "' + b"x" * 200_000 + b'"}\n'
+            + encode_line({"id": 2, "op": "ping"})
+        )
+        error, pong = client.recv(), client.recv()
+        assert error["status"] == "error"
+        assert error["id"] is None
+        assert "longer than 65536 bytes" in error["error"]
+        assert pong["id"] == 2
+        assert pong["result"]["pong"] is True
+
+    def test_pipelined_burst_is_written_in_few_writes(self, server,
+                                                     monkeypatch):
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def counting_write(writer, data):
+            writes.append(data.count(b"\n"))
+            return write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        pairs = _pairs(240)[:200]
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"".join(
+                encode_line({"id": i, "op": "path", "u": u, "v": v})
+                for i, (u, v) in enumerate(pairs)
+            ))
+            responses = _read_lines(sock, count=len(pairs))
+        assert len(pairs) == 200
+        assert sorted(r["id"] for r in responses) == list(range(200))
+        assert all(r["status"] == "ok" for r in responses)
+        assert sum(writes) == 200
+        assert len(writes) <= 200 // 4
+
+    def test_half_closed_client_gets_every_answer(self, server):
+        pairs = _pairs(60)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"".join(
+                encode_line({"id": i, "op": "path", "u": u, "v": v})
+                for i, (u, v) in enumerate(pairs)
+            ))
+            sock.shutdown(socket.SHUT_WR)
+            responses = _read_lines(sock)  # to EOF
+        assert sorted(r["id"] for r in responses) == list(range(len(pairs)))
+        assert all(r["status"] == "ok" for r in responses)
+
+    def test_deadline_expires_behind_a_slow_executor_batch(
+        self, serve_metric, serve_ckpt, monkeypatch
+    ):
+        execute = QueryEngine.execute
+
+        def slow_execute(engine, op, pairs):
+            if (0, 1) in pairs:
+                time.sleep(1.5)
+            return execute(engine, op, pairs)
+
+        monkeypatch.setattr(QueryEngine, "execute", slow_execute)
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        policy = AdmissionPolicy(default_deadline=30.0)
+        with OBS.scoped(True), ThreadedServer(service, policy=policy) \
+                as threaded, ServeClient(threaded.host, threaded.port) as client:
+            before = _prom_sample(client.metrics_text(), "repro_serve_timeouts")
+            # The first batch of an op runs on the executor.
+            slow_ids = client.send([{"op": "path", "u": 0, "v": 1}])
+            time.sleep(0.1)
+            started = time.perf_counter()
+            expired = client.path(2, 3, deadline_ms=100)
+            waited = time.perf_counter() - started
+            slow = client.collect(slow_ids)[0]
+            after = _prom_sample(client.metrics_text(), "repro_serve_timeouts")
+        assert expired["status"] == "timeout"
+        assert waited < 1.0  # at its deadline, not when the batch returns
+        assert slow["status"] == "ok"
+        assert after - before == 1
 
 
 # ----------------------------------------------------------------------
