@@ -4,17 +4,12 @@ Usage::
 
     python benchmarks/run_experiments.py            # all experiments
     python benchmarks/run_experiments.py --exp E1 E4
-    python benchmarks/run_experiments.py --json     # emit BENCH_*.json only
 
 Each experiment prints a markdown table "paper claim vs measured" —
 these are the tables recorded in EXPERIMENTS.md.  Paper claims are
 asymptotic; the reproduction matches *shapes* (growth rates, who wins,
-crossovers), not the authors' constants.
-
-``--json`` skips the markdown experiments and runs the
-benchmark-regression harness (:mod:`repro.bench`) instead, writing the
-schema-stable ``BENCH_tree_covers.json`` / ``BENCH_navigation.json``
-artifacts (same payloads as ``python -m repro bench``).
+crossovers), not the authors' constants.  The schema-stable
+``BENCH_*.json`` artifacts come from ``python -m repro bench``.
 """
 
 from __future__ import annotations
@@ -639,26 +634,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--exp", nargs="*", default=sorted(EXPERIMENTS),
                         help="experiment ids (default: all)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit BENCH_*.json via repro.bench and exit")
-    parser.add_argument("--bench-n", type=int, default=2000,
-                        help="points for --json construction benches")
-    parser.add_argument("--bench-nav-n", type=int, default=600,
-                        help="points for --json navigation benches")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for per-tree fan-out "
-                             "(default: REPRO_WORKERS env, else serial)")
-    parser.add_argument("--out-dir", type=str, default=".",
-                        help="directory for --json artifacts")
     args = parser.parse_args()
-    if args.json:
-        from repro.bench import bench_navigation, bench_tree_covers, write_bench_files
-
-        tree_payload = bench_tree_covers(n=args.bench_n, workers=args.workers)
-        nav_payload = bench_navigation(n=args.bench_nav_n, workers=args.workers)
-        for path in write_bench_files(args.out_dir, tree_payload, nav_payload):
-            print(f"wrote {path}")
-        return
     for exp in args.exp:
         start = time.perf_counter()
         EXPERIMENTS[exp.upper()]()

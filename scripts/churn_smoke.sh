@@ -14,6 +14,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 WORK_DIR="${1:-$(mktemp -d)}"
+mkdir -p "$WORK_DIR"
 CKPT="$WORK_DIR/cover.ckpt"
 JOURNAL="$CKPT.journal"
 LOG="$WORK_DIR/churn_serve.log"
@@ -37,6 +38,15 @@ from repro.serve import ServeClient, wait_for_server
 port, n, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 wait_for_server("127.0.0.1", port, timeout=120)
 
+
+def check_patch(response):
+    # The block perfbench's churn probe reads off every mutation reply.
+    patch = response["result"]["patch"]
+    for key in ("touched_fraction", "trees_replayed", "trees_total", "rebuilt"):
+        assert key in patch, (key, response)
+    assert patch["trees_replayed"] == patch["trees_total"] > 0, patch
+
+
 with ServeClient("127.0.0.1", port) as client:
     health = client.health()
     assert health["ready"], health
@@ -46,14 +56,16 @@ with ServeClient("127.0.0.1", port) as client:
     for i in range(4):
         response = client.insert([50.0 + 40.0 * i, 75.0 + 25.0 * i])
         assert response["status"] == "ok", response
+        check_patch(response)
         inserted.append(response["result"]["point_id"])
-        # Query the fresh point immediately: the patched generation
+        # Query the fresh point immediately: the new generation
         # (and its router) must serve it.
         for op in ("distance", "path", "route"):
             reply = client.request(op, u=i, v=inserted[-1])
             assert reply["status"] == "ok", reply
     deleted = client.delete(3)
     assert deleted["status"] == "ok", deleted
+    check_patch(deleted)
     refused = client.distance(3, 5)
     assert refused["status"] == "error" and "tombstoned" in refused["error"], refused
 

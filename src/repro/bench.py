@@ -1032,7 +1032,7 @@ def bench_dynamic(
 
     * ``full_rebuild`` — a from-scratch masked rebuild of the current
       generation: what *every* update would cost without the dynamic
-      layer, and the patch path's fallback.
+      layer, and what a mutation that re-pins the level range pays.
     * ``journal_append`` — p50/p99 of one write-ahead journal record
       (CRC frame + fsync-before-ack), the floor of any mutation's
       acknowledged latency.
@@ -1040,9 +1040,9 @@ def bench_dynamic(
       ``rounds`` seeded mutation batches of ``b`` ops (50/50
       insert/delete) applied through ``DynamicRobustCover.apply``, with
       ``queries`` cover queries interleaved after every batch.  The
-      detail carries sustained ``updates_per_s``, the mean patched
-      ``touched_fraction`` (honest number: single mutations touch every
-      tree in the Theorem 4.1 construction — see ``docs/DYNAMIC.md``),
+      detail carries sustained ``updates_per_s``, the mean
+      ``touched_fraction`` (1.0: every mutation replays every tree of
+      the Theorem 4.1 construction — see ``docs/DYNAMIC.md``),
       per-level sweep reuse, and interleaved query p50.
       ``seed_seconds``/``speedup`` compare against paying one full
       rebuild *per op* — the batch-amortization win.
@@ -1133,7 +1133,7 @@ def bench_dynamic(
             start = time.perf_counter()
             report = state.apply(ops)
             mutate_secs += time.perf_counter() - start
-            touched.append(report.touched_fraction if not report.rebuilt else 1.0)
+            touched.append(report.touched_fraction)
             reused.append(report.levels_reused)
             pairs = state.active_pairs(queries, seed=rng.randrange(1 << 30))
             for u, v in pairs:

@@ -284,6 +284,33 @@ def _classify_tree_task(ctx, task) -> Tuple[Optional[CoverTree], str]:
     return cover_tree, ""
 
 
+def _classify_trees(
+    bodies: Dict[str, Any],
+    bad_sections,
+    num_trees: int,
+    metric: Metric,
+    pairs,
+    workers: Optional[int],
+) -> List[Tuple[Optional[CoverTree], str]]:
+    """Classify every tree section with :func:`_classify_tree_task`.
+
+    Envelope-level failures are resolved here (cheap, needs the bad
+    section table); decode + audit fan out per tree.
+    """
+    tasks: List[Tuple[Any, str]] = []
+    for index in range(num_trees):
+        name = tree_section_name(index)
+        if name in bad_sections:
+            tasks.append((None, "CRC32 mismatch"))
+        elif name not in bodies:
+            tasks.append((None, "section missing"))
+        else:
+            tasks.append((bodies[name], ""))
+    return map_per_tree(
+        _classify_tree_task, tasks, workers=workers, metric=metric, payload=pairs
+    )
+
+
 def recover_cover(
     path: str,
     metric: Metric,
@@ -357,19 +384,8 @@ def _recover_cover(
         return full_rebuild("cover header section lost", meta)
 
     # Classify every tree: decodable + individually audited, or corrupt.
-    # Envelope-level failures are resolved here (cheap, needs the bad
-    # section table); decode + audit fan out per tree.
-    tasks: List[Tuple[Any, str]] = []
-    for index in range(num_trees):
-        name = tree_section_name(index)
-        if name in bad_sections:
-            tasks.append((None, "CRC32 mismatch"))
-        elif name not in bodies:
-            tasks.append((None, "section missing"))
-        else:
-            tasks.append((bodies[name], ""))
-    classified = map_per_tree(
-        _classify_tree_task, tasks, workers=workers, metric=metric, payload=pairs
+    classified = _classify_trees(
+        bodies, bad_sections, num_trees, metric, pairs, workers
     )
     repairs: List[TreeRepair] = []
     trees: List[Optional[CoverTree]] = []
@@ -671,32 +687,16 @@ class CheckpointService:
             self._swap(None, [-1], salvaged=[])
             return self
         self._home = header.get("home") if isinstance(header, dict) else None
-        salvaged: List[Optional[CoverTree]] = []
-        pending: List[int] = []
-        for index in range(num_trees):
-            name = tree_section_name(index)
-            cover_tree: Optional[CoverTree] = None
-            if name in bodies and name not in bad_sections:
-                body = bodies[name]
-                if isinstance(body, CoverTree):
-                    cover_tree = body
-                else:
-                    try:
-                        cover_tree = cover_from_sections(
-                            {"cover": {"n": self.metric.n, "num_trees": 1,
-                                       "home": None},
-                             tree_section_name(0): body},
-                            self.metric,
-                        ).trees[0]
-                    except CheckpointCorruption:
-                        cover_tree = None
-                if cover_tree is not None and _audit_one_tree(
-                    cover_tree, self.metric, pairs
-                ) is not None:
-                    cover_tree = None
-            if cover_tree is None:
-                pending.append(index)
-            salvaged.append(cover_tree)
+        # A tree that fails decode or audit is pending rebuild
+        # (degraded service until recover()).
+        salvaged: List[Optional[CoverTree]] = [
+            cover_tree
+            for cover_tree, _ in _classify_trees(
+                bodies, bad_sections, num_trees, self.metric, pairs,
+                self.workers,
+            )
+        ]
+        pending = [index for index, t in enumerate(salvaged) if t is None]
         if not pending:
             cover = TreeCover(self.metric, list(salvaged), home=self._home)
             audit_cover(
@@ -861,7 +861,6 @@ class CheckpointService:
         self,
         eps: Optional[float] = None,
         journal_path: Optional[str] = None,
-        rebuild_threshold: float = 0.35,
     ):
         """Switch the service to mutable (insert/delete/compact) mode.
 
@@ -872,11 +871,11 @@ class CheckpointService:
         beside the checkpoint, and replays every journaled mutation past
         the structure's ``applied_seq``.  The replayed structure is
         audited before it serves, so a crash anywhere between journal
-        append and patch apply converges to the same audited state on
+        append and apply converges to the same audited state on
         restart.
 
         ``eps`` defaults to the checkpoint's builder metadata; only the
-        robust family is mutable (dynamic patching is a Theorem 4.1
+        robust family is mutable (the masked replay is a Theorem 4.1
         construction).  Idempotent: a second call returns the existing
         dynamic cover.
         """
@@ -907,14 +906,14 @@ class CheckpointService:
                 )
             if spec.get("pruned"):
                 # Mirrors the mapped-mode refusal above: a typed error
-                # now instead of silent corruption later.  Patch replay
-                # indexes the full Theorem 4.1 tree set (one tree per
+                # now instead of a silent swap later.  A mutation
+                # replays the full Theorem 4.1 tree set (one tree per
                 # (phase, set) slot); a pruned cover dropped most of
-                # those slots, so per-tree patches would land on the
-                # wrong trees.
+                # those slots, so the first mutation would quietly
+                # replace the pruned cover with the full one.
                 raise ValueError(
                     "dynamic mutation is unavailable for pruned covers: "
-                    "patch replay indexes the full Theorem 4.1 tree set; "
+                    "a mutation replays the full Theorem 4.1 tree set; "
                     "rebuild the checkpoint without --prune to mutate"
                 )
             if eps is None:
@@ -937,13 +936,9 @@ class CheckpointService:
                 dyn = DynamicRobustCover.restore(
                     self._base_metric, dyn_meta, workers=self.workers
                 )
-                dyn.rebuild_threshold = float(rebuild_threshold)
             else:
                 dyn = DynamicRobustCover.from_metric(
-                    self.metric,
-                    eps=eps,
-                    workers=self.workers,
-                    rebuild_threshold=rebuild_threshold,
+                    self.metric, eps=eps, workers=self.workers
                 )
             journal = UpdateJournal(journal_path, base_seq=dyn.applied_seq)
             replay = journal.records_after(dyn.applied_seq)
@@ -962,46 +957,29 @@ class CheckpointService:
             )
             self._dynamic = dyn
             self._journal = journal
-            self._promote_dynamic(None, None)
+            self._promote_dynamic()
             return dyn
 
-    def _promote_dynamic(self, prev_cover, prev_navigator,
-                         recovered: bool = False) -> None:
-        """Install the dynamic cover's current generation atomically.
-
-        Per-tree navigators are rebuilt only for trees the patch
-        replayed or repaired; kept-verbatim trees (shared object
-        identity with ``prev_cover``) reuse the previous generation's
-        navigators via ``MetricNavigator(_reuse=...)``.
-        """
+    def _promote_dynamic(self, recovered: bool = False) -> None:
+        """Install the dynamic cover's current generation atomically."""
         dyn = self._dynamic
-        reuse = None
-        if (
-            prev_navigator is not None
-            and prev_cover is not None
-            and getattr(prev_navigator, "cover", None) is prev_cover
-        ):
-            slots = dyn.navigator_reuse_slots(prev_cover.trees)
-            reuse = [
-                prev_navigator.navigators[slot] if slot is not None else None
-                for slot in slots
-            ]
         navigator = MetricNavigator(
-            dyn.metric, dyn.cover, self.k, workers=self.workers, _reuse=reuse
+            dyn.metric, dyn.cover, self.k, workers=self.workers
         )
         self.metric = dyn.metric
         self._swap(navigator, [], salvaged=list(dyn.trees),
                    recovered=recovered)
 
     def insert(self, point: Sequence[float]) -> Dict[str, Any]:
-        """Insert a point: journal (fsync) first, then patch, then swap.
+        """Insert a point: journal (fsync) first, then apply, then swap.
 
         Write-ahead ordering makes the mutation crash-safe: once the
         append is acknowledged it survives any crash (a restart replays
         it from the journal); if the process dies before the append
         returns, the mutation never happened.  In-flight query batches
         keep answering on the pre-mutation snapshot until the swap.
-        Returns the new point id, the journal seq, and the patch report.
+        Returns the new point id, the journal seq, and the patch report
+        (:meth:`~repro.dynamic.cover.PatchReport.to_dict`).
         """
         self._require_mutable("insert")
         point = [float(x) for x in point]
@@ -1011,10 +989,9 @@ class CheckpointService:
             # ops that replay cleanly.
             dyn._validate_batch([("insert", point)])
             record = self._journal.append("insert", point=point)
-            prev_cover, prev_navigator = dyn.cover, self._navigator
             report = dyn.apply([("insert", point)])
             dyn.applied_seq = record.seq
-            self._promote_dynamic(prev_cover, prev_navigator)
+            self._promote_dynamic()
             return {
                 "op": "insert",
                 "point_id": dyn.n - 1,
@@ -1031,10 +1008,9 @@ class CheckpointService:
             dyn = self._dynamic
             dyn._validate_batch([("delete", point_id)])
             record = self._journal.append("delete", point_id=point_id)
-            prev_cover, prev_navigator = dyn.cover, self._navigator
             report = dyn.apply([("delete", point_id)])
             dyn.applied_seq = record.seq
-            self._promote_dynamic(prev_cover, prev_navigator)
+            self._promote_dynamic()
             return {
                 "op": "delete",
                 "point_id": point_id,
@@ -1152,7 +1128,7 @@ class CheckpointService:
                 ))
                 self.report = report
                 self._dynamic = dyn
-                self._promote_dynamic(None, None, recovered=True)
+                self._promote_dynamic(recovered=True)
             finally:
                 with self._state_lock:
                     self._recovering = False

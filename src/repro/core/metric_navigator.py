@@ -19,7 +19,7 @@ it — spanner edges, checkpoint fingerprints and :meth:`verify_query`.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,34 +81,18 @@ class MetricNavigator(PackedMetricNavigator):
         cover: TreeCover,
         k: int,
         workers: Optional[int] = None,
-        _reuse: Optional[Sequence[Optional[TreeNavigator]]] = None,
     ):
         self.metric = metric
         self.cover = cover
         self.k = k
-        # The dynamic patch path passes ``_reuse`` — per-tree navigators
-        # from the previous generation whose cover tree object survived
-        # the mutation untouched; only the ``None`` slots are rebuilt.
-        if _reuse is not None and len(_reuse) != len(cover.trees):
-            _reuse = None
-        pending = (
-            [t for t, nav in enumerate(_reuse) if nav is None]
-            if _reuse is not None
-            else list(range(len(cover.trees)))
-        )
-        navigators: List[Optional[TreeNavigator]] = (
-            list(_reuse) if _reuse is not None else [None] * len(cover.trees)
-        )
-        with trace("navigator.build", n=metric.n, k=k, trees=len(pending)):
-            built = map_per_tree(
+        with trace("navigator.build", n=metric.n, k=k, trees=len(cover.trees)):
+            navigators = map_per_tree(
                 _build_tree_navigator,
-                pending,
+                range(len(cover.trees)),
                 workers=workers,
                 payload=(cover.trees, k),
             )
-            for slot, navigator in zip(pending, built):
-                navigators[slot] = navigator
-            self.navigators: List[TreeNavigator] = navigators  # type: ignore[assignment]
+            self.navigators: List[TreeNavigator] = navigators
             # The query state of the base class, filled from the cover.
             # The index is built here, not on first query, so a snapshot
             # keeps answering after a mutation retires its cover.

@@ -1,8 +1,9 @@
 """Dynamic updates under churn (ROADMAP item 3).
 
-``insert(point)`` / ``delete(point)`` on the robust tree cover with
-per-tree patching, a crash-safe write-ahead journal, and live mutation
-through the serving daemon.  See ``docs/DYNAMIC.md``.
+``insert(point)`` / ``delete(point)`` on the robust tree cover as
+masked replays (incremental nets and sweep, every tree replayed), a
+crash-safe write-ahead journal, and live mutation through the serving
+daemon.  See ``docs/DYNAMIC.md``.
 
 Layers
 ------
@@ -10,8 +11,8 @@ Layers
     Masked (active-subset) nets, pairing sweep, and tree replays over
     an append-only index space with tombstones.
 :mod:`~repro.dynamic.cover`
-    :class:`DynamicRobustCover` — the mutable cover with the
-    patch-vs-rebuild policy and the rebuild differential oracle.
+    :class:`DynamicRobustCover` — the mutable cover, its one mutation
+    path, and the rebuild differential oracle.
 :mod:`~repro.dynamic.journal`
     :class:`UpdateJournal` — CRC-framed, fsync-before-ack, torn-tail
     truncating mutation log replayed on reload.
@@ -27,8 +28,6 @@ from .builder import (
     build_trees,
     compute_sweep,
     nets_after_insert,
-    repair_root_anchor,
-    touched_task_indexes,
 )
 from .churn import ChurnHarness, states_identical
 from .cover import DynamicRobustCover, PatchReport, pinned_levels
@@ -48,7 +47,5 @@ __all__ = [
     "journal_path_for",
     "nets_after_insert",
     "pinned_levels",
-    "repair_root_anchor",
     "states_identical",
-    "touched_task_indexes",
 ]

@@ -1,4 +1,4 @@
-"""Masked (active-subset) robust-cover construction and patch planning.
+"""Masked (active-subset) robust-cover construction.
 
 The dynamic layer never renumbers points: every point ever inserted
 keeps its index, and deletes *tombstone* an index instead of removing
@@ -17,13 +17,13 @@ subset** of a grown index space:
   only on levels whose inputs (net or covering radius) changed,
   reusing per-level pairing sets, connectivity groups, gather groups,
   and KD-trees from the previous :class:`SweepState`.
-* :func:`build_trees` replays the merge scripts exactly like
-  ``_build_robust_tree``, with one twist in ``finish``: the anchor of
-  the final root is the first *active* component root, so a
-  tombstoned singleton leaf can never become a tree's representative.
-* :func:`touched_task_indexes` classifies which ``(phase, set)``
-  trees a mutation actually touched (their merge-script slice
-  changed); untouched trees are kept verbatim by the caller.
+* :func:`build_trees` replays every ``(phase, set)`` merge script
+  exactly like ``_build_robust_tree``, with one twist in ``finish``:
+  the anchor of the final root is the first *active* component root,
+  so a tombstoned singleton leaf can never become a tree's
+  representative.  Every mutation replays every tree: each active
+  point sits in the bottom net levels of every phase, so no merge
+  script survives a mutation unchanged (see :mod:`repro.dynamic.cover`).
 
 Correctness rests on an order-isomorphism argument: the masked
 construction on ``(coords, active, pinned i_min/i_max, eps)`` is
@@ -55,8 +55,6 @@ __all__ = [
     "nets_after_insert",
     "compute_sweep",
     "build_trees",
-    "touched_task_indexes",
-    "repair_root_anchor",
 ]
 
 _C_RESWEPT = OBS.registry.counter("dynamic.levels_reswept")
@@ -436,116 +434,22 @@ def build_trees(
     sweep: SweepState,
     active_mask: Sequence[bool],
     workers: Optional[int] = None,
-    reuse: Optional[Sequence[Optional[CoverTree]]] = None,
 ) -> List[CoverTree]:
-    """Build the cover trees for ``sweep.tasks``.
-
-    ``reuse[t]`` (when given) keeps that task's existing tree verbatim
-    — the patch path passes the untouched trees here so only changed
-    merge scripts replay.  Output order always matches ``sweep.tasks``.
-    """
+    """Replay every merge script of ``sweep.tasks``, in task order."""
     n = metric.n
     mask = bytes(bytearray(1 if a else 0 for a in active_mask))
     check(len(mask) == n, "active mask must have one flag per metric point")
-    if reuse is None:
-        reuse = [None] * len(sweep.tasks)
-    check(len(reuse) == len(sweep.tasks), "reuse list must align with tasks")
-    pending = [t for t, kept in enumerate(reuse) if kept is None]
-    trees: List[Optional[CoverTree]] = list(reuse)
-    if pending:
-        with trace("dynamic.build_trees", trees=len(pending)):
-            built = map_per_tree(
-                _build_dynamic_tree,
-                [sweep.tasks[t] for t in pending],
-                workers=workers,
-                metric=metric,
-                payload=(
-                    sweep.levels_by_phase,
-                    sweep.conn_groups,
-                    sweep.pair_groups,
-                    n,
-                    mask,
-                ),
-            )
-        for slot, tree in zip(pending, built):
-            trees[slot] = tree
-    return trees  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Patch planning
-
-
-def _pair_slice(
-    pair_groups: Dict[int, List[List[List[int]]]], i: int, j: int
-) -> Optional[List[List[int]]]:
-    groups = pair_groups.get(i)
-    if groups is None or j >= len(groups):
-        return None
-    return groups[j]
-
-
-def touched_task_indexes(sweep: SweepState, prev: SweepState) -> List[int]:
-    """Task indexes whose merge script changed between two sweeps.
-
-    A tree must replay iff any level of its phase changed its
-    connectivity groups or its set-``j`` slice of the gather groups.
-    Valid only when the task layout is identical (same eps, pinned
-    range, and per-phase set counts); callers fall back to a full
-    rebuild otherwise.
-    """
-    if (
-        sweep.tasks != prev.tasks
-        or sweep.levels_by_phase != prev.levels_by_phase
-    ):
-        return list(range(len(sweep.tasks)))
-    changed_conn = {
-        i
-        for i in sweep.conn_groups
-        if sweep.conn_groups[i] is not prev.conn_groups.get(i)
-        and sweep.conn_groups[i] != prev.conn_groups.get(i)
-    }
-    touched: List[int] = []
-    for t, (p, j) in enumerate(sweep.tasks):
-        for i in sweep.levels_by_phase[p]:
-            if i in changed_conn:
-                touched.append(t)
-                break
-            new_slice = _pair_slice(sweep.pair_groups, i, j)
-            old_slice = _pair_slice(prev.pair_groups, i, j)
-            if new_slice is not old_slice and new_slice != old_slice:
-                touched.append(t)
-                break
-    return touched
-
-
-def repair_root_anchor(
-    cover_tree: CoverTree,
-    metric: Metric,
-    active_mask: Sequence[bool],
-    n: int,
-) -> CoverTree:
-    """Re-anchor a kept tree whose final-root representative died.
-
-    A deleted point that appears in no merge group of a tree is a
-    singleton leaf child of the final root; if it was also the anchor
-    (``rep_point[root] == p``), a from-scratch replay would pick the
-    next qualifying component root instead.  This reproduces exactly
-    that choice — new anchor, new root rep, root-child edge weights
-    from one batched kernel call — without replaying the merges, and
-    returns a fresh :class:`CoverTree` (the old object keeps serving
-    in-flight snapshots).
-    """
-    tree = cover_tree.tree
-    root = tree.root
-    rep = list(cover_tree.rep_point)
-    children = sorted(v for v, par in enumerate(tree.parents) if par == root)
-    anchors = [c for c in children if c >= n or active_mask[c]]
-    check(bool(anchors), "tree root has no live component to anchor on")
-    rep[root] = rep[anchors[0]]
-    weights = list(tree.weights)
-    ws = metric.pair_distances([rep[root]] * len(children), [rep[c] for c in children])
-    for index, c in enumerate(children):
-        weights[c] = float(ws[index])
-    new_tree = Tree(list(tree.parents), weights, validate=False)
-    return CoverTree(new_tree, list(cover_tree.vertex_of_point), rep)
+    with trace("dynamic.build_trees", trees=len(sweep.tasks)):
+        return map_per_tree(
+            _build_dynamic_tree,
+            sweep.tasks,
+            workers=workers,
+            metric=metric,
+            payload=(
+                sweep.levels_by_phase,
+                sweep.conn_groups,
+                sweep.pair_groups,
+                n,
+                mask,
+            ),
+        )

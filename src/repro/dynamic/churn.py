@@ -4,15 +4,15 @@ The static chaos harness (:mod:`repro.resilience.chaos`) kills points
 of a *fixed* structure; this injector mutates the structure itself.
 Each round applies a seeded batch of inserts/deletes through
 :class:`~repro.dynamic.cover.DynamicRobustCover`, fires queries at the
-patched generation, and re-verifies the paper's contracts before the
+new generation, and re-verifies the paper's contracts before the
 next round:
 
 * **Table 1 stretch** — the cover must dominate and γ-approximate a
   sample of active pairs (``TreeCover.verify``).
 * **Thm 4.2 pool structure** — a fault-tolerant spanner built *on the
-  patched cover* must pass ``validate_ft_spanner`` (every replica pool
+  mutated cover* must pass ``validate_ft_spanner`` (every replica pool
   non-empty, ≤ f+1, duplicate-free).
-* **Differential oracle** (opt-in, expensive) — the patched state must
+* **Differential oracle** (opt-in, expensive) — the mutated state must
   be tree-for-tree identical to a from-scratch rebuild on the same
   final point set.
 
@@ -144,7 +144,7 @@ class ChurnHarness:
             rebuild_ok = None
             if self.verify_rebuild:
                 rebuild_ok = states_identical(dyn, dyn.rebuild())
-                check(rebuild_ok, "patched state diverged from a from-scratch rebuild")
+                check(rebuild_ok, "mutated state diverged from a from-scratch rebuild")
 
         record: Dict[str, object] = {
             "ops": [(kind, arg if kind == "delete" else list(arg)) for kind, arg in ops],

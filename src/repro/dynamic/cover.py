@@ -1,4 +1,4 @@
-"""The dynamic robust cover: insert/delete without full rebuilds.
+"""The dynamic robust cover: insert/delete as masked replays.
 
 :class:`DynamicRobustCover` wraps the Theorem 4.1 construction in a
 mutable shell.  The point-index space is append-only — inserts take
@@ -6,25 +6,19 @@ the next index, deletes tombstone one — so client-visible ids stay
 stable across any mutation history, and every structure is rebuilt
 *masked* over the active subset (see :mod:`repro.dynamic.builder`).
 
-Patch-vs-rebuild policy (measured honestly in ``BENCH_dynamic.json``):
+One mutation path: every batch advances the nets, re-runs the sweep
+with per-level reuse, and replays **every** tree.  Each active point
+is a net point on the bottom levels of the pinned range, a band wider
+than the ``phases`` interleave, so every phase has a level whose net —
+and with it every ``(phase, set)`` merge script — changes on any
+insert or delete (``docs/DYNAMIC.md`` has the measurement).  The
+savings come from the net/sweep side: prefix-stable O(1)-per-level
+net updates, per-level pairing/gather reuse, KD-tree carry-over, and
+batch amortization via :meth:`DynamicRobustCover.apply`.
+A mutation that breaks out of the pinned level range re-pins it and
+builds nets and sweep from scratch before the same replay.
 
-* **Inserts** replay every tree.  The new point joins the bottom net
-  level and therefore enters connectivity groups across a band at
-  least ``phases`` levels wide — one level per phase — so every
-  ``(phase, set)`` merge script changes.  The savings on the insert
-  path come from the net/sweep side: prefix-stable O(1)-per-level net
-  updates, per-level pairing/gather reuse, KD-tree carry-over, and
-  batch amortization via :meth:`DynamicRobustCover.apply`.
-* **Deletes** genuinely patch: only trees whose merge-script slice
-  mentioned the dead point replay; the rest are kept verbatim (their
-  per-tree navigators are reused too), with an O(degree) root-anchor
-  repair when the deleted point was a tree's representative anchor.
-* When the touched fraction reaches ``rebuild_threshold`` (or the
-  level range must be re-pinned because a mutation broke out of it),
-  the layer falls back to a full masked rebuild — same deterministic
-  output, no diff bookkeeping.
-
-Every mutation path lands on a state *identical* (tree for tree,
+Every mutation lands on a state *identical* (tree for tree,
 float for float) to :meth:`DynamicRobustCover.rebuild` on the same
 ``(coords, active, pinned range)`` — the differential oracle that
 tier-1 enforces.
@@ -41,15 +35,13 @@ from ..errors import check
 from ..metrics.doubling import scale_levels
 from ..metrics.euclidean import EuclideanMetric
 from ..observability import OBS, trace
-from ..treecover.base import CoverTree, TreeCover
+from ..treecover.base import TreeCover
 from .builder import (
     SweepState,
     build_nets,
     build_trees,
     compute_sweep,
     nets_after_insert,
-    repair_root_anchor,
-    touched_task_indexes,
 )
 
 __all__ = ["DynamicRobustCover", "PatchReport", "pinned_levels"]
@@ -135,7 +127,6 @@ class DynamicRobustCover:
         i_max: int,
         base_n: int,
         workers: Optional[int] = None,
-        rebuild_threshold: float = 0.35,
         applied_seq: int = 0,
     ):
         check(0 < eps < 1, "eps must lie in (0, 1)", ValueError)
@@ -147,13 +138,16 @@ class DynamicRobustCover:
         self.i_max = int(i_max)
         self.base_n = int(base_n)
         self.workers = workers
-        self.rebuild_threshold = float(rebuild_threshold)
         #: Journal sequence number folded into this structure (managed
         #: by the journal-aware caller; rides into compact metadata).
         self.applied_seq = int(applied_seq)
         self.metric = EuclideanMetric(self.coords)
         self.last_report: Optional[PatchReport] = None
-        self._rebuild_state()
+        with trace("dynamic.rebuild", n=self.n, active=len(self.active)):
+            self._replay(
+                build_nets(self.metric, self.active, self.i_min, self.i_max),
+                prev=None,
+            )
 
     # -- constructors --------------------------------------------------
 
@@ -163,7 +157,6 @@ class DynamicRobustCover:
         metric: EuclideanMetric,
         eps: float = 0.5,
         workers: Optional[int] = None,
-        rebuild_threshold: float = 0.35,
     ) -> "DynamicRobustCover":
         """Start a dynamic cover from a static metric (all points active).
 
@@ -179,7 +172,6 @@ class DynamicRobustCover:
             hi,
             base_n=metric.n,
             workers=workers,
-            rebuild_threshold=rebuild_threshold,
         )
 
     @classmethod
@@ -239,28 +231,27 @@ class DynamicRobustCover:
     def is_active(self, point_id: int) -> bool:
         return 0 <= point_id < self.n and bool(self._mask[point_id])
 
-    def _install(self, sweep: SweepState, trees: List[CoverTree]) -> None:
+    def _replay(
+        self, nets: Dict[int, List[int]], prev: Optional[SweepState]
+    ) -> None:
+        """Sweep over ``nets`` (reusing ``prev``'s unchanged levels),
+        replay every tree, and install the result as the current
+        generation, retiring the previous cover."""
+        sweep = compute_sweep(
+            self.metric, self.active, self.eps, self.i_min, self.i_max, nets,
+            prev=prev,
+        )
+        mask = self._mask_list()
+        trees = build_trees(self.metric, sweep, mask, workers=self.workers)
         old = getattr(self, "cover", None)
         self.sweep = sweep
         self.trees = trees
         self.cover = TreeCover(self.metric, list(trees))
-        self._mask = self._mask_list()
+        self._mask = mask
         if old is not None:
             old.retire("a mutation superseded this generation")
         if OBS.enabled:
             _G_ACTIVE.set(len(self.active))
-
-    def _rebuild_state(self) -> None:
-        """Full masked build of nets, sweep, and all trees."""
-        with trace("dynamic.rebuild", n=self.n, active=len(self.active)):
-            nets = build_nets(self.metric, self.active, self.i_min, self.i_max)
-            sweep = compute_sweep(
-                self.metric, self.active, self.eps, self.i_min, self.i_max, nets
-            )
-            trees = build_trees(
-                self.metric, sweep, self._mask_list(), workers=self.workers
-            )
-        self._install(sweep, trees)
 
     def _mask_list(self) -> List[bool]:
         mask = [False] * self.n
@@ -271,7 +262,7 @@ class DynamicRobustCover:
     def rebuild(self) -> "DynamicRobustCover":
         """A from-scratch cover on this exact ``(coords, active, range)``.
 
-        The differential oracle: any patched state must equal this,
+        The differential oracle: any mutated state must equal this,
         tree for tree.
         """
         return DynamicRobustCover(
@@ -282,14 +273,13 @@ class DynamicRobustCover:
             self.i_max,
             base_n=self.base_n,
             workers=self.workers,
-            rebuild_threshold=self.rebuild_threshold,
             applied_seq=self.applied_seq,
         )
 
     # -- mutation ------------------------------------------------------
 
     def insert(self, point: Sequence[float]) -> PatchReport:
-        """Insert one point; returns what the patch did."""
+        """Insert one point; returns what the mutation did."""
         return self.apply([("insert", point)])
 
     def delete(self, point_id: int) -> PatchReport:
@@ -300,7 +290,7 @@ class DynamicRobustCover:
         """Apply a batch of ``("insert", coords) | ("delete", id)`` ops.
 
         Net maintenance runs op by op (each step is cheap and exact);
-        the sweep and the tree replays run once for the whole batch —
+        the sweep and the tree replay run once for the whole batch —
         the amortization lever the dynamic bench measures.  Raises
         ``ValueError`` on invalid ops (duplicate of an active point,
         deleting an unknown/dead id, draining below 2 active points)
@@ -310,12 +300,8 @@ class DynamicRobustCover:
         check(bool(ops), "empty mutation batch", ValueError)
         new_coords, new_active = self._validate_batch(ops)
 
-        prev_nets = self.sweep.nets
         prev_sweep = self.sweep
-        prev_trees = self.trees
         old_n = self.n
-        deleted: List[int] = [op[1] for op in ops if op[0] == "delete"]  # type: ignore[misc]
-        inserted = old_n < len(new_coords)
 
         self.coords = np.asarray(new_coords, dtype=float)
         self.active = new_active
@@ -329,29 +315,32 @@ class DynamicRobustCover:
 
         with trace("dynamic.apply", ops=len(ops)):
             if repinned:
-                self._rebuild_state()
-                report = self._report(ops, len(self.trees), 0, rebuilt=True, repinned=True)
+                # The cached nets and sweep levels belong to the old range.
+                nets = build_nets(self.metric, self.active, self.i_min, self.i_max)
+                self._replay(nets, prev=None)
             else:
-                nets = self._advance_nets(prev_nets, ops, old_n)
-                sweep = compute_sweep(
-                    self.metric,
-                    self.active,
-                    self.eps,
-                    self.i_min,
-                    self.i_max,
-                    nets,
-                    prev=prev_sweep,
-                )
-                report = self._patch_trees(
-                    ops, sweep, prev_sweep, prev_trees, deleted, inserted, old_n
-                )
+                nets = self._advance_nets(prev_sweep.nets, ops, old_n)
+                self._replay(nets, prev=prev_sweep)
 
+        # Every tree replays, so the report is the same whole-cover
+        # record for every batch; its shape is the wire contract of the
+        # insert/delete responses.
+        report = PatchReport(
+            ops=len(ops),
+            trees_total=len(self.trees),
+            trees_replayed=len(self.trees),
+            trees_repaired=0,
+            levels_reswept=self.sweep.levels_reswept,
+            levels_reused=self.sweep.levels_reused,
+            rebuilt=True,
+            repinned=repinned,
+        )
         if OBS.enabled:
-            _C_INSERTS.inc(sum(1 for op in ops if op[0] == "insert"))
-            _C_DELETES.inc(len(deleted))
-            _C_PATCHED.inc(report.trees_replayed + report.trees_repaired)
-            if report.rebuilt:
-                _C_REBUILDS.inc()
+            inserts = sum(1 for op in ops if op[0] == "insert")
+            _C_INSERTS.inc(inserts)
+            _C_DELETES.inc(len(ops) - inserts)
+            _C_PATCHED.inc(report.trees_replayed)
+            _C_REBUILDS.inc()
         self.last_report = report
         return report
 
@@ -435,82 +424,6 @@ class DynamicRobustCover:
                 nets = build_nets(self.metric, active, self.i_min, self.i_max, prev_nets=nets)
         return nets
 
-    def _patch_trees(
-        self,
-        ops: Sequence[Tuple[str, object]],
-        sweep: SweepState,
-        prev_sweep: SweepState,
-        prev_trees: List[CoverTree],
-        deleted: List[int],
-        inserted: bool,
-        old_n: int,
-    ) -> PatchReport:
-        mask = self._mask_list()
-        if inserted or self.n != old_n:
-            # The index space grew: every tree's leaf set changes, so
-            # every merge script replays (see the module docstring).
-            trees = build_trees(self.metric, sweep, mask, workers=self.workers)
-            self._install(sweep, trees)
-            return self._report(ops, len(trees), 0, rebuilt=True, repinned=False)
-
-        touched = touched_task_indexes(sweep, prev_sweep)
-        total = len(sweep.tasks)
-        if (
-            len(touched) >= total
-            or total != len(prev_trees)
-            or len(touched) / max(total, 1) >= self.rebuild_threshold
-        ):
-            trees = build_trees(self.metric, sweep, mask, workers=self.workers)
-            self._install(sweep, trees)
-            return self._report(ops, len(trees), 0, rebuilt=True, repinned=False)
-
-        touched_set = set(touched)
-        dead = set(deleted)
-        repaired = 0
-        reuse: List[Optional[CoverTree]] = []
-        for t in range(total):
-            if t in touched_set:
-                reuse.append(None)
-                continue
-            kept = prev_trees[t]
-            if kept.rep_point[kept.tree.root] in dead:
-                # The dead point was this tree's final-root anchor; a
-                # replay would pick the next live component root.
-                kept = repair_root_anchor(kept, self.metric, mask, self.n)
-                repaired += 1
-            reuse.append(kept)
-        trees = build_trees(self.metric, sweep, mask, workers=self.workers, reuse=reuse)
-        self._install(sweep, trees)
-        return PatchReport(
-            ops=len(ops),
-            trees_total=total,
-            trees_replayed=len(touched),
-            trees_repaired=repaired,
-            levels_reswept=sweep.levels_reswept,
-            levels_reused=sweep.levels_reused,
-            rebuilt=False,
-            repinned=False,
-        )
-
-    def _report(
-        self,
-        ops: Sequence[Tuple[str, object]],
-        replayed: int,
-        repaired: int,
-        rebuilt: bool,
-        repinned: bool,
-    ) -> PatchReport:
-        return PatchReport(
-            ops=len(ops),
-            trees_total=len(self.trees),
-            trees_replayed=replayed,
-            trees_repaired=repaired,
-            levels_reswept=self.sweep.levels_reswept,
-            levels_reused=self.sweep.levels_reused,
-            rebuilt=rebuilt,
-            repinned=repinned,
-        )
-
     # -- verification --------------------------------------------------
 
     def active_pairs(self, count: int = 200, seed: int = 0) -> List[Tuple[int, int]]:
@@ -520,15 +433,3 @@ class DynamicRobustCover:
         live = self.active
         pairs = sample_pairs(len(live), count, seed=seed)
         return [(live[a], live[b]) for a, b in pairs]
-
-    def navigator_reuse_slots(
-        self, prev_trees: Sequence[CoverTree]
-    ) -> List[Optional[int]]:
-        """Per current tree, the previous slot whose navigator can be
-        reused (same object identity), or ``None``.
-
-        Kept-verbatim trees share object identity with the previous
-        generation; repaired or replayed trees do not.
-        """
-        by_id = {id(t): index for index, t in enumerate(prev_trees)}
-        return [by_id.get(id(t)) for t in self.trees]

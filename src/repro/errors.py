@@ -97,7 +97,7 @@ class StalePackError(ReproError, RuntimeError):
 
     The dynamic mutation layer (:mod:`repro.dynamic`) retires the
     pre-mutation :class:`~repro.treecover.base.TreeCover` when it swaps
-    in a patched generation: preorder positions, Euler tours, and home
+    in a new generation: preorder positions, Euler tours, and home
     tables baked into a :class:`PackedCoverIndex` describe the *old*
     tree shapes, so silently building a fresh arena from the retired
     cover would serve stale answers.  Arenas built *before* the

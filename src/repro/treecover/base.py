@@ -212,7 +212,7 @@ class TreeCover:
         """Mark this cover as superseded by a mutation.
 
         The dynamic layer calls this on the pre-mutation cover when it
-        swaps a patched generation in.  An already-built packed arena
+        swaps a new generation in.  An already-built packed arena
         keeps answering (in-flight query batches hold a snapshot of
         *this* generation, for which its preorder positions are still
         correct), but building a *new* arena from a retired cover is

@@ -119,16 +119,21 @@ def test_write_bench_files_roundtrip(tiny_tree_payload, tmp_path):
     assert loaded == tiny_tree_payload
 
 
-def test_run_experiments_json_flag(tmp_path):
+def test_repro_bench_cli_writes_construction_artifacts(tmp_path):
     result = subprocess.run(
         [
             sys.executable,
-            "benchmarks/run_experiments.py",
-            "--json",
-            "--bench-n",
+            "-m",
+            "repro",
+            "bench",
+            "--quick",
+            "--n",
             "60",
-            "--bench-nav-n",
+            "--nav-n",
             "60",
+            "--no-serving",
+            "--no-dynamic",
+            "--no-netsim",
             "--out-dir",
             str(tmp_path),
         ],

@@ -2,7 +2,7 @@
 
 Four layers, mirroring the subsystem:
 
-* differential oracle — a patched :class:`DynamicRobustCover` must be
+* differential oracle — a mutated :class:`DynamicRobustCover` must be
   tree-for-tree identical to a from-scratch masked rebuild on the same
   final point set, including a bounded hypothesis sweep over random
   mutation schedules and the root-anchor-deletion corner;
@@ -10,7 +10,8 @@ Four layers, mirroring the subsystem:
   idempotent replay, and a hypothesis truncate-at-any-byte property:
   a crash can only ever lose the torn tail, never a valid prefix;
 * service integration — ``enable_dynamic``/``insert``/``delete``/
-  ``compact`` through :class:`CheckpointService`, crash-replay of a
+  ``compact`` through :class:`CheckpointService`, the ``patch`` block
+  of the insert/delete responses, crash-replay of a
   journaled-but-unapplied record, typed refusals in static and mapped
   modes, and the stale-pack / stale-router regressions;
 * end-to-end — mutation verbs over the wire through a real daemon,
@@ -20,6 +21,7 @@ Four layers, mirroring the subsystem:
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,7 +66,7 @@ def _insert_point(rng):
 
 
 # ----------------------------------------------------------------------
-# Differential oracle: patched state == from-scratch rebuild
+# Differential oracle: mutated state == from-scratch rebuild
 
 
 class TestDifferentialOracle:
@@ -80,48 +82,14 @@ class TestDifferentialOracle:
 
     def test_root_anchor_deletion_matches_rebuild(self, metric):
         """Deleting the point anchoring a tree's final root must still
-        converge to the same structure a from-scratch rebuild picks
-        (whether the patcher re-anchors in place or falls back)."""
+        converge to the same structure a from-scratch rebuild picks:
+        the masked finish re-anchors on the next live component root."""
         dyn = _fresh(metric)
         tree = dyn.trees[0]
         victim = tree.rep_point[tree.tree.root]
         dyn.apply([("delete", victim)])
         assert victim not in dyn.active
         assert states_identical(dyn, dyn.rebuild())
-
-    def test_repair_root_anchor_reanchors_without_replay(self, metric):
-        """Direct unit for the re-anchor kernel: a dead root anchor is
-        replaced by the first qualifying live component root, root-child
-        edge weights are re-measured from the new anchor, and the old
-        tree object is left untouched for in-flight snapshots."""
-        from repro.dynamic import repair_root_anchor
-
-        dyn = _fresh(metric)
-        picked = None
-        for tree in dyn.trees:
-            root = tree.tree.root
-            children = sorted(
-                v for v, par in enumerate(tree.tree.parents) if par == root
-            )
-            if len(children) >= 2:
-                picked = (tree, root, children)
-                break
-        assert picked is not None
-        tree, root, children = picked
-        victim = tree.rep_point[root]
-        mask = [True] * metric.n
-        mask[victim] = False
-        repaired = repair_root_anchor(tree, metric, mask, metric.n)
-        assert repaired is not tree
-        assert tree.rep_point[root] == victim  # old generation untouched
-        new_anchor = repaired.rep_point[root]
-        assert new_anchor != victim
-        survivors = [c for c in children if c >= metric.n or mask[c]]
-        assert new_anchor == repaired.rep_point[survivors[0]]
-        assert repaired.tree.parents == tree.tree.parents
-        for c in children:
-            expected = metric.distance(new_anchor, repaired.rep_point[c])
-            assert repaired.tree.weights[c] == pytest.approx(expected)
 
     def test_mixed_batches_match_rebuild(self, metric):
         dyn = _fresh(metric)
@@ -142,11 +110,11 @@ class TestDifferentialOracle:
     @given(data=st.data())
     def test_random_schedules_match_rebuild(self, data):
         """Bounded sweep: any short random insert/delete schedule must
-        leave the patched cover identical to rebuilding from scratch."""
+        leave the mutated cover identical to rebuilding from scratch."""
         metric = random_points(16, dim=2, seed=11)
         dyn = DynamicRobustCover.from_metric(metric, eps=EPS)
         batches = data.draw(st.integers(1, 2), label="batches")
-        seen_points = set()
+        seen_points = []
         for _ in range(batches):
             size = data.draw(st.integers(1, 3), label="batch_size")
             ops, doomed = [], set()
@@ -165,11 +133,15 @@ class TestDifferentialOracle:
                         label="point",
                     )
                     point = list(coords)
-                    # Coincident inserts are refused by validation; nudge
-                    # duplicates so the schedule stays applicable.
-                    while tuple(point) in seen_points:
+                    # Inserts at distance 0 from an earlier insert are
+                    # refused by validation (a sub-1e-154 offset squares
+                    # to 0 too); nudge them so the schedule stays
+                    # applicable.
+                    while seen_points and np.linalg.norm(
+                        np.asarray(seen_points) - point, axis=1
+                    ).min() == 0.0:
                         point[0] += 1.0
-                    seen_points.add(tuple(point))
+                    seen_points.append(point)
                     ops.append(("insert", point))
             dyn.apply(ops)
         assert states_identical(dyn, dyn.rebuild())
@@ -272,7 +244,7 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Stale pack + navigator reuse units
+# Stale pack units
 
 
 class TestStaleness:
@@ -297,26 +269,6 @@ class TestStaleness:
         assert prev.retired
         with pytest.raises(StalePackError):
             prev.packed_index()
-
-    def test_reuse_slots_are_identity_keyed(self, metric):
-        dyn = _fresh(metric)
-        same = dyn.navigator_reuse_slots(dyn.trees)
-        assert same == list(range(len(dyn.trees)))
-        assert dyn.navigator_reuse_slots([]) == [None] * len(dyn.trees)
-
-    def test_metric_navigator_reuses_given_slots(self, metric):
-        cover = robust_tree_cover(metric, eps=EPS)
-        first = MetricNavigator(metric, cover, K)
-        reused = MetricNavigator(
-            metric, cover, K, _reuse=list(first.navigators)
-        )
-        assert all(
-            a is b for a, b in zip(reused.navigators, first.navigators)
-        )
-        # Mismatched reuse list is ignored, not mis-aligned.
-        rebuilt = MetricNavigator(metric, cover, K, _reuse=[None])
-        assert len(rebuilt.navigators) == len(cover.trees)
-        assert rebuilt.find_path(0, 5) == first.find_path(0, 5)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +342,7 @@ class TestServiceDynamic:
         assert status["applied_seq"] == 2
         assert status["journal_records"] == 2
 
-        # Queries reach the new point on the patched generation.
+        # Queries reach the new point on the new generation.
         result = service.query(0, N)
         assert result.delivered and not result.degraded
 
@@ -414,6 +366,27 @@ class TestServiceDynamic:
         assert states_identical(cold.dynamic, service.dynamic)
         assert cold.insert([750.0, 750.0])["seq"] == 3
         cold.close()
+
+    def test_mutation_responses_carry_the_patch_report(self, service):
+        """The ``patch`` block rides the insert/delete wire responses
+        (load generators read ``touched_fraction`` from it): exactly the
+        :class:`PatchReport` keys, and every tree replayed."""
+        keys = {
+            "ops", "trees_total", "trees_replayed", "trees_repaired",
+            "touched_fraction", "levels_reswept", "levels_reused",
+            "rebuilt", "repinned",
+        }
+        dyn = service.enable_dynamic()
+        for mutate in (lambda: service.insert([640.0, 320.0]),
+                       lambda: service.delete(5)):
+            patch = mutate()["patch"]
+            assert set(patch) == keys
+            assert patch == dyn.last_report.to_dict()
+            assert patch["ops"] == 1
+            assert patch["trees_replayed"] == patch["trees_total"] == len(dyn.trees)
+            assert patch["touched_fraction"] == 1.0
+            assert patch["trees_repaired"] == 0
+            assert patch["rebuilt"] is True
 
     def test_journaled_but_unapplied_record_replays(self, service, metric):
         service.enable_dynamic()

@@ -697,6 +697,7 @@ class TestServerEndToEnd:
             assert b"repro_serve" in response.read()
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{base}/bogus", timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_every_envelope_carries_service_block(self, client):
@@ -876,6 +877,7 @@ class TestChaosUnderTraffic:
             base = f"http://{chaos_server.host}:{chaos_server.port}"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/readyz", timeout=30)
+            excinfo.value.close()
             assert excinfo.value.code == 503
 
             # Phase 3 — background recovery, traffic still flowing.
