@@ -6,7 +6,9 @@
 # recovery -> scrape /metrics over plain HTTP -> clean shutdown via the
 # protocol's shutdown op.  A second pass serves a packed checkpoint
 # memory-mapped and checks its answers, and a burst of 2,000 pipelined
-# queries, against the in-memory navigator.  Exercises every serving layer (admission
+# queries, against the in-memory navigator: the burst's answer lines
+# byte for byte, and the daemon's admission, navigator and latency
+# counts.  Exercises every serving layer (admission
 # batching, degraded labelling, chaos recovery, the HTTP facade) on a
 # small instance; fast enough for CI.  The exhaustive suite lives in
 # tests/test_serve.py behind the `serve` pytest marker.
@@ -120,7 +122,12 @@ import urllib.request
 
 from repro.checkpoint import load_navigator_checkpoint
 from repro.metrics import random_points, sample_pairs
-from repro.serve import ServeClient, encode_line, wait_for_server
+from repro.serve import (
+    ServeClient,
+    encode_line,
+    make_response,
+    wait_for_server,
+)
 
 path, port, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 # The daemon's metric (`--family euclidean`, default seed 0).
@@ -153,22 +160,43 @@ with ServeClient("127.0.0.1", port) as client:
     print("mmap traffic ok: paths delivered, route labelled undelivered")
 
 
-def admitted():
+COUNTS = ("repro_serve_admitted", "repro_navigator_queries",
+          "repro_navigator_hops_count", "repro_serve_request_latency_us_count")
+
+
+def scrape():
     with urllib.request.urlopen(
         f"http://127.0.0.1:{port}/metrics", timeout=30
     ) as response:
         text = response.read().decode()
-    return float(re.search(r"^repro_serve_admitted (\S+)$", text,
-                           re.MULTILINE).group(1))
+    return {name: float(re.search(rf"^{name} (\S+)$", text,
+                                  re.MULTILINE).group(1))
+            for name in COUNTS}
+
+
+def expected_result(op, u, v):
+    """The answer's result, computed by the in-memory navigator."""
+    if op == "distance":
+        return {"distance": in_memory.approx_distance(u, v)}
+    path, tree = in_memory.find_path_with_tree(u, v)
+    weight = in_memory.path_weight(path)
+    base = in_memory.metric.distance(u, v)
+    return {"path": path, "hops": len(path) - 1, "weight": weight,
+            "stretch": weight / base if base > 0 else 1.0, "tree": tree}
 
 
 # Burst: 2,000 pipelined queries in one write, then a half-close.  Every
-# id is answered exactly once before EOF, each answer matches the
-# in-memory navigator, and the daemon admitted all 2,000.
+# id is answered exactly once before EOF, each answer line is byte for
+# byte the envelope of the in-memory navigator's result, and the
+# daemon's counts moved by exactly the burst: 2,000 admissions and
+# request latencies, one navigator query and one hop count per path
+# answer with u != v.
 rng = random.Random(11)
 burst = [("path" if i % 2 else "distance", rng.randrange(n), rng.randrange(n))
          for i in range(2000)]
-before = admitted()
+with ServeClient("127.0.0.1", port) as client:
+    service = client.health()["service"]
+before = scrape()
 with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
     sock.sendall(b"".join(
         encode_line({"id": i, "op": op, "u": u, "v": v})
@@ -176,23 +204,28 @@ with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
     ))
     sock.shutdown(socket.SHUT_WR)
     with sock.makefile("rb") as reader:
-        answers = [json.loads(line) for line in reader]
+        lines = list(reader)
+answers = [json.loads(line) for line in lines]
 ids = sorted(answer["id"] for answer in answers)
 assert ids == list(range(len(burst))), (len(ids), len(set(ids)))
-for answer in answers:
+for line, answer in zip(lines, answers):
     op, u, v = burst[answer["id"]]
-    assert answer["status"] == "ok", answer
-    if op == "path":
-        expected, tree = in_memory.find_path_with_tree(u, v)
-        assert answer["result"]["path"] == expected, (u, v, answer)
-        assert answer["result"]["tree"] == tree, (u, v, answer)
-    else:
-        assert answer["result"]["distance"] == \
-            in_memory.approx_distance(u, v), (u, v, answer)
-moved = admitted() - before
-assert moved == len(burst), moved
-print(f"burst ok: {len(burst)} pipelined queries, each answered once and "
-      "identical to the in-memory navigator")
+    expected = encode_line(make_response(
+        answer["id"], "ok", expected_result(op, u, v), None, service
+    ))
+    assert line == expected, (line, expected)
+after = scrape()
+navigated = sum(1 for op, u, v in burst if op == "path" and u != v)
+moved = {name: after[name] - before[name] for name in COUNTS}
+assert moved == {
+    "repro_serve_admitted": len(burst),
+    "repro_navigator_queries": navigated,
+    "repro_navigator_hops_count": navigated,
+    "repro_serve_request_latency_us_count": len(burst),
+}, (moved, navigated)
+print(f"burst ok: {len(burst)} pipelined queries, each answered once, "
+      "byte-identical to the in-memory navigator's envelopes; "
+      f"counts moved by exactly the burst ({navigated} navigated paths)")
 
 with ServeClient("127.0.0.1", port) as client:
     client.shutdown()

@@ -168,11 +168,15 @@ class PackedMetricNavigator:
         return path
 
     def _tree_path(self, index: int, u: int, v: int) -> List[int]:
+        # ndarray.item reads a Python int straight from the array; an
+        # index expression would build a numpy scalar first.
+        vop = self.vop
         vertex_path = self.packs[index].find_path(
-            int(self.vop[index, u]), int(self.vop[index, v])
+            vop.item(index, u), vop.item(index, v)
         )
-        base = int(self.rep_off[index])
-        return dedup_path([int(self.rep[base + x]) for x in vertex_path])
+        rep = self.rep
+        base = self.rep_off.item(index)
+        return dedup_path([rep.item(base + x) for x in vertex_path])
 
     def find_path_with_tree(self, u: int, v: int) -> Tuple[List[int], int]:
         """Like :meth:`find_path` but also reports the tree used
@@ -208,14 +212,15 @@ class PackedMetricNavigator:
                 nontrivial.append((t, u, v))
         if nontrivial:
             best = self._best_trees([(u, v) for _, u, v in nontrivial])
-            obs = OBS.enabled
-            for (t, u, v), (index, _) in zip(nontrivial, best):
-                points = self._tree_path(index, u, v)
-                if obs:
-                    _C_QUERIES.inc()
-                    _H_HOPS.observe(len(points) - 1)
-                    _H_TREE.observe(index)
-                results[t] = (points, index)
+            trees = [index for index, _ in best]
+            for (t, u, v), index in zip(nontrivial, trees):
+                results[t] = (self._tree_path(index, u, v), index)
+            if OBS.enabled:
+                _C_QUERIES.inc(len(trees))
+                _H_HOPS.observe_many(
+                    [len(results[t][0]) - 1 for t, _, _ in nontrivial]
+                )
+                _H_TREE.observe_many(trees)
         return results  # type: ignore[return-value]
 
     def approx_distance(self, u: int, v: int) -> float:
@@ -248,7 +253,7 @@ class PackedMetricNavigator:
 
     def path_weight(self, path: List[int]) -> float:
         """Metric weight of a reported point path."""
-        return sum(self.metric.distance(a, b) for a, b in zip(path, path[1:]))
+        return sum(map(self.metric.distance, path, path[1:]))
 
     def query_stretch(self, u: int, v: int) -> Tuple[int, float]:
         """(hops, stretch) of the reported path for one pair."""

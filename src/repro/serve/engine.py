@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Tuple
 from ..checkpoint.recovery import CheckpointService
 from ..observability import OBS
 from ..routing.metric_routing import MetricRoutingScheme
+from .protocol import encode_json
 
 __all__ = ["QueryEngine"]
 
@@ -58,6 +59,10 @@ class QueryEngine:
     def execute(
         self, op: str, pairs: List[Tuple[int, int]]
     ) -> List[Dict[str, Any]]:
+        """One payload per pair, in order: ``status``, ``result``,
+        ``error``, the snapshot's ``service`` block and, for answered
+        batches, ``service_json`` (that block encoded once for the
+        batch, see :func:`~repro.serve.protocol.encode_line`)."""
         navigator, status = self.service.snapshot()
         degraded = status["state"] != "ready"
         status["degraded"] = degraded
@@ -106,11 +111,15 @@ class QueryEngine:
         label = "degraded" if degraded else "ok"
         if degraded and OBS.enabled:
             _C_DEGRADED.inc(len(pairs))
+        # Every answer of the batch carries the same service block, so
+        # it is encoded here once for the wire (see encode_line).
+        service_json = encode_json(status)
         for payload in payloads:
             if payload.get("status") is None:
                 payload["status"] = label
             payload.setdefault("error", None)
             payload["service"] = status
+            payload["service_json"] = service_json
         return payloads
 
     def needs_setup(self, op: str) -> bool:
@@ -132,11 +141,11 @@ class QueryEngine:
         ]
 
     def _paths(self, navigator, pairs) -> List[Dict[str, Any]]:
-        metric = navigator.metric
+        distance = navigator.metric.distance
         payloads: List[Dict[str, Any]] = []
         for (u, v), (path, tree) in zip(pairs, navigator.find_paths(pairs)):
             weight = navigator.path_weight(path)
-            base = metric.distance(u, v)
+            base = distance(u, v)
             payloads.append({
                 "status": None,
                 "result": {

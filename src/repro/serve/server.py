@@ -98,22 +98,30 @@ class _Connection:
 
     def answer(self, request_id: Any, payload: Dict[str, Any]) -> None:
         """The batcher's reply sink: one query's payload, as a response."""
+        # Batches stamp the snapshot that answered them, encoded once
+        # per batch; admission failures (shed/timeout) fall back to the
+        # current level.
+        service = payload.get("service")
+        if service:
+            service_json = payload.get("service_json")
+        else:
+            service, service_json = self.server._service_block(), None
         self.send(make_response(
             request_id,
             payload.get("status", "error"),
             result=payload.get("result"),
             error=payload.get("error"),
-            # Batches stamp the snapshot that answered them; admission
-            # failures (shed/timeout) fall back to the current level.
-            service=payload.get("service") or self.server._service_block(),
-        ))
+            service=service,
+        ), service_json)
         self.unanswered -= 1
         if not self.unanswered and self.idle is not None \
                 and not self.idle.done():
             self.idle.set_result(None)
 
-    def send(self, response: Dict[str, Any]) -> None:
-        self.out.append(encode_line(response))
+    def send(
+        self, response: Dict[str, Any], service_json: Optional[str] = None
+    ) -> None:
+        self.out.append(encode_line(response, service_json))
         if not self.flush_scheduled:
             self.flush_scheduled = True
             self.loop.call_soon(self.flush)

@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,16 @@ def metric():
 @pytest.fixture(scope="module")
 def cover(metric):
     return robust_tree_cover(metric, eps=EPS)
+
+
+def _load_json(path: str) -> dict:
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _dump_json(payload: dict, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
 
 
 def _reseal(data: dict) -> dict:
@@ -149,7 +160,7 @@ class TestAtomicSave:
     ):
         path = str(tmp_path / "cover.ckpt")
         save_cover_checkpoint(cover, path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         def explode(src, dst):
             raise OSError("disk full")
@@ -158,7 +169,7 @@ class TestAtomicSave:
         with pytest.raises(OSError):
             save_cover_checkpoint(cover, path)
         monkeypatch.undo()
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["cover.ckpt"]
         load_cover_checkpoint(path, metric)
 
@@ -171,7 +182,7 @@ class TestAtomicSave:
 def saved_cover_bytes(metric, cover, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "cover.ckpt")
     save_cover_checkpoint(cover, path, contract=CONTRACT)
-    return open(path, "rb").read()
+    return Path(path).read_bytes()
 
 
 class TestCorruptionDetection:
@@ -241,9 +252,9 @@ class TestCorruptionDetection:
     def test_corrupt_v1_fails_with_clear_error(self, metric, cover, tmp_path):
         path = str(tmp_path / "v1.json")
         save_cover(cover, path)
-        payload = json.load(open(path))
+        payload = _load_json(path)
         payload["trees"][0]["vertex_of_point"][3] = 10**9
-        json.dump(payload, open(path, "w"))
+        _dump_json(payload, path)
         with pytest.raises(CheckpointCorruption, match="out of range"):
             load_cover_checkpoint(path, metric)
 
@@ -251,22 +262,22 @@ class TestCorruptionDetection:
         spanner = FaultTolerantSpanner(metric, f=1, k=4, cover=cover)
         path = str(tmp_path / "ft.ckpt")
         save_ft_checkpoint(spanner, path)
-        payload = json.load(open(path))
+        payload = _load_json(path)
         pools = payload["sections"]["replicas"]["body"]["pools"]
         pools[0][0] = list(range(min(8, N)))  # blow the f+1 bound
         _reseal(payload)
-        json.dump(payload, open(path, "w"))
+        _dump_json(payload, path)
         with pytest.raises(InvariantViolation):
             load_ft_checkpoint(path, metric)
 
     def test_label_corruption_fails_audit(self, metric, cover, tmp_path):
         path = str(tmp_path / "labels.ckpt")
         save_labels_checkpoint(cover, path)
-        payload = json.load(open(path))
+        payload = _load_json(path)
         body = payload["sections"]["labels/0000"]["body"]
         body["labels"][0][-1][2] += 1000.0  # inflate a stored depth
         _reseal(payload)
-        json.dump(payload, open(path, "w"))
+        _dump_json(payload, path)
         with pytest.raises(InvariantViolation):
             load_labels_checkpoint(path, metric)
 
@@ -274,10 +285,10 @@ class TestCorruptionDetection:
         navigator = MetricNavigator(metric, cover, 3)
         path = str(tmp_path / "nav.ckpt")
         save_navigator_checkpoint(navigator, path)
-        payload = json.load(open(path))
+        payload = _load_json(path)
         payload["sections"]["aux"]["body"]["per_tree"][0]["edges"] += 1
         _reseal(payload)
-        json.dump(payload, open(path, "w"))
+        _dump_json(payload, path)
         with pytest.raises(InvariantViolation):
             load_navigator_checkpoint(path, metric)
 
@@ -288,7 +299,7 @@ class TestCorruptionDetection:
 
 def _kill_tree(path: str, index: int, mode: str) -> None:
     """Corrupt exactly one tree section of a saved cover checkpoint."""
-    payload = json.load(open(path))
+    payload = _load_json(path)
     entry = payload["sections"][tree_section_name(index)]
     if mode == "crc":
         entry["crc32"] = (entry["crc32"] + 1) & 0xFFFFFFFF
@@ -297,7 +308,7 @@ def _kill_tree(path: str, index: int, mode: str) -> None:
             0.0 for _ in entry["body"]["tree"]["weights"]
         ]
         _reseal(payload)
-    json.dump(payload, open(path, "w"))
+    _dump_json(payload, path)
 
 
 class TestRecovery:
@@ -358,10 +369,10 @@ class TestRecovery:
         save_cover_checkpoint(
             cover, path, builder={"family": "robust", "eps": EPS}
         )
-        payload = json.load(open(path))
+        payload = _load_json(path)
         for index in range(cover.size):
             payload["sections"][tree_section_name(index)]["crc32"] ^= 1
-        json.dump(payload, open(path, "w"))
+        _dump_json(payload, path)
         report = recover_cover(path, metric)
         assert report.outcome == "full-rebuild"
 

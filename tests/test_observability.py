@@ -15,6 +15,8 @@ import json
 import timeit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.metric_navigator import MetricNavigator
@@ -123,6 +125,55 @@ def test_prom_text_export():
     assert "repro_kernel_calls 2" in text
     assert 'repro_navigator_hops_bucket{le="' in text
     assert "repro_navigator_hops_count 1" in text
+
+
+def _fed_both_ways(prior, values):
+    """Two histograms given ``prior`` one by one, then ``values`` one by
+    one into the first and through ``observe_many`` into the second."""
+    one, many = MetricsRegistry(), MetricsRegistry()
+    h_one, h_many = one.histogram("h"), many.histogram("h")
+    for value in prior:
+        h_one.observe(value)
+        h_many.observe(value)
+    for value in values:
+        h_one.observe(value)
+    h_many.observe_many(values)
+    return one, many
+
+
+_finite = st.floats(
+    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prior=st.lists(st.integers(-10**6, 10**6), max_size=5),
+    values=st.lists(st.integers(-10**6, 10**6), max_size=40),
+)
+def test_observe_many_matches_observe_for_ints(prior, values):
+    one, many = _fed_both_ways(prior, values)
+    h_one, h_many = one.histogram("h"), many.histogram("h")
+    assert (h_many.count, h_many.buckets, h_many.min, h_many.max) == (
+        h_one.count, h_one.buckets, h_one.min, h_one.max
+    )
+    assert h_many.total == h_one.total
+    assert many.export_prom_text() == one.export_prom_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prior=st.lists(_finite, max_size=5),
+    values=st.lists(st.one_of(_finite, st.integers(0, 10**4)), max_size=40),
+)
+def test_observe_many_matches_observe_for_floats(prior, values):
+    one, many = _fed_both_ways(prior, values)
+    h_one, h_many = one.histogram("h"), many.histogram("h")
+    assert (h_many.count, h_many.buckets, h_many.min, h_many.max) == (
+        h_one.count, h_one.buckets, h_one.min, h_one.max
+    )
+    # Summed in the same order, so the float total is bit-identical too.
+    assert h_many.total == h_one.total
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.metrics import random_points
 from repro.observability import OBS
 from repro.serve import (
     AdmissionPolicy,
+    ChaosController,
     MicroBatcher,
     ProtocolError,
     QueryEngine,
@@ -602,6 +603,136 @@ def _read_lines(sock, count=None):
 
 def _prom_sample(text, name):
     return float(re.search(rf"^{name} (\S+)$", text, re.MULTILINE).group(1))
+
+
+# ----------------------------------------------------------------------
+# Wire encoding: the per-batch template against the JSON encoder
+
+
+_SERVICE = {
+    "state": "ready", "generation": 3, "trees_total": 45,
+    "trees_pending": 0, "trees_serving": 45, "mapped": True,
+    "dynamic": False, "degraded": False,
+}
+
+
+def _service_json(service):
+    return json.dumps(service, separators=(",", ":"))
+
+
+def _json_line(envelope):
+    return json.dumps(envelope, separators=(",", ":")).encode() + b"\n"
+
+
+def _assert_same_line(request_id, payload):
+    """The batch encoder's line for ``payload`` equals the JSON encoder's
+    (and both equal ``json.dumps``), as the daemon's sink builds it."""
+    envelope = make_response(
+        request_id, payload["status"], result=payload["result"],
+        error=payload.get("error"), service=payload["service"],
+    )
+    line = encode_line(envelope, _service_json(payload["service"]))
+    assert line == encode_line(envelope) == _json_line(envelope)
+    return line
+
+
+class TestWireEncoding:
+    @pytest.mark.parametrize("result", [
+        {"path": [4], "hops": 0, "weight": 0.0, "stretch": 1.0, "tree": -1},
+        {"path": [4], "hops": 0, "weight": 0, "stretch": 1.0, "tree": -1},
+        {"path": [1, 9, 2], "hops": 2, "weight": 1e-05, "stretch": 1e+16,
+         "tree": 7},
+        {"path": [1, 2], "hops": 1, "weight": 1.5e-300, "stretch": 1.0,
+         "tree": 0},
+        {"distance": 0.0},
+        {"distance": 1e-05},
+        {"distance": 12345678901234567.0},
+        # Shapes and values the template leaves to the JSON encoder.
+        {"path": [1, 2], "hops": 1, "weight": float("inf"), "stretch": 1.0,
+         "tree": 0},
+        {"path": [True, 2], "hops": 1, "weight": 1.0, "stretch": 1.0,
+         "tree": 0},
+        {"path": [1, 2], "hops": 1, "weight": 1.0, "stretch": 1.0},
+        {"distance": float("nan")},
+        {"hops": 1, "path": [1, 2], "weight": 1.0, "stretch": 1.0,
+         "tree": 0},
+    ])
+    @pytest.mark.parametrize("status", ["ok", "degraded"])
+    def test_results(self, result, status):
+        _assert_same_line(
+            11, {"status": status, "result": result, "service": _SERVICE}
+        )
+
+    @pytest.mark.parametrize("request_id", [
+        "seven", None, 7.5, True, False, 2 ** 64 + 1, -(2 ** 63) - 5, 0,
+        "\u00fc\n",
+    ])
+    def test_ids(self, request_id):
+        for result in ({"distance": 2.5},
+                       {"path": [0, 3], "hops": 1, "weight": 2.5,
+                        "stretch": 1.0, "tree": 2}):
+            _assert_same_line(
+                request_id,
+                {"status": "ok", "result": result, "service": _SERVICE},
+            )
+
+    @pytest.mark.parametrize("status,error", [
+        ("overloaded", "admission queue full (256 requests waiting)"),
+        ("timeout", "deadline of 50.0ms expired in the admission queue"),
+        ("error", "batch execution failed after 3 attempts"),
+        ("undelivered", "no surviving trees; recovery has not completed"),
+    ])
+    def test_failure_envelopes(self, status, error):
+        _assert_same_line(
+            5, {"status": status, "result": None, "error": error,
+                "service": _SERVICE},
+        )
+
+    @pytest.mark.parametrize("envelope", [
+        {"id": 1, "result": {1: "int key", True: "bool key", None: 0}},
+        {"id": "ü\n\"", "op": "ping", "nested": [[], {}, [1, [2.5]]]},
+        {"id": 2, "values": [float("nan"), float("inf"), -0.0, 1e-05]},
+        {"id": 3, "big": 2 ** 70, "neg": -(2 ** 63), "flag": False},
+        {},
+    ])
+    def test_json_encoder(self, envelope):
+        """Envelopes without a service JSON match ``json.dumps``."""
+        assert encode_line(envelope) == _json_line(envelope)
+
+    def test_engine_payloads(self, serve_metric, serve_ckpt):
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        engine = QueryEngine(service)
+        pairs = [(3, 3)] + _pairs(31)
+        for op in ("path", "distance", "route"):
+            batch = engine.execute(op, pairs)
+            for i, ((u, v), payload) in enumerate(zip(pairs, batch)):
+                assert payload["service_json"] == _service_json(
+                    payload["service"]
+                )
+                line = _assert_same_line(i, payload)
+                if op == "path" and u == v:
+                    assert payload["result"] == {
+                        "path": [u], "hops": 0, "weight": 0,
+                        "stretch": 1.0, "tree": -1,
+                    }
+                if op == "distance" and u == v:
+                    assert payload["result"] == {"distance": 0.0}
+                # One pair answers the same alone and in a batch of 32.
+                alone = engine.execute(op, [(u, v)])[0]
+                assert _assert_same_line(i, alone) == line
+
+    def test_degraded_batch_after_tree_kill(self, serve_metric, serve_ckpt):
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        engine = QueryEngine(service)
+        killed = ChaosController(service).inject(kill=[0, 1], recover=False)
+        assert killed["killed"] == [0, 1]
+        pairs = _pairs(12)
+        for op in ("path", "distance"):
+            batch = engine.execute(op, pairs)
+            assert {payload["status"] for payload in batch} == {"degraded"}
+            for i, payload in enumerate(batch):
+                assert payload["service"]["trees_pending"] == 2
+                _assert_same_line(i, payload)
 
 
 class TestServerEndToEnd:
