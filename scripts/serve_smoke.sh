@@ -6,9 +6,9 @@
 # recovery -> scrape /metrics over plain HTTP -> clean shutdown via the
 # protocol's shutdown op.  A second pass serves a packed checkpoint
 # memory-mapped and checks its answers, and a burst of 2,000 pipelined
-# queries, against the in-memory navigator: the burst's answer lines
-# byte for byte, and the daemon's admission, navigator and latency
-# counts.  Exercises every serving layer (admission
+# queries on each of two connections, against the in-memory navigator:
+# the bursts' answer lines byte for byte, and the daemon's admission,
+# navigator, latency and inline-batch counts.  Exercises every serving layer (admission
 # batching, degraded labelling, chaos recovery, the HTTP facade) on a
 # small instance; fast enough for CI.  The exhaustive suite lives in
 # tests/test_serve.py behind the `serve` pytest marker.
@@ -105,9 +105,9 @@ MMAP_PORT=$((PORT + 1))
 PYTHONPATH=src python -m repro checkpoint --family euclidean --n "$N" \
     --what navigator --packed --out "$MMAP_CKPT"
 
-# The queue holds the whole burst leg below, so none of it is shed.
+# The queue holds both bursts of the leg below, so none of it is shed.
 PYTHONPATH=src python -m repro serve "$MMAP_CKPT" --family euclidean \
-    --n "$N" --mmap --port "$MMAP_PORT" --max-queue 2048 \
+    --n "$N" --mmap --port "$MMAP_PORT" --max-queue 4096 \
     >"$MMAP_LOG" 2>&1 &
 MMAP_PID=$!
 trap 'kill "$MMAP_PID" 2>/dev/null || true' EXIT
@@ -118,6 +118,7 @@ import random
 import re
 import socket
 import sys
+import threading
 import urllib.request
 
 from repro.checkpoint import load_navigator_checkpoint
@@ -161,7 +162,8 @@ with ServeClient("127.0.0.1", port) as client:
 
 
 COUNTS = ("repro_serve_admitted", "repro_navigator_queries",
-          "repro_navigator_hops_count", "repro_serve_request_latency_us_count")
+          "repro_navigator_hops_count", "repro_serve_request_latency_us_count",
+          "repro_serve_batches_inline")
 
 
 def scrape():
@@ -185,47 +187,70 @@ def expected_result(op, u, v):
             "stretch": weight / base if base > 0 else 1.0, "tree": tree}
 
 
-# Burst: 2,000 pipelined queries in one write, then a half-close.  Every
-# id is answered exactly once before EOF, each answer line is byte for
-# byte the envelope of the in-memory navigator's result, and the
-# daemon's counts moved by exactly the burst: 2,000 admissions and
-# request latencies, one navigator query and one hop count per path
-# answer with u != v.
+# Burst: 2,000 pipelined queries in one write on each of two
+# connections at once; the second half-closes after sending, the first
+# stays open.  Every id is answered exactly once on its own connection,
+# each answer line is byte for byte the envelope of the in-memory
+# navigator's result, and the daemon's counts moved by exactly the two
+# bursts: admissions and request latencies, one navigator query and
+# one hop count per path answer with u != v.  Some batches ran on the
+# event loop itself.
 rng = random.Random(11)
 burst = [("path" if i % 2 else "distance", rng.randrange(n), rng.randrange(n))
          for i in range(2000)]
+payload = b"".join(
+    encode_line({"id": i, "op": op, "u": u, "v": v})
+    for i, (op, u, v) in enumerate(burst)
+)
 with ServeClient("127.0.0.1", port) as client:
     service = client.health()["service"]
 before = scrape()
-with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
-    sock.sendall(b"".join(
-        encode_line({"id": i, "op": op, "u": u, "v": v})
-        for i, (op, u, v) in enumerate(burst)
-    ))
-    sock.shutdown(socket.SHUT_WR)
-    with sock.makefile("rb") as reader:
-        lines = list(reader)
-answers = [json.loads(line) for line in lines]
-ids = sorted(answer["id"] for answer in answers)
-assert ids == list(range(len(burst))), (len(ids), len(set(ids)))
-for line, answer in zip(lines, answers):
-    op, u, v = burst[answer["id"]]
-    expected = encode_line(make_response(
-        answer["id"], "ok", expected_result(op, u, v), None, service
-    ))
-    assert line == expected, (line, expected)
+received = [None, None]
+
+
+def drive(which):
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(payload)
+        if which:
+            sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as reader:
+            if which:  # half-closed: the daemon closes after the last
+                received[which] = list(reader)
+            else:
+                received[which] = [reader.readline() for _ in burst]
+
+
+threads = [threading.Thread(target=drive, args=(which,)) for which in (0, 1)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(120)
+for lines in received:
+    answers = [json.loads(line) for line in lines]
+    ids = sorted(answer["id"] for answer in answers)
+    assert ids == list(range(len(burst))), (len(ids), len(set(ids)))
+    for line, answer in zip(lines, answers):
+        op, u, v = burst[answer["id"]]
+        expected = encode_line(make_response(
+            answer["id"], "ok", expected_result(op, u, v), None, service
+        ))
+        assert line == expected, (line, expected)
 after = scrape()
-navigated = sum(1 for op, u, v in burst if op == "path" and u != v)
+navigated = 2 * sum(1 for op, u, v in burst if op == "path" and u != v)
 moved = {name: after[name] - before[name] for name in COUNTS}
+inline = moved.pop("repro_serve_batches_inline")
+assert inline > 0, moved
 assert moved == {
-    "repro_serve_admitted": len(burst),
+    "repro_serve_admitted": 2 * len(burst),
     "repro_navigator_queries": navigated,
     "repro_navigator_hops_count": navigated,
-    "repro_serve_request_latency_us_count": len(burst),
+    "repro_serve_request_latency_us_count": 2 * len(burst),
 }, (moved, navigated)
-print(f"burst ok: {len(burst)} pipelined queries, each answered once, "
-      "byte-identical to the in-memory navigator's envelopes; "
-      f"counts moved by exactly the burst ({navigated} navigated paths)")
+print(f"burst ok: {len(burst)} pipelined queries on each of two "
+      "connections (one half-closed), each answered once, byte-identical "
+      "to the in-memory navigator's envelopes; counts moved by exactly "
+      f"the bursts ({navigated} navigated paths, {inline:.0f} batches "
+      "on the loop)")
 
 with ServeClient("127.0.0.1", port) as client:
     client.shutdown()

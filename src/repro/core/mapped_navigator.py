@@ -192,36 +192,49 @@ class PackedMetricNavigator:
             _H_TREE.observe(index)
         return points, index
 
-    def find_paths(
+    def best_trees(
         self, pairs: Sequence[Tuple[int, int]]
+    ) -> List[Tuple[int, float]]:
+        """Batched :meth:`best_tree`, one selection for all pairs:
+        ``(tree_index, tree_distance)`` per pair, ``(-1, 0.0)`` if u == v."""
+        pairs = list(pairs)
+        selected = [(-1, 0.0)] * len(pairs)
+        nontrivial = []
+        for t, (u, v) in enumerate(pairs):
+            self._check_pair(u, v)
+            if u != v:
+                nontrivial.append(t)
+        if nontrivial:
+            best = self._best_trees([pairs[t] for t in nontrivial])
+            for t, chosen in zip(nontrivial, best):
+                selected[t] = chosen
+        return selected
+
+    def find_paths(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        trees: Optional[Sequence[int]] = None,
     ) -> List[Tuple[List[int], int]]:
         """Batched :meth:`find_path_with_tree` over many pairs.
 
         Tree selection runs once for all pairs; only the O(k) tree
         navigation remains per pair.  Returns ``(point_path,
-        tree_index)`` per pair, in input order.
+        tree_index)`` per pair, in input order.  ``trees``, the indexes
+        :meth:`best_trees` chose for ``pairs``, skips the selection.
         """
         pairs = list(pairs)
-        results: List[Optional[Tuple[List[int], int]]] = [None] * len(pairs)
-        nontrivial: List[Tuple[int, int, int]] = []
-        for t, (u, v) in enumerate(pairs):
-            self._check_pair(u, v)
-            if u == v:
-                results[t] = ([u], -1)
-            else:
-                nontrivial.append((t, u, v))
-        if nontrivial:
-            best = self._best_trees([(u, v) for _, u, v in nontrivial])
-            trees = [index for index, _ in best]
-            for (t, u, v), index in zip(nontrivial, trees):
-                results[t] = (self._tree_path(index, u, v), index)
-            if OBS.enabled:
-                _C_QUERIES.inc(len(trees))
-                _H_HOPS.observe_many(
-                    [len(results[t][0]) - 1 for t, _, _ in nontrivial]
-                )
-                _H_TREE.observe_many(trees)
-        return results  # type: ignore[return-value]
+        if trees is None:
+            trees = [index for index, _ in self.best_trees(pairs)]
+        results = [
+            ([u], -1) if u == v else (self._tree_path(index, u, v), index)
+            for (u, v), index in zip(pairs, trees)
+        ]
+        if OBS.enabled:
+            navigated = [result for result in results if result[1] >= 0]
+            _C_QUERIES.inc(len(navigated))
+            _H_HOPS.observe_many([len(path) - 1 for path, _ in navigated])
+            _H_TREE.observe_many([index for _, index in navigated])
+        return results
 
     def approx_distance(self, u: int, v: int) -> float:
         """A γ-approximate distance without reporting the path.
@@ -238,18 +251,9 @@ class PackedMetricNavigator:
 
     def approx_distances(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Batched :meth:`approx_distance`."""
-        pairs = list(pairs)
-        out = np.zeros(len(pairs))
-        nontrivial = []
-        for t, (u, v) in enumerate(pairs):
-            self._check_pair(u, v)
-            if u != v:
-                nontrivial.append(t)
-        if nontrivial:
-            best = self._best_trees([pairs[t] for t in nontrivial])
-            for t, (_, d) in zip(nontrivial, best):
-                out[t] = d
-        return out
+        return np.array(
+            [distance for _, distance in self.best_trees(pairs)], dtype=float
+        )
 
     def path_weight(self, path: List[int]) -> float:
         """Metric weight of a reported point path."""

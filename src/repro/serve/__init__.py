@@ -6,8 +6,8 @@ through :class:`~repro.checkpoint.recovery.CheckpointService` and
 serves concurrent ``distance``/``path``/``route`` requests over a
 line-delimited-JSON TCP front, with robustness as the design center —
 
-* admission batching into the vectorized ``find_paths`` /
-  ``approx_distances`` kernels (:mod:`repro.serve.batcher`),
+* admission batching into the vectorized ``best_trees`` /
+  ``find_paths`` kernels (:mod:`repro.serve.batcher`),
 * bounded queues with explicit ``overloaded`` shedding and per-request
   deadlines with ``timeout`` responses (:mod:`repro.serve.policy`),
 * live-traffic graceful degradation: a chaos controller can kill trees

@@ -1,40 +1,38 @@
 """The admission controller: bounded queue, micro-batches, deadlines.
 
 BENCH_navigation shows the batched query kernels run ~24x faster than
-scalar queries; the :class:`MicroBatcher` is what converts concurrent
-single-pair requests into those batches without giving up tail-latency
-control.  It is a pure asyncio component with an injectable ``execute``
-callable, so every admission behavior — work-conserving flushes,
-inline vs offloaded batches, shedding, deadline expiry,
-retry-with-backoff — unit tests deterministically against a fake
-executor, independent of the navigation stack.
+scalar queries; the :class:`MicroBatcher` turns concurrent single-pair
+requests into those batches without giving up tail-latency control.
+Its ``execute`` callable is injected, so every admission behavior
+unit tests deterministically against a fake executor.
 
-Lifecycle: requests enter through :meth:`MicroBatcher.admit`, which
-takes a reply sink — a ``sink(token, payload)`` callable — instead of
-returning anything.  Every request is answered exactly once through its
-sink: at once when it is shed or already expired, else when its batch
-resolves or its deadline passes.  The server's sink appends the
-response to the connection's output buffer; :meth:`MicroBatcher.submit`
-is a thin awaitable wrapper for tests and embedders whose sink settles
-a future.  A single flusher task drains the queue into per-op batches.
-The flusher never waits for company: as soon as the previous batch
-returns it takes everything queued, up to ``max_batch``, so requests
-that arrive while a batch runs form the next one.
+Requests enter through :meth:`MicroBatcher.admit` with a reply sink, a
+``sink(token, payload)`` callable, and are answered exactly once
+through it: at once when shed or already expired, else when their
+batch resolves or their deadline passes.  :meth:`MicroBatcher.submit`
+is the awaitable wrapper for tests and embedders.
 
-Deadlines cost one loop timer, not one per request: it is armed at the
-earliest deadline over the queued and in-flight requests, and when it
-fires it expires every request whose deadline has passed, wherever it
-is.  A request expired mid-batch is answered ``timeout`` at once and
-its computed answer is dropped when the batch returns.
+Batches run in :meth:`MicroBatcher.pump`, a plain call that takes
+everything queued, up to ``max_batch`` and whatever the ops, as one
+batch.  ``admit`` only queues: its caller pumps.  The server pumps at
+the end of each socket read, so a query on an idle daemon is answered
+in the loop turn that read it; ``submit`` pumps on the next turn,
+after the other submits of its turn.  ``on_answered`` runs after every
+pump, deadline sweep and stop, so the sinks' owner writes the answers
+out once per batch.  Requests that arrive while a batch runs off the
+loop queue up, and its completion pumps them as the next.
 
-A batch runs on the event loop itself when the previous batch of the
-same op took less than one GIL switch interval
-(:func:`sys.getswitchinterval`): a worker thread holding the GIL for
-less than that does not let the loop run meanwhile, so the thread hop
-would only add latency.  The first batch of an op, batches after a
-slower one, and batches that must first build per-generation state
-(``needs_setup``) run on the loop's default thread pool, so heavy work
-never blocks admission.
+One loop timer, armed at the earliest deadline of an unanswered
+request, expires every request past its deadline, queued or mid-batch
+(whose computed answer is then dropped).
+
+A batch runs on the loop when the last batch of each of its ops took
+less than one GIL switch interval (:func:`sys.getswitchinterval`): a
+worker thread holding the GIL for less than that does not let the loop
+run meanwhile, so the thread hop would only add latency.  First
+batches, batches after a slower one, and batches that must first build
+state (``needs_setup``) run on the loop's default thread pool.  A batch
+that raises is retried after its backoff from a loop timer.
 """
 
 from __future__ import annotations
@@ -44,7 +42,9 @@ import math
 import sys
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union,
+)
 
 from ..observability import OBS
 from .policy import AdmissionPolicy
@@ -52,8 +52,11 @@ from .policy import AdmissionPolicy
 __all__ = ["MicroBatcher"]
 
 # Executor contract: (op, [(u, v), ...]) -> one payload dict per pair,
-# in input order.  Payloads carry at least {"status", "result"}.
-BatchExecutor = Callable[[str, List[Tuple[int, int]]], List[Dict[str, Any]]]
+# in input order, each with at least {"status", "result"}; ``op`` is
+# the batch's op, or a list of one op per pair for a mixed batch.
+BatchExecutor = Callable[
+    [Union[str, List[str]], List[Tuple[int, int]]], List[Dict[str, Any]]
+]
 
 #: ``sink(token, payload)``: delivers one request's payload; ``token``
 #: is whatever the admitter passed (the server passes the request id).
@@ -83,13 +86,8 @@ class _Pending:
 
     def __init__(self, op: str, u: int, v: int, deadline: float,
                  sink: Optional[ReplySink], token: Any, admitted_at: float):
-        self.op = op
-        self.u = u
-        self.v = v
-        self.deadline = deadline
-        self.sink = sink
-        self.token = token
-        self.admitted_at = admitted_at
+        self.op, self.u, self.v, self.deadline = op, u, v, deadline
+        self.sink, self.token, self.admitted_at = sink, token, admitted_at
 
 
 def _settle(future: "asyncio.Future", payload: Dict[str, Any]) -> None:
@@ -113,6 +111,9 @@ class MicroBatcher:
         Optional ``op -> bool``: True when the next batch of ``op``
         must first build state the executor has not cached, so it runs
         on a worker thread however fast the previous batch was.
+    on_answered:
+        Optional ``() -> None``, called on the loop after answers may
+        have gone to sinks outside :meth:`admit`.
     """
 
     def __init__(
@@ -120,57 +121,46 @@ class MicroBatcher:
         execute: BatchExecutor,
         policy: AdmissionPolicy,
         needs_setup: Optional[Callable[[str], bool]] = None,
+        on_answered: Optional[Callable[[], None]] = None,
     ):
         self._execute = execute
         self.policy = policy
         self._needs_setup = needs_setup
+        self._on_answered = on_answered or (lambda: None)
         self._queue: Deque[_Pending] = deque()
-        #: The batch being computed (its requests can still expire).
+        #: The batch running off the loop, or waiting out its backoff
+        #: (its requests can still expire); empty when none is.
         self._inflight: List[_Pending] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._have_work: Optional[asyncio.Event] = None
-        self._task: Optional[asyncio.Task] = None
         self._running = False
+        #: The pump scheduled for the next loop turn, if any.
+        self._pump_handle: Optional[asyncio.Handle] = None
         #: The deadline timer and the time it is armed for: never later
         #: than the earliest deadline of an unanswered request.
         self._timer: Optional[asyncio.TimerHandle] = None
         self._timer_at = math.inf
-        #: op -> wall seconds the last batch of that op took.
+        #: op -> wall seconds the last batch with that op took.
         self._last_seconds: Dict[str, float] = {}
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._have_work = asyncio.Event()
         self._running = True
-        self._task = asyncio.ensure_future(self._flush_loop())
 
     async def stop(self) -> None:
-        """Stop flushing; unresolved requests fail fast with ``error``."""
+        """Stop batching; unresolved requests fail fast with ``error``."""
         self._running = False
-        inflight = self._inflight  # cleared as the cancelled batch unwinds
-        if self._have_work is not None:
-            self._have_work.set()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer, self._timer_at = None, math.inf
-        stranded = [*inflight, *self._queue]
+        for handle in filter(None, (self._pump_handle, self._timer)):
+            handle.cancel()
+        self._pump_handle, self._timer, self._timer_at = None, None, math.inf
+        stranded = [*self._inflight, *self._queue]
+        self._inflight = []
         self._queue.clear()
-        self._resolve(stranded, [
-            {"status": "error", "result": None,
-             "error": "server shutting down"}
-            for _ in stranded
-        ])
+        self._fail(stranded, "server shutting down")
         if OBS.enabled:
             _G_QUEUE_DEPTH.set(0)
+        self._on_answered()
 
     @property
     def queue_depth(self) -> int:
@@ -187,7 +177,8 @@ class MicroBatcher:
         ``deadline`` is absolute, on the event-loop clock.  A full queue
         answers ``overloaded`` and a passed deadline ``timeout``, both
         before this returns (and then it returns ``None``); otherwise
-        the request is queued and its handle returned.
+        the request is queued for the caller's next :meth:`pump` and
+        its handle is returned.
         """
         obs = OBS.enabled
         if len(self._queue) >= self.policy.max_queue:
@@ -217,7 +208,6 @@ class MicroBatcher:
         if obs:
             _C_ADMITTED.inc()
             _G_QUEUE_DEPTH.set(len(self._queue))
-        self._have_work.set()
         return item
 
     async def submit(
@@ -226,6 +216,7 @@ class MicroBatcher:
         """Admit one request and await its payload (see :meth:`admit`)."""
         future = self._loop.create_future()
         item = self.admit(op, u, v, deadline, _settle, future)
+        self._pump_soon()  # after the other submits of this loop turn
         try:
             return await future
         except asyncio.CancelledError:
@@ -248,27 +239,21 @@ class MicroBatcher:
         now = max(self._loop.time(), self._timer_at)
         self._timer, self._timer_at = None, math.inf
         earliest = math.inf
-        kept: Deque[_Pending] = deque()
-        for item in self._queue:
-            if item.sink is None:
-                continue
-            if item.deadline <= now:
-                self._expire(item, "in the admission queue")
-            else:
-                kept.append(item)
-                earliest = min(earliest, item.deadline)
-        self._queue = kept
-        for item in self._inflight:
-            if item.sink is None:
-                continue
-            if item.deadline <= now:
-                self._expire(item, "before the batch completed")
-            else:
-                earliest = min(earliest, item.deadline)
+        for items, where in ((self._queue, "in the admission queue"),
+                             (self._inflight, "before the batch completed")):
+            for item in items:
+                if item.sink is None:  # answered, or abandoned
+                    continue
+                if item.deadline <= now:
+                    self._expire(item, where)
+                else:
+                    earliest = min(earliest, item.deadline)
+        self._queue = deque(item for item in self._queue if item.sink)
         if earliest < math.inf:
             self._arm(earliest)
         if OBS.enabled:
             _G_QUEUE_DEPTH.set(len(self._queue))
+        self._on_answered()
 
     def _expire(self, item: _Pending, where: str) -> None:
         if OBS.enabled:
@@ -282,97 +267,128 @@ class MicroBatcher:
             ),
         })
 
-    # -- flushing --------------------------------------------------------
+    # -- batches ---------------------------------------------------------
 
-    async def _flush_loop(self) -> None:
-        while self._running:
-            await self._have_work.wait()
-            if not self._running:
-                break
+    def pump(self) -> None:
+        """Run the next batch, unless one is off the loop already.
+
+        Takes everything queued, up to ``max_batch``, as one batch: it
+        runs here when it is fast, else on the default executor.  Work
+        still queued after it gets a pump on the next loop turn, so
+        other connections read and join in between.
+        """
+        if self._pump_handle is not None:
+            self._pump_handle.cancel()
+            self._pump_handle = None
+        queue = self._queue
+        if self._running and not self._inflight and queue:
             batch: List[_Pending] = []
             now = self._loop.time()
-            while self._queue and len(batch) < self.policy.max_batch:
-                item = self._queue.popleft()
+            while queue and len(batch) < self.policy.max_batch:
+                item = queue.popleft()
                 if item.sink is None:  # abandoned
                     continue
                 if item.deadline <= now:  # its timer has not run yet
                     self._expire(item, "in the admission queue")
                     continue
                 batch.append(item)
-            if not self._queue:
-                self._have_work.clear()
             if OBS.enabled:
-                _G_QUEUE_DEPTH.set(len(self._queue))
+                _G_QUEUE_DEPTH.set(len(queue))
             if batch:
-                self._inflight = batch
-                try:
-                    await self._run_batch(batch)
-                finally:
-                    self._inflight = []
-            # Let the connections write the answers, and the loop read
-            # new requests, before the next batch is taken.
-            await asyncio.sleep(0)
+                self._run(batch, 0)
+            if queue and not self._inflight:
+                self._pump_soon()
+        self._on_answered()
 
-    async def _run_batch(self, batch: List[_Pending]) -> None:
-        by_op: Dict[str, List[_Pending]] = {}
-        for item in batch:
-            by_op.setdefault(item.op, []).append(item)
-        for op, items in by_op.items():
-            pairs = [(item.u, item.v) for item in items]
-            payloads = await self._execute_with_retry(op, pairs)
-            if payloads is None or len(payloads) != len(items):
-                message = (
-                    "batch execution failed after "
-                    f"{self.policy.max_retries + 1} attempts"
-                    if payloads is None
-                    else f"executor returned {len(payloads)} payloads "
-                         f"for {len(items)} requests"
-                )
-                payloads = [
-                    {"status": "error", "result": None, "error": message}
-                    for _ in items
-                ]
-            self._resolve(items, payloads)
+    def _pump_soon(self) -> None:
+        if self._pump_handle is None:
+            self._pump_handle = self._loop.call_soon(self.pump)
 
-    def _runs_inline(self, op: str) -> bool:
-        """Run on the loop: the last ``op`` batch beat the switch interval."""
-        last = self._last_seconds.get(op)
-        if last is None or last >= sys.getswitchinterval():
-            return False
-        return self._needs_setup is None or not self._needs_setup(op)
-
-    async def _execute_with_retry(
-        self, op: str, pairs: List[Tuple[int, int]]
-    ) -> Optional[List[Dict[str, Any]]]:
-        obs = OBS.enabled
-        for attempt in range(self.policy.max_retries + 1):
-            inline = self._runs_inline(op)
-            if obs:
-                (_C_INLINE if inline else _C_OFFLOADED).inc()
-            start = time.perf_counter()
+    def _run(self, batch: List[_Pending], attempt: int) -> None:
+        """Execute ``batch`` here when it is fast, else on the executor."""
+        kinds = {item.op for item in batch}
+        op = batch[0].op if len(kinds) == 1 else [item.op for item in batch]
+        pairs = [(item.u, item.v) for item in batch]
+        inline = self._runs_inline(kinds)
+        if OBS.enabled:
+            (_C_INLINE if inline else _C_OFFLOADED).inc()
+        start = time.perf_counter()
+        if inline:
             try:
-                if inline:
-                    payloads = self._execute(op, pairs)
-                else:
-                    payloads = await self._loop.run_in_executor(
-                        None, self._execute, op, pairs
-                    )
+                payloads = self._execute(op, pairs)
             except Exception:
-                if obs:
-                    _C_RETRIES.inc()
-                if attempt >= self.policy.max_retries:
-                    if obs:
-                        _C_FAILURES.inc()
-                    return None
-                await asyncio.sleep(self.policy.backoff_delay(attempt))
-                continue
-            seconds = time.perf_counter() - start
-            self._last_seconds[op] = seconds
+                payloads = None
+            self._ran(batch, attempt, kinds, start, payloads)
+            return
+        self._inflight = batch
+
+        def offloaded(future: "asyncio.Future") -> None:
+            if not self._running or future.cancelled():
+                return  # stop() has answered its requests
+            self._inflight = []
+            self._ran(batch, attempt, kinds, start,
+                      None if future.exception() else future.result())
+            self.pump()
+
+        self._loop.run_in_executor(
+            None, self._execute, op, pairs
+        ).add_done_callback(offloaded)
+
+    def _runs_inline(self, kinds: Set[str]) -> bool:
+        """Run on the loop: the last batch of each op beat the switch
+        interval, and none needs set-up."""
+        interval = sys.getswitchinterval()
+        return all(
+            self._last_seconds.get(op, interval) < interval
+            and not (self._needs_setup and self._needs_setup(op))
+            for op in kinds
+        )
+
+    def _ran(
+        self, batch: List[_Pending], attempt: int, kinds: Set[str],
+        start: float, payloads: Optional[List[Dict[str, Any]]],
+    ) -> None:
+        """Resolve a batch; ``payloads`` is None when the executor raised,
+        and the batch is retried after its backoff or fails."""
+        obs = OBS.enabled
+        if payloads is None:
             if obs:
-                _H_BATCH_SIZE.observe(len(pairs))
-                _H_BATCH_US.observe(seconds * 1e6)
-            return payloads
-        return None
+                _C_RETRIES.inc()
+            if attempt < self.policy.max_retries:
+                self._inflight = batch  # its requests can still expire
+                self._loop.call_later(
+                    self.policy.backoff_delay(attempt), self._retry, batch,
+                    attempt + 1,
+                )
+                return
+            if obs:
+                _C_FAILURES.inc()
+            self._fail(batch, f"batch execution failed after {attempt + 1} "
+                              "attempts")
+            return
+        seconds = time.perf_counter() - start
+        for op in kinds:
+            self._last_seconds[op] = seconds
+        if obs:
+            _H_BATCH_SIZE.observe(len(batch))
+            _H_BATCH_US.observe(seconds * 1e6)
+        if len(payloads) != len(batch):
+            self._fail(batch, f"executor returned {len(payloads)} payloads "
+                              f"for {len(batch)} requests")
+            return
+        self._resolve(batch, payloads)
+
+    def _retry(self, batch: List[_Pending], attempt: int) -> None:
+        if self._running:
+            self._inflight = []
+            self._run(batch, attempt)
+            self.pump()
+
+    def _fail(self, items: List[_Pending], message: str) -> None:
+        self._resolve(items, [
+            {"status": "error", "result": None, "error": message}
+            for _ in items
+        ])
 
     def _resolve(
         self, items: List[_Pending], payloads: List[Dict[str, Any]]

@@ -1,12 +1,14 @@
 """Batch query execution against a live :class:`CheckpointService`.
 
 The engine is the synchronous half of the daemon: the batcher hands it
-``(op, pairs)`` micro-batches (on the event loop, or on a worker thread
-for slow batches and :meth:`QueryEngine.needs_setup`) and it answers
-them through the vectorized kernels — ``approx_distances`` for ``distance``,
-``find_paths`` for ``path``, and the Theorem 5.1 compact-routing scheme
-for ``route`` (per the local-routing model of arXiv:2012.00959, route
-answers come from per-tree labels/tables, not global state).
+``(op, pairs)`` micro-batches, mixed ops included (on the event loop,
+or on a worker thread for slow batches and
+:meth:`QueryEngine.needs_setup`), and it answers them through the
+vectorized kernels — one ``best_trees`` selection for the batch's
+``distance`` and ``path`` pairs, ``find_paths`` on the chosen trees,
+and the Theorem 5.1 compact-routing scheme for ``route`` (per the
+local-routing model of arXiv:2012.00959, route answers come from
+per-tree labels/tables, not global state).
 
 Every batch runs against **one**
 :meth:`~repro.checkpoint.recovery.CheckpointService.snapshot`, so all
@@ -19,12 +21,12 @@ tree count in the ``service`` block — never an unlabelled wrong answer.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..checkpoint.recovery import CheckpointService
 from ..observability import OBS
 from ..routing.metric_routing import MetricRoutingScheme
-from .protocol import encode_json
+from .protocol import QUERY_OPS, encode_json
 
 __all__ = ["QueryEngine"]
 
@@ -57,12 +59,19 @@ class QueryEngine:
     # -- public entry (the batcher's executor) ---------------------------
 
     def execute(
-        self, op: str, pairs: List[Tuple[int, int]]
+        self, op: Union[str, Sequence[str]], pairs: List[Tuple[int, int]]
     ) -> List[Dict[str, Any]]:
         """One payload per pair, in order: ``status``, ``result``,
-        ``error``, the snapshot's ``service`` block and, for answered
-        batches, ``service_json`` (that block encoded once for the
-        batch, see :func:`~repro.serve.protocol.encode_line`)."""
+        ``error``, the snapshot's ``service`` block and ``service_json``
+        (that block encoded once for the batch, see
+        :func:`~repro.serve.protocol.encode_line`).
+
+        ``op`` is the op of every pair, or one op per pair (a mixed
+        batch); its ``path`` and ``distance`` pairs share one selection.
+        """
+        ops = [op] * len(pairs) if isinstance(op, str) else list(op)
+        if not QUERY_OPS.issuperset(ops):
+            raise ValueError(f"unknown batch op in {sorted(set(ops))}")
         navigator, status = self.service.snapshot()
         degraded = status["state"] != "ready"
         status["degraded"] = degraded
@@ -84,42 +93,24 @@ class QueryEngine:
                 # The server validates ids before admission; this guards
                 # direct engine users with a full-batch typed failure.
                 raise ValueError(f"point pair ({u}, {v}) outside [0, {n})")
-        if op == "distance":
-            payloads = self._distances(navigator, pairs)
-        elif op == "path":
-            payloads = self._paths(navigator, pairs)
-        elif op == "route":
-            if navigator.cover is None:
-                # Memory-mapped navigators carry no python cover, and
-                # the Theorem 5.1 routing scheme is built from one:
-                # route queries degrade to a typed refusal instead of
-                # crashing the batch.
-                if OBS.enabled:
-                    _C_UNDELIVERED.inc(len(pairs))
-                reason = (
-                    "routing unavailable: the service is memory-mapped "
-                    "(no cover object to build routing tables from)"
-                )
-                return [
-                    {"status": "undelivered", "result": None,
-                     "error": reason, "service": status}
-                    for _ in pairs
-                ]
-            payloads = self._routes(navigator, status["generation"], pairs)
-        else:
-            raise ValueError(f"unknown batch op {op!r}")
+        payloads: List[Dict[str, Any]] = [None] * len(pairs)
+        self._answer(navigator, ops, pairs, payloads)
+        if "route" in ops:
+            self._route(navigator, status["generation"], ops, pairs, payloads)
         label = "degraded" if degraded else "ok"
-        if degraded and OBS.enabled:
-            _C_DEGRADED.inc(len(pairs))
         # Every answer of the batch carries the same service block, so
         # it is encoded here once for the wire (see encode_line).
         service_json = encode_json(status)
+        labelled = 0
         for payload in payloads:
-            if payload.get("status") is None:
+            if payload["status"] is None:
                 payload["status"] = label
+                labelled += 1
             payload.setdefault("error", None)
             payload["service"] = status
             payload["service_json"] = service_json
+        if degraded and labelled and OBS.enabled:
+            _C_DEGRADED.inc(labelled)
         return payloads
 
     def needs_setup(self, op: str) -> bool:
@@ -131,44 +122,69 @@ class QueryEngine:
         """
         return op == "route" and self.service.generation not in self._routers
 
-    # -- per-op kernels --------------------------------------------------
+    # -- answers ---------------------------------------------------------
 
-    def _distances(self, navigator, pairs) -> List[Dict[str, Any]]:
-        distances = navigator.approx_distances(pairs)
-        return [
-            {"status": None, "result": {"distance": float(d)}}
-            for d in distances
-        ]
-
-    def _paths(self, navigator, pairs) -> List[Dict[str, Any]]:
+    def _answer(self, navigator, ops, pairs, payloads) -> None:
+        """Fill in the ``path`` and ``distance`` answers, from one tree
+        selection for all of them."""
+        at = [i for i, op in enumerate(ops) if op != "route"]
+        selected = navigator.best_trees([pairs[i] for i in at])
+        wanted = [(i, tree) for i, (tree, _) in zip(at, selected)
+                  if ops[i] == "path"]
+        paths = iter(navigator.find_paths(
+            [pairs[i] for i, _ in wanted], [tree for _, tree in wanted]
+        ) if wanted else ())
         distance = navigator.metric.distance
-        payloads: List[Dict[str, Any]] = []
-        for (u, v), (path, tree) in zip(pairs, navigator.find_paths(pairs)):
-            weight = navigator.path_weight(path)
+        for i, (_, tree_distance) in zip(at, selected):
+            if ops[i] == "distance":
+                payloads[i] = {
+                    "status": None,
+                    "result": {"distance": float(tree_distance)},
+                }
+                continue
+            path, tree = next(paths)
+            u, v = pairs[i]
             base = distance(u, v)
-            payloads.append({
+            # A one-hop path weighs δ(u, v) itself: sum() of one term.
+            weight = base if len(path) == 2 else navigator.path_weight(path)
+            payloads[i] = {
                 "status": None,
                 "result": {
-                    "path": list(path),
+                    "path": path,
                     "hops": len(path) - 1,
                     "weight": weight,
                     "stretch": weight / base if base > 0 else 1.0,
                     "tree": tree,
                 },
-            })
-        return payloads
+            }
 
-    def _routes(self, navigator, generation, pairs) -> List[Dict[str, Any]]:
+    def _route(self, navigator, generation, ops, pairs, payloads) -> None:
+        """Fill in the ``route`` answers (Theorem 5.1 routing)."""
+        at = [i for i, op in enumerate(ops) if op == "route"]
+        if navigator.cover is None:
+            # Memory-mapped navigators carry no python cover, and the
+            # routing scheme is built from one: route queries degrade
+            # to a typed refusal instead of crashing the batch.
+            if OBS.enabled:
+                _C_UNDELIVERED.inc(len(at))
+            for i in at:
+                payloads[i] = {
+                    "status": "undelivered", "result": None,
+                    "error": "routing unavailable: the service is "
+                             "memory-mapped (no cover object to build "
+                             "routing tables from)",
+                }
+            return
         scheme = self._router_for(navigator, generation)
         metric = navigator.metric
-        payloads: List[Dict[str, Any]] = []
-        for u, v in pairs:
+        for i in at:
+            u, v = pairs[i]
             if u == v:
-                payloads.append({
+                payloads[i] = {
                     "status": None,
                     "result": {"path": [u], "hops": 0, "weight": 0.0,
                                "stretch": 1.0},
-                })
+                }
                 continue
             outcome = scheme.route(u, v)
             base = metric.distance(u, v)
@@ -177,7 +193,7 @@ class QueryEngine:
                 and outcome.path[0] == u
                 and outcome.path[-1] == v
             )
-            payloads.append({
+            payloads[i] = {
                 "status": None if delivered else "undelivered",
                 "result": {
                     "path": list(outcome.path),
@@ -188,8 +204,7 @@ class QueryEngine:
                     ),
                 } if delivered else None,
                 "error": None if delivered else "routing did not deliver",
-            })
-        return payloads
+            }
 
     def _router_for(self, navigator, generation) -> MetricRoutingScheme:
         with self._router_lock:

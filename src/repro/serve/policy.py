@@ -8,12 +8,12 @@ place.  The semantics (enforced by :mod:`repro.serve.batcher`):
   a batch slot; request ``max_queue + 1`` is shed immediately with an
   ``overloaded`` response — explicit load shedding instead of unbounded
   latency growth.
-* **Micro-batches.**  Waiting requests are coalesced into batches of at
-  most ``max_batch`` and executed through the vectorized
-  ``find_paths``/``approx_distances`` kernels.  Batching is
+* **Micro-batches.**  Waiting requests, whatever their ops, are
+  coalesced into batches of at most ``max_batch`` and answered through
+  the vectorized kernels, one tree selection per batch.  Batching is
   work-conserving: there is no coalescing timer, a batch is whatever
-  queued up while the previous one ran, so a lone request flushes at
-  once and batches grow only with load.
+  queued up while the previous one ran, so a lone request is answered
+  at once and batches grow only with load.
 * **Deadlines.**  Every request carries an absolute deadline (its
   ``deadline_ms``, else ``default_deadline``).  A request whose
   deadline passes — in the queue or mid-execution — resolves to a

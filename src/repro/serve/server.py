@@ -9,12 +9,14 @@ live-traffic failure mode.  Every response envelope carries the
 service block (ready/degraded/recovering + generation), so clients see
 degradation and recovery happen request by request.
 
-The query path is batch-native from the socket to the socket: a
-connection's reader parses whatever bytes are ready and admits each
-query straight into the batcher with the connection as its reply sink
-(no task, future or timer per request), and the answers of a batch
-leave in one socket write per connection.  Admin and mutation lines
-take a per-line task; they are rare.
+The query path runs to completion per socket read: each connection is
+an :class:`asyncio.Protocol` whose ``data_received`` parses the read's
+lines, admits each query straight into the batcher with the connection
+as its reply sink, then pumps the batcher, which runs the batch on the
+loop when it is fast and writes each touched connection's answers in
+one socket write.  A query on an idle daemon is read, answered and
+written in one loop turn, with no task, future or timer of its own.
+Admin lines answer inline; mutation lines run on the default executor.
 
 For scraping convenience the same port also answers plain HTTP GETs —
 ``/healthz`` (liveness), ``/readyz`` (200 only at full contract, 503
@@ -63,44 +65,121 @@ _C_BAD_REQUESTS = OBS.registry.counter("serve.bad_requests")
 #: The longest request line served; a longer one is answered with an
 #: ``error`` envelope and skipped.
 MAX_LINE_BYTES = 1 << 16
-#: Bytes taken from a connection's socket per read.
-_READ_CHUNK = 1 << 16
-#: A connection's reader stops reading new requests while more than
-#: this many answer bytes wait in its socket's write buffer.
+#: A connection stops reading new requests while more than this many
+#: answer bytes wait in its socket's write buffer.
 _DRAIN_HIGH_WATER = 1 << 16
 
 
-class _Connection:
-    """The reply side of one client connection.
+class _Connection(asyncio.Protocol):
+    """One client connection: request lines in, answer lines out.
 
-    :meth:`answer` is the reply sink the batcher delivers to.  Answers
-    collect in ``out`` and leave in one ``writer.write`` per loop turn,
-    so a batch costs each connection it touches one socket write, not
-    one per request.
+    The first bytes tell NDJSON from an HTTP GET.  :meth:`answer` is
+    the reply sink the batcher delivers to; answers collect in ``out``
+    and leave in one ``writer.write`` when the server writes out after
+    a pump, so a batch costs each connection it touches one socket
+    write, not one per request.
     """
 
-    __slots__ = ("server", "writer", "loop", "out", "flush_scheduled",
-                 "unanswered", "idle", "tasks")
-
-    def __init__(self, server: "SpannerServer",
-                 writer: asyncio.StreamWriter):
+    def __init__(self, server: "SpannerServer"):
         self.server = server
-        self.writer = writer
-        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        self.writer: Optional[asyncio.StreamWriter] = None
         self.out: List[bytes] = []
-        self.flush_scheduled = False
-        #: Queries admitted and not yet answered.
+        self.dirty = False
+        #: None until the first bytes tell NDJSON (False) from HTTP (True).
+        self.http: Optional[bool] = None
+        #: Bytes of an unfinished line, or the HTTP request head so far.
+        self.partial = b""
+        self.skipping = False
+        self.eof = False
+        #: Queries and mutations admitted and not yet answered.
         self.unanswered = 0
-        #: Set at end of input while answers are outstanding.
-        self.idle: Optional[asyncio.Future] = None
-        #: Admin and mutation lines in progress.
-        self.tasks: Set[asyncio.Task] = set()
+
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        if OBS.enabled:
+            _C_CONNECTIONS.inc()
+        self.transport = transport
+        transport.set_write_buffer_limits(high=_DRAIN_HIGH_WATER)
+        # Every answer leaves through this writer: one write per flush.
+        self.writer = asyncio.StreamWriter(
+            transport, self, None, self.server.loop
+        )
+        self.server.connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server.connections.discard(self)
+
+    def pause_writing(self) -> None:
+        # The client is not taking its answers: stop reading its
+        # requests until it does.  Reading is over after end of input.
+        if not self.eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.eof:
+            self.transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        if self.http is None:
+            data = self.partial + data
+            if len(data) < 5 and b"\n" not in data:
+                self.partial = data  # not enough to tell HTTP yet
+                return
+            self.partial = b""
+            self.http = data.startswith((b"GET ", b"HEAD "))
+        if self.http:
+            self.partial += data
+            head = self.partial
+            if b"\r\n\r\n" in head or b"\n\n" in head \
+                    or len(head) > MAX_LINE_BYTES:
+                self._answer_http()
+            return
+        self._read_lines(data)
+        self.server.batcher.pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.data_received(b"\n")  # ends a last line without a newline
+        if self.http:
+            self._answer_http()
+        self._close_if_done()
+        return True  # keep writing answers after the client's half-close
+
+    # -- requests --------------------------------------------------------
+
+    def _read_lines(self, data: bytes) -> None:
+        """Handle every complete line of ``data``.  A line longer than
+        :data:`MAX_LINE_BYTES` is answered with an ``error`` envelope
+        and skipped up to its newline; the connection serves on."""
+        if self.skipping:
+            newline = data.find(b"\n")
+            if newline < 0:
+                return
+            data, self.skipping = data[newline + 1:], False
+        lines = (self.partial + data if self.partial else data).split(b"\n")
+        self.partial = lines.pop()
+        handle_line = self.server._handle_line
+        for line in lines:
+            handle_line(self, line)
+        if len(self.partial) > MAX_LINE_BYTES:
+            handle_line(self, self.partial)
+            self.partial, self.skipping = b"", True
+
+    def _answer_http(self) -> None:
+        """Answer the HTTP request head read so far, then close."""
+        if not self.transport.is_closing():
+            self.writer.write(self.server._http_response(self.partial))
+            self.writer.close()
+
+    # -- answers ---------------------------------------------------------
 
     def answer(self, request_id: Any, payload: Dict[str, Any]) -> None:
-        """The batcher's reply sink: one query's payload, as a response."""
-        # Batches stamp the snapshot that answered them, encoded once
-        # per batch; admission failures (shed/timeout) fall back to the
-        # current level.
+        """The reply sink of queries and mutations: a payload, answered.
+
+        Batches stamp the snapshot that answered them, encoded once per
+        batch; other payloads get the current service level."""
         service = payload.get("service")
         if service:
             service_json = payload.get("service_json")
@@ -114,35 +193,28 @@ class _Connection:
             service=service,
         ), service_json)
         self.unanswered -= 1
-        if not self.unanswered and self.idle is not None \
-                and not self.idle.done():
-            self.idle.set_result(None)
+        if self.eof:
+            self._close_if_done()
 
     def send(
         self, response: Dict[str, Any], service_json: Optional[str] = None
     ) -> None:
         self.out.append(encode_line(response, service_json))
-        if not self.flush_scheduled:
-            self.flush_scheduled = True
-            self.loop.call_soon(self.flush)
+        if not self.dirty:
+            self.dirty = True
+            self.server.dirty.append(self)
 
     def flush(self) -> None:
-        self.flush_scheduled = False
-        if self.out:
-            data = b"".join(self.out)
-            self.out.clear()
-            if not self.writer.is_closing():
-                self.writer.write(data)
+        self.dirty = False
+        if self.out and not self.writer.is_closing():
+            self.writer.write(b"".join(self.out))
+        self.out.clear()
 
-    async def finish(self) -> None:
-        """After end of input: wait for every answer, then write them."""
-        if self.unanswered:
-            self.idle = self.loop.create_future()
-            await self.idle
-        if self.tasks:
-            await asyncio.gather(*self.tasks, return_exceptions=True)
-        self.flush()
-        await self.writer.drain()
+    def _close_if_done(self) -> None:
+        """After end of input and the last answer: write it and close."""
+        if self.eof and not self.unanswered:
+            self.flush()
+            self.writer.close()
 
 
 class SpannerServer:
@@ -164,13 +236,17 @@ class SpannerServer:
         self.batcher = MicroBatcher(
             self.engine.execute, self.policy,
             needs_setup=self.engine.needs_setup,
+            on_answered=self._write_answers,
         )
         self.chaos = ChaosController(service)
         self.host: Optional[str] = None
         self.port: Optional[int] = None
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Open connections, and those with answers not yet written.
+        self.connections: Set[_Connection] = set()
+        self.dirty: List[_Connection] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
         self._started_at = time.monotonic()
 
     # -- lifecycle -------------------------------------------------------
@@ -178,9 +254,11 @@ class SpannerServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
         self._stop_event = asyncio.Event()
+        self.loop = asyncio.get_running_loop()
         await self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.requested_host, self.requested_port
+        self._server = await self.loop.create_server(
+            lambda: _Connection(self), self.requested_host,
+            self.requested_port,
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -199,13 +277,13 @@ class SpannerServer:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Answer (and write) stranded requests before closing.
+        await self.batcher.stop()
+        for conn in list(self.connections):
+            conn.writer.close()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        await self.batcher.stop()
         # A chaos recovery still running keeps its thread; it is a
         # daemon thread and the service stays consistent without us.
 
@@ -231,8 +309,7 @@ class SpannerServer:
     # -- status ----------------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        status = self.service.status()
-        status["degraded"] = status["state"] != "ready"
+        status = self._service_block()
         return {
             "protocol": PROTOCOL_VERSION,
             "ready": status["state"] == "ready",
@@ -256,72 +333,13 @@ class SpannerServer:
 
     # -- connection handling ---------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if OBS.enabled:
-            _C_CONNECTIONS.inc()
-        conn = _Connection(self, writer)
-        try:
-            data = await reader.read(_READ_CHUNK)
-            # Enough of the first line to tell HTTP from NDJSON.
-            while data and len(data) < 5 and b"\n" not in data:
-                more = await reader.read(_READ_CHUNK)
-                if not more:
-                    break
-                data += more
-            if data.startswith((b"GET ", b"HEAD ")):
-                await self._handle_http(data, reader, writer)
-                return
-            await self._read_requests(conn, reader, data)
-            await conn.finish()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            for task in conn.tasks:
-                task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+    def _write_answers(self) -> None:
+        """Write out every connection's pending answers (after a pump)."""
+        for conn in self.dirty:
+            conn.flush()
+        self.dirty.clear()
 
-    async def _read_requests(
-        self, conn: "_Connection", reader: asyncio.StreamReader, data: bytes
-    ) -> None:
-        """Admit every line the client sends, a chunk of bytes at a time.
-
-        A line longer than :data:`MAX_LINE_BYTES` is answered with an
-        ``error`` envelope and skipped up to its newline; the
-        connection keeps serving.  The reader waits for the client to
-        take its answers only once the socket's write buffer passes
-        :data:`_DRAIN_HIGH_WATER`.
-        """
-        partial = b""
-        skipping = False
-        transport = conn.writer.transport
-        while data:
-            if skipping:
-                newline = data.find(b"\n")
-                if newline < 0:
-                    data = await reader.read(_READ_CHUNK)
-                    continue
-                data, skipping = data[newline + 1:], False
-            lines = (partial + data if partial else data).split(b"\n")
-            partial = lines.pop()
-            for line in lines:
-                self._handle_line(conn, line)
-            if len(partial) > MAX_LINE_BYTES:
-                self._handle_line(conn, partial)
-                partial, skipping = b"", True
-            if transport.get_write_buffer_size() > _DRAIN_HIGH_WATER:
-                conn.flush()
-                await conn.writer.drain()
-            data = await reader.read(_READ_CHUNK)
-        if partial and not skipping:
-            self._handle_line(conn, partial)  # a last line without newline
-
-    def _handle_line(self, conn: "_Connection", line: bytes) -> None:
+    def _handle_line(self, conn: _Connection, line: bytes) -> None:
         stripped = line.strip()
         if not stripped:
             return
@@ -343,128 +361,104 @@ class SpannerServer:
             return
         if request.op in QUERY_OPS:
             self._admit_query(conn, request)
-            return
-        task = asyncio.ensure_future(self._handle_request(conn, request))
-        conn.tasks.add(task)
-        self._conn_tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
-        task.add_done_callback(self._conn_tasks.discard)
+        elif request.op in MUTATION_OPS:
+            self._start_mutation(conn, request)
+        else:
+            conn.send(self._handle_admin(request))
+            if request.op == "shutdown":
+                self.request_stop()
 
-    def _admit_query(self, conn: "_Connection", request: Request) -> None:
-        n = self.service.metric.n
-        error = None
-        if not (0 <= request.u < n and 0 <= request.v < n):
+    def _admit_query(self, conn: _Connection, request: Request) -> None:
+        u, v, n = request.u, request.v, self.service.metric.n
+        if not (0 <= u < n and 0 <= v < n):
+            error = f"point ids must lie in [0, {n}), got ({u}, {v})"
+        elif not (self.service.is_known_point(u)
+                  and self.service.is_known_point(v)):
             error = (
-                f"point ids must lie in [0, {n}), "
-                f"got ({request.u}, {request.v})"
-            )
-        elif not (
-            self.service.is_known_point(request.u)
-            and self.service.is_known_point(request.v)
-        ):
-            error = (
-                f"pair ({request.u}, {request.v}) references a deleted "
-                "(tombstoned) point; only live points are queryable"
-            )
-        if error is not None:
-            if OBS.enabled:
-                _C_BAD_REQUESTS.inc()
-            conn.send(make_response(
-                request.id, "error", error=error,
-                service=self._service_block(),
-            ))
-            return
-        deadline = self.policy.deadline_at(conn.loop.time(), request.deadline_ms)
-        conn.unanswered += 1
-        self.batcher.admit(
-            request.op, request.u, request.v, deadline,
-            conn.answer, request.id,
-        )
-
-    async def _handle_request(
-        self, conn: "_Connection", request: Request
-    ) -> None:
-        """The per-line path of admin and mutation ops."""
-        if request.op in MUTATION_OPS:
-            # Mutations run on the default executor: the patch is heavy
-            # CPU work serialized by the service's mutate lock, and the
-            # event loop must keep pumping in-flight query batches (which
-            # answer on the pre-mutation snapshot) meanwhile.
-            loop = asyncio.get_running_loop()
-            response = await loop.run_in_executor(
-                None, self._handle_mutation, request
+                f"pair ({u}, {v}) references a deleted (tombstoned) "
+                "point; only live points are queryable"
             )
         else:
-            response = self._handle_admin(request)
-        conn.send(response)
-        if request.op == "shutdown":
-            conn.flush()
-            try:
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-            self.request_stop()
+            conn.unanswered += 1
+            self.batcher.admit(
+                request.op, u, v,
+                self.policy.deadline_at(self.loop.time(), request.deadline_ms),
+                conn.answer, request.id,
+            )
+            return
+        if OBS.enabled:
+            _C_BAD_REQUESTS.inc()
+        conn.send(make_response(
+            request.id, "error", error=error, service=self._service_block(),
+        ))
+
+    def _start_mutation(self, conn: _Connection, request: Request) -> None:
+        """Run a mutation on the default executor; answer when it ends.
+
+        The patch is heavy CPU work serialized by the service's mutate
+        lock, and the event loop must keep pumping in-flight query
+        batches (which answer on the pre-mutation snapshot) meanwhile.
+        """
+        conn.unanswered += 1
+
+        def done(future: "asyncio.Future") -> None:
+            error = future.exception()
+            conn.answer(request.id, future.result() if error is None else
+                        {"status": "error", "result": None,
+                         "error": str(error)})
+            self._write_answers()
+
+        self.loop.run_in_executor(
+            None, self._handle_mutation, request
+        ).add_done_callback(done)
 
     def _handle_admin(self, request: Request) -> Dict[str, Any]:
-        if request.op == "ping":
-            return make_response(
-                request.id, "ok", result={"pong": True},
-                service=self._service_block(),
-            )
-        if request.op == "health":
-            return make_response(
-                request.id, "ok", result=self.health(),
-                service=self._service_block(),
-            )
-        if request.op == "metrics":
-            return make_response(
-                request.id, "ok",
-                result={
-                    "content_type": "text/plain; version=0.0.4",
-                    "text": OBS.registry.export_prom_text(),
-                },
-                service=self._service_block(),
-            )
-        if request.op == "chaos":
-            extra = request.extra
+        op, extra = request.op, request.extra
+        if op == "ping":
+            result = {"pong": True}
+        elif op == "health":
+            result = self.health()
+        elif op == "metrics":
+            result = {
+                "content_type": "text/plain; version=0.0.4",
+                "text": OBS.registry.export_prom_text(),
+            }
+        elif op == "chaos":
             kill = extra.get("kill")
+            kill_random = extra.get("kill_random", 0)
+            error = None
             if kill is not None and not (
                 isinstance(kill, list)
                 and all(isinstance(i, int) and not isinstance(i, bool)
                         for i in kill)
             ):
+                error = (f"chaos field 'kill' must be a list of tree "
+                         f"indexes, got {kill!r}")
+            elif isinstance(kill_random, bool) or not isinstance(
+                kill_random, int
+            ):
+                error = (f"chaos field 'kill_random' must be an int, "
+                         f"got {kill_random!r}")
+            if error is not None:
                 return make_response(
-                    request.id, "error",
-                    error=f"chaos field 'kill' must be a list of tree "
-                          f"indexes, got {kill!r}",
+                    request.id, "error", error=error,
                     service=self._service_block(),
                 )
-            kill_random = extra.get("kill_random", 0)
-            if isinstance(kill_random, bool) or not isinstance(kill_random, int):
-                return make_response(
-                    request.id, "error",
-                    error=f"chaos field 'kill_random' must be an int, "
-                          f"got {kill_random!r}",
-                    service=self._service_block(),
-                )
-            outcome = self.chaos.inject(
+            result = self.chaos.inject(
                 kill=kill,
                 kill_random=kill_random,
                 seed=int(extra.get("seed", 0)),
                 recover=bool(extra.get("recover", True)),
             )
-            return make_response(
-                request.id, "ok", result=outcome,
-                service=self._service_block(),
-            )
-        # shutdown — acknowledged here, enacted by the caller.
+        else:  # shutdown — acknowledged here, enacted by the caller.
+            result = {"stopping": True}
         return make_response(
-            request.id, "ok", result={"stopping": True},
-            service=self._service_block(),
+            request.id, "ok", result=result, service=self._service_block(),
         )
 
     def _handle_mutation(self, request: Request) -> Dict[str, Any]:
-        """insert / delete / compact, serialized by the service.
+        """insert / delete / compact, serialized by the service: the
+        answer's payload.
 
         Runs on an executor thread.  The service journals (fsync) before
         patching and swaps the generation atomically; query batches in
@@ -485,64 +479,35 @@ class SpannerServer:
             if OBS.enabled:
                 _C_BAD_REQUESTS.inc()
             refused = "unavailable in mapped mode" in str(exc)
-            return make_response(
-                request.id,
-                "undelivered" if refused else "error",
-                error=str(exc),
-                service=self._service_block(),
-            )
-        return make_response(
-            request.id, "ok", result=result, service=self._service_block(),
-        )
+            return {"status": "undelivered" if refused else "error",
+                    "result": None, "error": str(exc)}
+        return {"status": "ok", "result": result}
 
     # -- HTTP facade -----------------------------------------------------
 
-    async def _handle_http(
-        self,
-        head: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        # Read the request headers (bounded) so the peer can write.
-        while (
-            b"\r\n\r\n" not in head and b"\n\n" not in head
-            and len(head) <= MAX_LINE_BYTES
-        ):
-            more = await reader.read(_READ_CHUNK)
-            if not more:
-                break
-            head += more
-        first_line = head.split(b"\n", 1)[0]
-        try:
-            target = first_line.split()[1].decode("ascii", errors="replace")
-        except IndexError:
-            target = "/"
-        path = target.split("?", 1)[0]
+    def _http_response(self, head: bytes) -> bytes:
+        """The whole HTTP/1.0 response to a request ``head``."""
+        words = head.split(b"\n", 1)[0].split()
+        target = words[1] if len(words) > 1 else b"/"
+        path = target.split(b"?", 1)[0].decode("ascii", errors="replace")
         if path == "/metrics":
             status, content_type = "200 OK", "text/plain; version=0.0.4"
             body = OBS.registry.export_prom_text()
-        elif path == "/healthz":
-            status, content_type = "200 OK", "application/json"
-            body = json.dumps(self.health()) + "\n"
-        elif path == "/readyz":
+        elif path in ("/healthz", "/readyz"):
             health = self.health()
-            status = "200 OK" if health["ready"] else "503 Service Unavailable"
-            content_type = "application/json"
-            body = json.dumps(health) + "\n"
+            status = "200 OK" if path == "/healthz" or health["ready"] \
+                else "503 Service Unavailable"
+            content_type, body = "application/json", json.dumps(health) + "\n"
         else:
             status, content_type = "404 Not Found", "text/plain"
             body = "unknown path; try /healthz /readyz /metrics\n"
         payload = body.encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.0 {status}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("ascii")
-            + payload
-        )
-        await writer.drain()
+        return (
+            f"HTTP/1.0 {status}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("ascii") + payload
 
 
 class ThreadedServer:
@@ -562,7 +527,6 @@ class ThreadedServer:
         self.server = SpannerServer(service, **server_kwargs)
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._startup_error: Optional[BaseException] = None
 
     @property
@@ -590,7 +554,6 @@ class ThreadedServer:
         async def _main() -> None:
             try:
                 await self.server.start()
-                self._loop = asyncio.get_running_loop()
             except BaseException as exc:
                 self._startup_error = exc
                 raise
@@ -605,7 +568,7 @@ class ThreadedServer:
                 self._ready.set()
 
     def stop(self, timeout: float = 30.0) -> None:
-        loop = self._loop
+        loop = self.server.loop
         if loop is not None and self._thread is not None:
             try:
                 loop.call_soon_threadsafe(self.server.request_stop)

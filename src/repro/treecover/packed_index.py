@@ -190,6 +190,8 @@ class PackedCoverIndex:
         self, ps: Sequence[int], qs: Sequence[int]
     ) -> List[Tuple[int, float]]:
         """Batched :meth:`best_pair` (one gather per sparse-table level)."""
+        if len(ps) == 1:  # same arithmetic, without the batch gathers
+            return [self.best_pair(int(ps[0]), int(qs[0]))]
         ps = np.asarray(ps, dtype=np.int64)
         qs = np.asarray(qs, dtype=np.int64)
         best = self._lca_pos(self.first_pt[:, ps], self.first_pt[:, qs])

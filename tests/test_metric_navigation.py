@@ -259,3 +259,18 @@ class TestPointIdValidation:
             with pytest.raises(ValueError, match=match):
                 nav.approx_distances([(0, 1), (u, v)])
         assert nav.find_path(39, 5)[0] == 39
+
+
+def test_one_pair_selection_equals_its_batch_entry(forty_point_cover):
+    """A batch of one pair takes the packed index's single-pair path;
+    every pair gets the tree, distance and path, bit for bit, that one
+    batch of all pairs gives it (u == v included)."""
+    metric, cover = forty_point_cover
+    nav = MetricNavigator(metric, cover, 3)
+    pairs = [(u, v) for u in range(metric.n) for v in range(metric.n)]
+    assert [nav.best_trees([pair])[0] for pair in pairs] == \
+        nav.best_trees(pairs)
+    assert [nav.find_paths([pair])[0] for pair in pairs] == \
+        nav.find_paths(pairs)
+    assert [nav.approx_distances([pair])[0] for pair in pairs] == \
+        nav.approx_distances(pairs).tolist()

@@ -46,6 +46,7 @@ from repro.serve import (
     make_response,
     parse_request,
 )
+from repro.serve import server as server_module
 from repro.treecover import robust_tree_cover
 
 pytestmark = pytest.mark.serve
@@ -134,9 +135,13 @@ def _settle(future, payload):
 
 
 def _admit(batcher, op, u, v, deadline):
-    """Admit through the batcher's entry point; a future of the answer."""
-    future = asyncio.get_running_loop().create_future()
+    """Admit through the batcher's entry point, then pump on the next
+    loop turn (after the other admissions of this one); a future of the
+    answer."""
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
     batcher.admit(op, u, v, deadline, _settle, future)
+    loop.call_soon(batcher.pump)
     return future
 
 
@@ -473,6 +478,7 @@ class TestBatcher:
                 lambda token, payload: answers.append(
                     (loop.time() - started, payload)),
             )
+            batcher.pump()
             while not answers:
                 await asyncio.sleep(0.01)
             gate.set()
@@ -544,6 +550,93 @@ class TestBatcher:
         assert payload == {"status": "ok", "result": {"u": 1, "v": 2}}
         assert cancelled
         assert batches == [[(0, 1)], [(1, 2)]]
+
+    def test_pump_answers_a_fast_batch_before_it_returns(self, monkeypatch):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+
+        async def main():
+            answers, pumps = [], []
+            batcher = MicroBatcher(
+                _ok_payloads, AdmissionPolicy(max_batch=2),
+                on_answered=lambda: pumps.append(len(answers)),
+            )
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            await _admit(batcher, "path", 0, 1, deadline)  # first: offloaded
+            for u in (1, 2, 3):
+                batcher.admit("path", u, u + 1, deadline,
+                              lambda token, payload: answers.append(token), u)
+            pumps.clear()
+            batcher.pump()
+            # One batch ran inside the call and was handed on; the
+            # third request waits for the pump of the next loop turn.
+            after_pump = (list(answers), list(pumps), batcher.queue_depth)
+            await asyncio.sleep(0)
+            await batcher.stop()
+            return after_pump, answers
+
+        (answered, pumps, depth), answers = asyncio.run(main())
+        assert answered == [1, 2] and pumps == [2] and depth == 1
+        assert answers == [1, 2, 3]
+
+    def test_mixed_ops_form_one_batch(self):
+        async def main():
+            calls = []
+
+            def execute(op, pairs):
+                calls.append((op, list(pairs)))
+                return _ok_payloads(op, pairs)
+
+            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=8))
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            mixed = [_admit(batcher, op, u, u + 1, deadline)
+                     for u, op in enumerate(("path", "distance", "path"))]
+            await asyncio.gather(*mixed)
+            await _admit(batcher, "distance", 7, 8, deadline)
+            await batcher.stop()
+            return calls
+
+        calls = asyncio.run(main())
+        assert calls == [
+            (["path", "distance", "path"], [(0, 1), (1, 2), (2, 3)]),
+            ("distance", [(7, 8)]),  # a one-op batch names its op once
+        ]
+
+    def test_inline_failure_retries_on_a_loop_timer(self, monkeypatch):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+
+        async def main():
+            attempts = []
+
+            def execute(op, pairs):
+                attempts.append(threading.get_ident())
+                if len(attempts) == 2:
+                    raise RuntimeError("transient failure on the loop")
+                return _ok_payloads(op, pairs)
+
+            policy = AdmissionPolicy(max_batch=4, backoff_base=0.05)
+            batcher = MicroBatcher(execute, policy)
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            await _admit(batcher, "path", 0, 1, deadline)  # first: offloaded
+            retried = _admit(batcher, "path", 1, 2, deadline)
+            started = loop.time()
+            batcher.pump()  # fails inline; the pump returns at once
+            pending = (len(attempts), retried.done())
+            payload = await retried
+            waited = loop.time() - started
+            await batcher.stop()
+            return attempts, pending, payload, waited
+
+        attempts, pending, payload, waited = asyncio.run(main())
+        assert pending == (2, False)
+        assert payload["status"] == "ok"
+        assert waited >= 0.04  # after the backoff, not at once
+        assert attempts[1] == attempts[2] == threading.get_ident()
 
 
 # ----------------------------------------------------------------------
@@ -721,6 +814,22 @@ class TestWireEncoding:
                 alone = engine.execute(op, [(u, v)])[0]
                 assert _assert_same_line(i, alone) == line
 
+    def test_path_answers_compute_each_distance_once(self, serve_metric,
+                                                     serve_ckpt):
+        """δ per hop plus δ(u, v) once; a one-hop path's weight is its
+        base distance, not a second call."""
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        engine = QueryEngine(service)
+        calls = OBS.registry.counter("kernel.euclidean.scalar_calls")
+        pairs = [(3, 3)] + _pairs(31)
+        with OBS.scoped(True):
+            before = calls.value
+            payloads = engine.execute("path", pairs)
+            used = calls.value - before
+        hops = [payload["result"]["hops"] for payload in payloads]
+        assert 1 in hops and max(hops) >= 2
+        assert used == sum(1 + (h if h >= 2 else 0) for h in hops)
+
     def test_degraded_batch_after_tree_kill(self, serve_metric, serve_ckpt):
         service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
         engine = QueryEngine(service)
@@ -887,6 +996,59 @@ class TestServerEndToEnd:
         assert sum(writes) == 200
         assert len(writes) <= 200 // 4
 
+    def test_fast_query_is_answered_inside_the_read(self, server,
+                                                  monkeypatch):
+        # A wide switch interval keeps every warm batch on the loop.
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 60.0)
+        events = []
+        write = asyncio.StreamWriter.write
+        received = server_module._Connection.data_received
+
+        peer = None
+
+        def ours(transport):  # other tests' connections may still close
+            return transport.get_extra_info("peername") == peer
+
+        def counting_write(writer, data):
+            if ours(writer.transport):
+                events.append("write")
+            return write(writer, data)
+
+        def traced_read(conn, data):
+            mine = ours(conn.transport)
+            if mine:
+                events.append("read")
+            received(conn, data)
+            if mine:
+                events.append("read done")
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        monkeypatch.setattr(server_module._Connection, "data_received",
+                            traced_read)
+        with ServeClient(server.host, server.port) as client:
+            peer = client._sock.getsockname()
+
+            def settle():  # the server thread has left the last read
+                give_up = time.monotonic() + 30
+                while events[-1:] != ["read done"]:
+                    assert time.monotonic() < give_up
+                    time.sleep(0.001)
+
+            for op in ("path", "distance"):  # first batches: offloaded
+                assert client.request(op, u=1, v=2)["status"] == "ok"
+            assert client.ping()["status"] == "ok"
+            settle()
+            events.clear()
+            mixed = client.send([{"op": "path", "u": 3, "v": 4},
+                                 {"op": "distance", "u": 5, "v": 6}])
+            answers = client.collect(mixed)
+            settle()
+            seen = list(events)
+        assert [answer["status"] for answer in answers] == ["ok", "ok"]
+        # Both answers left in one write, inside the read that brought
+        # their requests.
+        assert seen == ["read", "write", "read done"]
+
     def test_half_closed_client_gets_every_answer(self, server):
         pairs = _pairs(60)
         with socket.create_connection((server.host, server.port),
@@ -899,6 +1061,127 @@ class TestServerEndToEnd:
             responses = _read_lines(sock)  # to EOF
         assert sorted(r["id"] for r in responses) == list(range(len(pairs)))
         assert all(r["status"] == "ok" for r in responses)
+
+    def test_mixed_burst_matches_per_op_execute_byte_for_byte(self, server):
+        engine = server.server.engine
+        pairs = [(u, u) for u in (0, 7, 13)] + _pairs(90)
+        rng = random.Random(3)
+        rng.shuffle(pairs)
+        burst = [("path" if rng.random() < 0.6 else "distance", u, v)
+                 for u, v in pairs]
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"".join(
+                encode_line({"id": i, "op": op, "u": u, "v": v})
+                for i, (op, u, v) in enumerate(burst)
+            ))
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as reader:
+                lines = list(reader)
+        ids = [json.loads(line)["id"] for line in lines]
+        assert ids == list(range(len(burst)))  # in request order
+        navigator = server.server.service.navigator
+        for line, (op, u, v) in zip(lines, burst):
+            payload = engine.execute(op, [(u, v)])[0]
+            assert line == encode_line(make_response(
+                json.loads(line)["id"], payload["status"],
+                result=payload["result"], error=payload["error"],
+                service=payload["service"],
+            ))
+            # ... and both are the navigator's own answer.
+            if op == "distance":
+                expected = {"distance": navigator.approx_distance(u, v)}
+            else:
+                path, tree = navigator.find_path_with_tree(u, v)
+                weight = navigator.path_weight(path)
+                base = navigator.metric.distance(u, v)
+                expected = {"path": path, "hops": len(path) - 1,
+                            "weight": weight, "tree": tree,
+                            "stretch": weight / base if base > 0 else 1.0}
+            assert payload["result"] == expected
+
+    def test_interleaved_connections_each_get_their_answers_in_order(
+        self, server
+    ):
+        socks = [socket.create_connection((server.host, server.port),
+                                          timeout=30) for _ in range(2)]
+        try:
+            sent = [[], []]
+            for wave in range(6):
+                for which, sock in enumerate(socks):
+                    lines = []
+                    for u, v in _pairs(15, offset=wave * 15 + which):
+                        request_id = f"{which}-{len(sent[which])}"
+                        sent[which].append((request_id, u, v))
+                        lines.append(encode_line(
+                            {"id": request_id, "op": "path", "u": u, "v": v}
+                        ))
+                    sock.sendall(b"".join(lines))
+            for which, sock in enumerate(socks):
+                responses = _read_lines(sock, count=len(sent[which]))
+                assert [r["id"] for r in responses] == \
+                    [request_id for request_id, _, _ in sent[which]]
+                for response, (_, u, v) in zip(responses, sent[which]):
+                    assert response["status"] == "ok"
+                    assert response["result"]["path"][0] == u
+                    assert response["result"]["path"][-1] == v
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_client_that_stops_reading_stalls_only_itself(self, server):
+        """Reading pauses past the write buffer's high-water mark and
+        resumes once the client drains; other connections serve on."""
+        chunk = encode_line({"id": 0, "op": "ping"}) * 100
+        stalled = socket.socket()
+        for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+            stalled.setsockopt(socket.SOL_SOCKET, option, 4096)
+        stalled.settimeout(60)
+        stalled.connect((server.host, server.port))
+        peer = stalled.getsockname()
+
+        def transport():
+            for conn in list(server.server.connections):
+                if conn.transport.get_extra_info("peername") == peer:
+                    return conn.transport
+            return None
+
+        stop = threading.Event()
+        chunks = []
+
+        def send():  # never reads: its answers back up in the daemon
+            while not stop.is_set():
+                stalled.sendall(chunk)
+                chunks.append(1)
+            stalled.shutdown(socket.SHUT_WR)
+
+        sender = threading.Thread(target=send, daemon=True)
+        with stalled:
+            give_up = time.monotonic() + 60
+            while transport() is None:
+                assert time.monotonic() < give_up, "no connection"
+                time.sleep(0.01)
+            # Small kernel buffers on both ends: the daemon's own write
+            # buffer fills after a few hundred answers.
+            daemon_side = transport().get_extra_info("socket")
+            for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                daemon_side.setsockopt(socket.SOL_SOCKET, option, 4096)
+            sender.start()
+            while transport().is_reading():
+                assert time.monotonic() < give_up, "reading never paused"
+                time.sleep(0.01)
+            # Another connection is served while this one is paused.
+            with ServeClient(server.host, server.port) as other:
+                assert other.ping()["result"]["pong"] is True
+                assert other.path(1, 2)["status"] == "ok"
+            assert not transport().is_reading()
+            stop.set()
+            # Draining resumes reading: every request sent is answered.
+            with stalled.makefile("rb") as reader:
+                answers = [json.loads(line) for line in reader]
+            sender.join(30)
+        assert len(answers) == len(chunks) * 100
+        assert all(answer["result"]["pong"] for answer in answers)
 
     def test_deadline_expires_behind_a_slow_executor_batch(
         self, serve_metric, serve_ckpt, monkeypatch
