@@ -39,12 +39,18 @@ port, n, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 wait_for_server("127.0.0.1", port, timeout=120)
 
 
+PATCH_KEYS = {"ops", "trees_total", "trees_replayed", "touched_fraction",
+              "rebuilt", "repinned"}
+
+
 def check_patch(response):
-    # The block perfbench's churn probe reads off every mutation reply.
+    # The block perfbench's churn probe reads off every mutation reply:
+    # exactly these keys, so a field added or lost on the wire fails.
     patch = response["result"]["patch"]
-    for key in ("touched_fraction", "trees_replayed", "trees_total", "rebuilt"):
-        assert key in patch, (key, response)
+    assert set(patch) == PATCH_KEYS, (sorted(patch), response)
+    assert patch["ops"] == 1, patch
     assert patch["trees_replayed"] == patch["trees_total"] > 0, patch
+    assert patch["touched_fraction"] == 1.0 and patch["rebuilt"] is True, patch
 
 
 with ServeClient("127.0.0.1", port) as client:

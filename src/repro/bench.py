@@ -1030,9 +1030,9 @@ def bench_dynamic(
 
     Rows:
 
-    * ``full_rebuild`` — a from-scratch masked rebuild of the current
-      generation: what *every* update would cost without the dynamic
-      layer, and what a mutation that re-pins the level range pays.
+    * ``full_rebuild`` — a from-scratch build of the current
+      generation over its live points: what one ``apply`` pays for a
+      whole batch, re-pinned or not.
     * ``journal_append`` — p50/p99 of one write-ahead journal record
       (CRC frame + fsync-before-ack), the floor of any mutation's
       acknowledged latency.
@@ -1041,9 +1041,9 @@ def bench_dynamic(
       insert/delete) applied through ``DynamicRobustCover.apply``, with
       ``queries`` cover queries interleaved after every batch.  The
       detail carries sustained ``updates_per_s``, the mean
-      ``touched_fraction`` (1.0: every mutation replays every tree of
-      the Theorem 4.1 construction — see ``docs/DYNAMIC.md``),
-      per-level sweep reuse, and interleaved query p50.
+      ``touched_fraction`` (1.0: every mutation rebuilds every tree of
+      the Theorem 4.1 construction — see ``docs/DYNAMIC.md``) and
+      interleaved query p50.
       ``seed_seconds``/``speedup`` compare against paying one full
       rebuild *per op* — the batch-amortization win.
     * ``patch_vs_rebuild`` — the crossover summary: the measured
@@ -1127,14 +1127,12 @@ def bench_dynamic(
         mutate_secs = 0.0
         query_lat: List[float] = []
         touched: List[float] = []
-        reused: List[int] = []
         for round_index in range(rounds):
             ops = make_ops(state, rng, batch)
             start = time.perf_counter()
             report = state.apply(ops)
             mutate_secs += time.perf_counter() - start
             touched.append(report.touched_fraction)
-            reused.append(report.levels_reused)
             pairs = state.active_pairs(queries, seed=rng.randrange(1 << 30))
             for u, v in pairs:
                 q0 = time.perf_counter()
@@ -1160,7 +1158,6 @@ def bench_dynamic(
                     "touched_fraction": round(
                         float(np.mean(touched)), 4
                     ),
-                    "levels_reused_mean": round(float(np.mean(reused)), 2),
                     "interleaved_query_p50_us": round(
                         float(np.percentile(lat, 50)), 2
                     ),
@@ -1169,9 +1166,9 @@ def bench_dynamic(
             )
         )
 
-    # One apply costs ~ratio rebuilds regardless of batch size (the
-    # merge replays dominate), so batching beats rebuild-per-op once
-    # the batch is larger than the worst measured ratio.
+    # One apply is one rebuild whatever the batch size, so batching
+    # beats rebuild-per-op once the batch is larger than the worst
+    # measured ratio.
     worst_ratio = max(ratios.values()) if ratios else 1.0
     results.append(
         _result(

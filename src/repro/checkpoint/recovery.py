@@ -875,8 +875,8 @@ class CheckpointService:
         restart.
 
         ``eps`` defaults to the checkpoint's builder metadata; only the
-        robust family is mutable (the masked replay is a Theorem 4.1
-        construction).  Idempotent: a second call returns the existing
+        robust family is mutable (every mutation rebuilds the Theorem 4.1
+        construction over the live points).  Idempotent: a second call returns the existing
         dynamic cover.
         """
         if self._mapped:
@@ -1069,8 +1069,8 @@ class CheckpointService:
         rebuild as fallback); afterwards :attr:`recovery_pending` is
         False and :meth:`query` answers with the full contract again.
         In dynamic mode the checkpoint on disk may lag the journal, so
-        recovery is instead a full masked rebuild of the *current*
-        generation — the same deterministic structure a journal replay
+        recovery is instead a full rebuild of the *current*
+        generation over its live points — the same deterministic structure a journal replay
         converges to.
         """
         if self._mapped:
@@ -1123,7 +1123,7 @@ class CheckpointService:
                 )
                 report = _record_report(RecoveryReport(
                     "full-rebuild", dyn.cover,
-                    reason="dynamic mode: full masked rebuild of the "
+                    reason="dynamic mode: full rebuild of the "
                            "current generation",
                 ))
                 self.report = report

@@ -1,27 +1,28 @@
-"""The dynamic robust cover: insert/delete as masked replays.
+"""The dynamic robust cover: insert/delete as rebuilds over the live points.
 
 :class:`DynamicRobustCover` wraps the Theorem 4.1 construction in a
 mutable shell.  The point-index space is append-only — inserts take
 the next index, deletes tombstone one — so client-visible ids stay
-stable across any mutation history, and every structure is rebuilt
-*masked* over the active subset (see :mod:`repro.dynamic.builder`).
+stable across any mutation history.  Each generation is
+:func:`~repro.treecover.dumbbell.robust_tree_cover` over a
+:class:`~repro.metrics.doubling.NetHierarchy` whose bottom net is the
+live (active) points, on the pinned level range: tombstoned indices
+belong to no net and stay singleton leaves that never represent a
+vertex, so the trees are index-map-isomorphic to the static cover of
+the live points alone.
 
-One mutation path: every batch advances the nets, re-runs the sweep
-with per-level reuse, and replays **every** tree.  Each active point
-is a net point on the bottom levels of the pinned range, a band wider
-than the ``phases`` interleave, so every phase has a level whose net —
-and with it every ``(phase, set)`` merge script — changes on any
-insert or delete (``docs/DYNAMIC.md`` has the measurement).  The
-savings come from the net/sweep side: prefix-stable O(1)-per-level
-net updates, per-level pairing/gather reuse, KD-tree carry-over, and
-batch amortization via :meth:`DynamicRobustCover.apply`.
-A mutation that breaks out of the pinned level range re-pins it and
-builds nets and sweep from scratch before the same replay.
+One mutation path: every batch rebuilds nets, pairing sweep and every
+tree.  Each active point is a net point on the bottom levels of the
+pinned range, a band wider than the ``phases`` interleave, so every
+``(phase, set)`` merge script changes on any insert or delete
+(``docs/DYNAMIC.md`` has the measurement); :meth:`DynamicRobustCover.apply`
+amortizes one build over a whole batch.  A mutation that breaks out
+of the pinned level range re-pins it before the build.
 
-Every mutation lands on a state *identical* (tree for tree,
-float for float) to :meth:`DynamicRobustCover.rebuild` on the same
-``(coords, active, pinned range)`` — the differential oracle that
-tier-1 enforces.
+The structure is a pure function of ``(coords, active, pinned range,
+eps)``, so a journal replay converges to the identical state and
+:meth:`DynamicRobustCover.rebuild` reproduces any mutated generation
+tree for tree.
 """
 
 from __future__ import annotations
@@ -32,17 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import check
-from ..metrics.doubling import scale_levels
+from ..metrics.doubling import NetHierarchy, scale_levels
 from ..metrics.euclidean import EuclideanMetric
 from ..observability import OBS, trace
-from ..treecover.base import TreeCover
-from .builder import (
-    SweepState,
-    build_nets,
-    build_trees,
-    compute_sweep,
-    nets_after_insert,
-)
+from ..treecover.dumbbell import robust_tree_cover
 
 __all__ = ["DynamicRobustCover", "PatchReport", "pinned_levels"]
 
@@ -57,8 +51,8 @@ def pinned_levels(metric: EuclideanMetric, eps: float) -> Tuple[int, int]:
     """The level range :func:`robust_tree_cover` would use for ``metric``.
 
     Pinning the range is what makes mutation histories deterministic:
-    the masked construction on ``(coords, active, i_min, i_max, eps)``
-    is a pure function, so a journal replay converges to the identical
+    the construction on ``(coords, active, i_min, i_max, eps)`` is a
+    pure function, so a journal replay converges to the identical
     structure.
     """
     lo, hi = scale_levels(metric)
@@ -74,18 +68,12 @@ class PatchReport:
         ops: int,
         trees_total: int,
         trees_replayed: int,
-        trees_repaired: int,
-        levels_reswept: int,
-        levels_reused: int,
         rebuilt: bool,
         repinned: bool,
     ):
         self.ops = ops
         self.trees_total = trees_total
         self.trees_replayed = trees_replayed
-        self.trees_repaired = trees_repaired
-        self.levels_reswept = levels_reswept
-        self.levels_reused = levels_reused
         self.rebuilt = rebuilt
         self.repinned = repinned
 
@@ -98,10 +86,7 @@ class PatchReport:
             "ops": self.ops,
             "trees_total": self.trees_total,
             "trees_replayed": self.trees_replayed,
-            "trees_repaired": self.trees_repaired,
             "touched_fraction": round(self.touched_fraction, 4),
-            "levels_reswept": self.levels_reswept,
-            "levels_reused": self.levels_reused,
             "rebuilt": self.rebuilt,
             "repinned": self.repinned,
         }
@@ -144,10 +129,7 @@ class DynamicRobustCover:
         self.metric = EuclideanMetric(self.coords)
         self.last_report: Optional[PatchReport] = None
         with trace("dynamic.rebuild", n=self.n, active=len(self.active)):
-            self._replay(
-                build_nets(self.metric, self.active, self.i_min, self.i_max),
-                prev=None,
-            )
+            self._replay()
 
     # -- constructors --------------------------------------------------
 
@@ -231,23 +213,19 @@ class DynamicRobustCover:
     def is_active(self, point_id: int) -> bool:
         return 0 <= point_id < self.n and bool(self._mask[point_id])
 
-    def _replay(
-        self, nets: Dict[int, List[int]], prev: Optional[SweepState]
-    ) -> None:
-        """Sweep over ``nets`` (reusing ``prev``'s unchanged levels),
-        replay every tree, and install the result as the current
-        generation, retiring the previous cover."""
-        sweep = compute_sweep(
-            self.metric, self.active, self.eps, self.i_min, self.i_max, nets,
-            prev=prev,
+    def _replay(self) -> None:
+        """Build the cover over the live points and install it as the
+        current generation, retiring the previous cover."""
+        hierarchy = NetHierarchy(
+            self.metric, self.i_min, self.i_max, points=self.active
         )
-        mask = self._mask_list()
-        trees = build_trees(self.metric, sweep, mask, workers=self.workers)
+        cover = robust_tree_cover(
+            self.metric, self.eps, hierarchy=hierarchy, workers=self.workers
+        )
         old = getattr(self, "cover", None)
-        self.sweep = sweep
-        self.trees = trees
-        self.cover = TreeCover(self.metric, list(trees))
-        self._mask = mask
+        self.trees = list(cover.trees)
+        self.cover = cover
+        self._mask = self._mask_list()
         if old is not None:
             old.retire("a mutation superseded this generation")
         if OBS.enabled:
@@ -260,11 +238,8 @@ class DynamicRobustCover:
         return mask
 
     def rebuild(self) -> "DynamicRobustCover":
-        """A from-scratch cover on this exact ``(coords, active, range)``.
-
-        The differential oracle: any mutated state must equal this,
-        tree for tree.
-        """
+        """A from-scratch cover on this exact ``(coords, active, range)``:
+        any mutated state equals it, tree for tree."""
         return DynamicRobustCover(
             self.coords,
             self.active,
@@ -289,9 +264,8 @@ class DynamicRobustCover:
     def apply(self, ops: Sequence[Tuple[str, object]]) -> PatchReport:
         """Apply a batch of ``("insert", coords) | ("delete", id)`` ops.
 
-        Net maintenance runs op by op (each step is cheap and exact);
-        the sweep and the tree replay run once for the whole batch —
-        the amortization lever the dynamic bench measures.  Raises
+        The cover is rebuilt once for the whole batch — the
+        amortization lever the dynamic bench measures.  Raises
         ``ValueError`` on invalid ops (duplicate of an active point,
         deleting an unknown/dead id, draining below 2 active points)
         *before* any state changes, so a failed batch is a no-op.
@@ -299,9 +273,6 @@ class DynamicRobustCover:
         ops = list(ops)
         check(bool(ops), "empty mutation batch", ValueError)
         new_coords, new_active = self._validate_batch(ops)
-
-        prev_sweep = self.sweep
-        old_n = self.n
 
         self.coords = np.asarray(new_coords, dtype=float)
         self.active = new_active
@@ -314,24 +285,15 @@ class DynamicRobustCover:
             )
 
         with trace("dynamic.apply", ops=len(ops)):
-            if repinned:
-                # The cached nets and sweep levels belong to the old range.
-                nets = build_nets(self.metric, self.active, self.i_min, self.i_max)
-                self._replay(nets, prev=None)
-            else:
-                nets = self._advance_nets(prev_sweep.nets, ops, old_n)
-                self._replay(nets, prev=prev_sweep)
+            self._replay()
 
-        # Every tree replays, so the report is the same whole-cover
+        # Every tree is rebuilt, so the report is the same whole-cover
         # record for every batch; its shape is the wire contract of the
         # insert/delete responses.
         report = PatchReport(
             ops=len(ops),
             trees_total=len(self.trees),
             trees_replayed=len(self.trees),
-            trees_repaired=0,
-            levels_reswept=self.sweep.levels_reswept,
-            levels_reused=self.sweep.levels_reused,
             rebuilt=True,
             repinned=repinned,
         )
@@ -404,25 +366,6 @@ class DynamicRobustCover:
         live = EuclideanMetric(self.coords[self.active])
         lo, hi = pinned_levels(live, self.eps)
         return self.i_min <= lo and self.i_max >= hi
-
-    def _advance_nets(
-        self,
-        nets: Dict[int, List[int]],
-        ops: Sequence[Tuple[str, object]],
-        old_n: int,
-    ) -> Dict[int, List[int]]:
-        """Run the per-op incremental net updates for a batch."""
-        next_id = old_n
-        active = sorted(set(nets[self.i_min]))
-        for kind, arg in ops:
-            if kind == "insert":
-                nets = nets_after_insert(self.metric, nets, self.i_min, self.i_max, next_id)
-                active.append(next_id)
-                next_id += 1
-            else:
-                active = [a for a in active if a != int(arg)]
-                nets = build_nets(self.metric, active, self.i_min, self.i_max, prev_nets=nets)
-        return nets
 
     # -- verification --------------------------------------------------
 

@@ -150,12 +150,21 @@ def scale_levels(
 class NetHierarchy:
     """Nested ``2^i``-nets ``N_i`` for ``i_min <= i <= i_max``.
 
-    ``N_{i_min}`` contains every point (``2^{i_min}`` is below the
-    minimum distance, so the whole point set is a valid net);
-    ``N_{i_max}`` is typically a single point.
+    ``N_{i_min}`` contains every point of ``points`` (default: the whole
+    metric; ``2^{i_min}`` is below the minimum distance, so the point
+    set is a valid net); ``N_{i_max}`` is typically a single point.
+    A subset ``points`` (ascending, as the dynamic cover's live points
+    are) builds the hierarchy of that subset inside the metric's index
+    space: the points outside it belong to no net.
     """
 
-    def __init__(self, metric: Metric, i_min: Optional[int] = None, i_max: Optional[int] = None):
+    def __init__(
+        self,
+        metric: Metric,
+        i_min: Optional[int] = None,
+        i_max: Optional[int] = None,
+        points: Optional[Sequence[int]] = None,
+    ):
         self.metric = metric
         if i_min is None or i_max is None:
             lo, hi = scale_levels(metric)
@@ -168,7 +177,7 @@ class NetHierarchy:
         self.nets: Dict[int, List[int]] = {}
         self._kdtrees: Dict[int, cKDTree] = {}
 
-        current = list(range(metric.n))
+        current = list(range(metric.n) if points is None else points)
         self.nets[i_min] = current
         for i in range(i_min + 1, i_max + 1):
             current = greedy_net(metric, current, 2.0**i)

@@ -27,6 +27,12 @@ The merge radii are derived from the measured net covering radii and a
 diameter fixed-point computation rather than the paper's worst-case
 constants (which assume eps <= 1/12); stretch is verified empirically in
 tests and benches.
+
+The cover is built over the bottom net of its hierarchy: the whole
+point set by default, or the live points of the dynamic cover
+(``NetHierarchy(..., points=active)``).  Points outside it stay
+singleton leaves under the final root, which is anchored on the first
+component root that is an internal node or a live leaf.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import InvariantViolation, check
 from ..graphs.tree import Tree
@@ -89,7 +97,9 @@ class PairingCover:
 
 
 def covering_radius(metric: Metric, hierarchy: NetHierarchy, level: int) -> float:
-    """Measured covering radius of ``N_level`` over the whole point set.
+    """Measured covering radius of ``N_level`` over the bottom net
+    ``N_{i_min}`` (the whole point set unless the hierarchy was built
+    over a subset).
 
     The paper assumes nets cover within ``2^i``; a greedy nested
     hierarchy only guarantees ``2^{i+1}``, but the *actual* radius is
@@ -97,13 +107,14 @@ def covering_radius(metric: Metric, hierarchy: NetHierarchy, level: int) -> floa
     pairing radius (and hence ζ) small without losing coverage.
     """
     net = hierarchy.nets[level]
-    if len(net) == metric.n:
+    points = hierarchy.nets[hierarchy.i_min]
+    if len(net) == len(points):
         return 0.0
     if metric.supports_batch:
-        _, dist = metric.nearest_many(range(metric.n), net, return_distance=True)
+        _, dist = metric.nearest_many(points, net, return_distance=True)
         return float(dist.max())
     worst = 0.0
-    for p in range(metric.n):
+    for p in points:
         worst = max(worst, min(metric.distance(p, q) for q in net))
     return worst
 
@@ -161,21 +172,23 @@ def build_pairing_covers(
         sep_near = dict(zip(endpoints, sep_lists))
 
         sets: List[List[Tuple[int, int]]] = []
-        # endpoint_sets[v] = indices of sets already using v as an endpoint.
-        endpoint_sets: Dict[int, set] = {}
+        # used[v] = bitmask of the sets already using v as an endpoint;
+        # a pair goes to the lowest set no endpoint near it uses.
+        used: Dict[int, int] = {}
+        get = used.get
         for x, y in pairs_at_level:
-            blocked = set()
-            for end in (x, y):
-                for z in sep_near[end]:
-                    blocked |= endpoint_sets.get(z, set())
-            index = 0
-            while index in blocked:
-                index += 1
+            blocked = 0
+            for z in sep_near[x]:
+                blocked |= get(z, 0)
+            for z in sep_near[y]:
+                blocked |= get(z, 0)
+            free = ~blocked & (blocked + 1)
+            index = free.bit_length() - 1
             if index == len(sets):
                 sets.append([])
             sets[index].append((x, y))
-            for end in (x, y):
-                endpoint_sets.setdefault(end, set()).add(index)
+            used[x] = get(x, 0) | free
+            used[y] = get(y, 0) | free
         covers[i] = PairingCover(i, sets)
     return covers
 
@@ -237,29 +250,41 @@ class _ForestBuilder:
             leaders.discard(other)
         root_node[head] = node
 
-    def finish(self, metric: Metric, n: int) -> CoverTree:
-        """Close the forest into one tree and emit a CoverTree."""
+    def finish(
+        self, metric: Metric, n: int, live: Optional[bytes] = None
+    ) -> CoverTree:
+        """Close the forest into one tree and emit a CoverTree.
+
+        The final root takes the representative of the first component
+        root that is an internal node (its representative is a net
+        point) or a leaf flagged in ``live`` (default: every point), so
+        a point outside the hierarchy's bottom net never represents a
+        tree.  With every point live this is simply the first root.
+        """
         root_node = self._root_node
         roots = sorted({root_node[leader] for leader in self._leaders})
         if len(roots) > 1:
+            anchor = roots[0]
+            if live is not None:
+                anchor = next((r for r in roots if r >= n or live[r]), anchor)
             node = len(self.parent_node)
             self.parent_node.append(-1)
-            self.rep.append(self.rep[roots[0]])
+            self.rep.append(self.rep[anchor])
             for r in roots:
                 self.parent_node[r] = node
         parent_node = self.parent_node
         rep = self.rep
         # Edge weights in one batched kernel call instead of one scalar
         # metric.distance per tree vertex.
-        children = [v for v, p in enumerate(parent_node) if p != -1]
-        weights = [0.0] * len(parent_node)
-        if children:
-            ws = metric.pair_distances(
-                [rep[parent_node[v]] for v in children], [rep[v] for v in children]
+        parents = np.asarray(parent_node)
+        children = np.flatnonzero(parents != -1)
+        weights = np.zeros(len(parent_node))
+        if children.size:
+            reps = np.asarray(rep)
+            weights[children] = metric.pair_distances(
+                reps[parents[children]].tolist(), reps[children].tolist()
             )
-            for index, v in enumerate(children):
-                weights[v] = float(ws[index])
-        tree = Tree(parent_node, weights, validate=False)
+        tree = Tree(parent_node, weights.tolist(), validate=False)
         return CoverTree(tree, list(range(n)), rep)
 
 
@@ -273,7 +298,7 @@ def _build_robust_tree(ctx, task: Tuple[int, int]) -> CoverTree:
     touched by the final batched edge-weight kernel.
     """
     p, j = task
-    levels_by_phase, conn_groups, pair_groups, n = ctx.payload
+    levels_by_phase, conn_groups, pair_groups, n, live = ctx.payload
     builder = _ForestBuilder(n)
     merge = builder.merge
     for i in levels_by_phase[p]:
@@ -283,7 +308,7 @@ def _build_robust_tree(ctx, task: Tuple[int, int]) -> CoverTree:
                 merge(group, rep=group[0])
         for group in conn_groups[i]:
             merge(group, rep=group[0])
-    return builder.finish(ctx.metric, n)
+    return builder.finish(ctx.metric, n, live)
 
 
 def robust_tree_cover(
@@ -293,6 +318,12 @@ def robust_tree_cover(
     workers: Optional[int] = None,
 ) -> TreeCover:
     """The robust ``(1 + O(ε), ε^{-O(d)})``-tree cover of Theorem 4.1.
+
+    A ``hierarchy`` over a subset of the points (the ``points`` of
+    :class:`~repro.metrics.doubling.NetHierarchy`) covers that subset
+    inside the metric's index space, index-map-isomorphic to the cover
+    of the subset's own metric; the dynamic cover builds this way over
+    its live points.
 
     ``workers`` fans the per-tree forest replays out over a process
     pool (``None`` defers to ``REPRO_WORKERS``; 0/1 builds serially);
@@ -396,13 +427,16 @@ def _robust_tree_cover(
     tasks = [
         (p, j) for p in range(phases) for j in range(max(sets_per_phase[p], 1))
     ]
+    live = bytearray(metric.n)
+    for p in hierarchy.nets[hierarchy.i_min]:
+        live[p] = 1
     with trace("build_trees", trees=len(tasks)):
         trees: List[CoverTree] = map_per_tree(
             _build_robust_tree,
             tasks,
             workers=workers,
             metric=metric,
-            payload=(levels_by_phase, conn_groups, pair_groups, metric.n),
+            payload=(levels_by_phase, conn_groups, pair_groups, metric.n, bytes(live)),
         )
     return TreeCover(metric, trees)
 

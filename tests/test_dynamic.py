@@ -1,11 +1,15 @@
 """Dynamic-updates-under-churn suite (``-m dynamic``; runs in tier-1).
 
-Four layers, mirroring the subsystem:
+Five layers, mirroring the subsystem:
 
 * differential oracle — a mutated :class:`DynamicRobustCover` must be
-  tree-for-tree identical to a from-scratch masked rebuild on the same
-  final point set, including a bounded hypothesis sweep over random
-  mutation schedules and the root-anchor-deletion corner;
+  tree-for-tree identical to a from-scratch rebuild on the same final
+  point set, including a bounded hypothesis sweep over random mutation
+  schedules and the root-anchor-deletion corner;
+* static oracle — the cover over the live points of a grown index
+  space must be isomorphic to the plain cover of the live points'
+  own metric (same ζ, bit-identical tree distances under the index
+  map);
 * journal durability — fsync-before-ack append/reload round trips,
   idempotent replay, and a hypothesis truncate-at-any-byte property:
   a crash can only ever lose the torn tail, never a valid prefix;
@@ -41,6 +45,8 @@ from repro.dynamic import (
 )
 from repro.errors import CheckpointCorruption, StalePackError
 from repro.metrics import random_points
+from repro.metrics.doubling import NetHierarchy
+from repro.metrics.euclidean import EuclideanMetric
 from repro.serve import AdmissionPolicy, ServeClient, ThreadedServer
 from repro.treecover import robust_tree_cover
 
@@ -145,6 +151,56 @@ class TestDifferentialOracle:
                     ops.append(("insert", point))
             dyn.apply(ops)
         assert states_identical(dyn, dyn.rebuild())
+
+
+# ----------------------------------------------------------------------
+# Static oracle: the cover over live points == the cover of the live
+# points alone, under the index map
+
+
+def assert_isomorphic_to_compacted_cover(dyn):
+    """ζ and every tree's distances over all active pairs equal those of
+    the plain cover built on the compacted live points, bit for bit."""
+    live = np.asarray(dyn.active)
+    compacted = EuclideanMetric(dyn.coords[live])
+    plain = robust_tree_cover(
+        compacted,
+        dyn.eps,
+        hierarchy=NetHierarchy(compacted, dyn.i_min, dyn.i_max),
+    )
+    assert len(dyn.trees) == len(plain.trees)
+    ia, ib = np.triu_indices(len(live), 1)
+    for masked, ref in zip(dyn.trees, plain.trees):
+        assert np.array_equal(
+            masked.tree_distances_many(live[ia], live[ib]),
+            ref.tree_distances_many(ia, ib),
+        )
+
+
+class TestStaticOracle:
+    @pytest.mark.parametrize("eps", [0.3, 0.5])
+    def test_live_cover_matches_the_compacted_static_cover(self, metric, eps):
+        dyn = DynamicRobustCover.from_metric(metric, eps=eps)
+        root = dyn.trees[0].tree.root
+        anchor = dyn.trees[0].rep_point[root]
+
+        def others(count):
+            return [p for p in dyn.active if p != anchor][1 : 1 + count]
+
+        schedule = [
+            lambda: [("delete", anchor)],  # the first tree's root anchor
+            lambda: [("delete", p) for p in others(2)]
+            + [("insert", [123.0, 456.0])],
+            lambda: [("insert", [900.0, 80.0]), ("insert", [40.0, 950.0])],
+            lambda: [("insert", [5000.0, 5000.0])],  # widens the range
+            lambda: [("delete", p) for p in others(3)],
+        ]
+        repins = []
+        for make_ops in schedule:
+            repins.append(dyn.apply(make_ops()).repinned)
+            assert_isomorphic_to_compacted_cover(dyn)
+        assert anchor not in dyn.active
+        assert repins == [False, False, False, True, False]
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +428,7 @@ class TestServiceDynamic:
         (load generators read ``touched_fraction`` from it): exactly the
         :class:`PatchReport` keys, and every tree replayed."""
         keys = {
-            "ops", "trees_total", "trees_replayed", "trees_repaired",
-            "touched_fraction", "levels_reswept", "levels_reused",
+            "ops", "trees_total", "trees_replayed", "touched_fraction",
             "rebuilt", "repinned",
         }
         dyn = service.enable_dynamic()
@@ -385,7 +440,6 @@ class TestServiceDynamic:
             assert patch["ops"] == 1
             assert patch["trees_replayed"] == patch["trees_total"] == len(dyn.trees)
             assert patch["touched_fraction"] == 1.0
-            assert patch["trees_repaired"] == 0
             assert patch["rebuilt"] is True
 
     def test_journaled_but_unapplied_record_replays(self, service, metric):

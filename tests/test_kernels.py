@@ -24,6 +24,7 @@ from repro._seed_baseline import (
     SeedEuclideanMetric,
     SeedNetHierarchy,
     seed_greedy_net,
+    seed_robust_tree_cover,
 )
 from repro.graphs import LcaIndex, Tree, random_tree
 from repro.graphs.lca import PairWorkspace
@@ -192,6 +193,25 @@ def test_net_hierarchy_matches_seed_hierarchy():
         fast = random_points(250, dim=2, seed=seed)
         slow = SeedEuclideanMetric(fast.points)
         assert NetHierarchy(fast).nets == SeedNetHierarchy(slow).nets
+
+
+def test_robust_cover_matches_seed_cover():
+    """The robust cover's trees are the seed builder's, vertex for
+    vertex: its set-based pairing packing and per-vertex weight loop
+    are the reference for the bitmask packing and the vectorized
+    ``finish``.  The seed measures each weight with its own distance
+    formula, so weights agree to rounding."""
+    for n, seed, eps in ((60, 5, 0.5), (80, 2, 0.3), (40, 9, 0.9)):
+        fast = random_points(n, dim=2, seed=seed)
+        got = robust_tree_cover(fast, eps=eps, workers=0)
+        ref = seed_robust_tree_cover(SeedEuclideanMetric(fast.points), eps=eps)
+        assert len(got.trees) == len(ref.trees)
+        for a, b in zip(got.trees, ref.trees):
+            assert a.tree.parents == b.tree.parents
+            assert a.rep_point == b.rep_point
+            np.testing.assert_allclose(
+                a.tree.weights, b.tree.weights, rtol=1e-12, atol=1e-9
+            )
 
 
 @st.composite

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.checkpoint.audit import audit_cover
 from repro.core.metric_navigator import MetricNavigator
+from repro.dynamic import pinned_levels
 from repro.errors import ReproError
+from repro.metrics.doubling import NetHierarchy
 from repro.metrics.euclidean import EuclideanMetric, random_points
 from repro.metrics.general import MatrixMetric
 from repro.parallel import (
@@ -174,6 +176,18 @@ def test_robust_cover_parallel_determinism():
     metric = random_points(60, dim=2, seed=5)
     fp = _fp_cover(robust_tree_cover(metric, eps=0.5, workers=0))
     assert _fp_cover(robust_tree_cover(metric, eps=0.5, workers=2)) == fp
+
+    # Tombstoned build: a hierarchy over a subset of the points (the
+    # dynamic cover's live set); the live mask rides the fan-out payload.
+    lo, hi = pinned_levels(metric, 0.5)
+    live = [p for p in range(metric.n) if p % 7]
+
+    def masked(workers):
+        hierarchy = NetHierarchy(metric, lo, hi, points=live)
+        return robust_tree_cover(metric, eps=0.5, hierarchy=hierarchy, workers=workers)
+
+    fp = _fp_cover(masked(0))
+    assert _fp_cover(masked(2)) == fp
 
 
 def test_ramsey_covers_parallel_determinism():
