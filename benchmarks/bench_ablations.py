@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core import TreeNavigator
-from repro.core.decompose import WorkTree, decompose, decompose_centroid
+from repro.core.decompose import PackedTree, decompose_centroid, decompose_packed
 from repro.graphs import LadderLevelAncestor, LiftingLevelAncestor, random_tree
 from repro.spanners import greedy_spanner, theta_graph, wspd_spanner
 
@@ -56,16 +56,16 @@ def test_level_ancestor_lifting(benchmark, ancestor_tree, ancestor_queries):
 
 
 def test_decompose_greedy(benchmark):
-    wt = WorkTree.from_tree(random_tree(20000, seed=41))
+    pt = PackedTree.from_tree(random_tree(20000, seed=41))
     required = set(range(20000))
-    cuts = benchmark(decompose, wt, required, 100)
+    cuts = benchmark(decompose_packed, pt, required, 100)
     assert len(cuts) <= 20000 // 100 + 1
 
 
 def test_decompose_centroid(benchmark):
-    wt = WorkTree.from_tree(random_tree(20000, seed=41))
+    pt = PackedTree.from_tree(random_tree(20000, seed=41))
     required = set(range(20000))
-    cuts = benchmark(decompose_centroid, wt, required, 100)
+    cuts = benchmark(decompose_centroid, pt, required, 100)
     assert cuts
 
 

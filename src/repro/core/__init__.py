@@ -8,11 +8,11 @@ from .ackermann import (
     inverse_ackermann,
     pettie_lambda,
 )
-from .decompose import WorkTree, decompose, decompose_centroid, prune, split_components
+from .decompose import decompose_centroid
 from .mapped_navigator import PackedMetricNavigator, navigator_arrays
 from .metric_navigator import MetricNavigator
-from .navigation import TreeNavigator, dedup_path
-from .packed_query import QueryPack
+from .navigation import TreeNavigator
+from .packed_query import QueryPack, dedup_path
 
 __all__ = [
     "ackermann_a",
@@ -21,11 +21,7 @@ __all__ = [
     "alpha_k_prime",
     "inverse_ackermann",
     "pettie_lambda",
-    "WorkTree",
-    "decompose",
     "decompose_centroid",
-    "prune",
-    "split_components",
     "MetricNavigator",
     "PackedMetricNavigator",
     "QueryPack",

@@ -1,291 +1,56 @@
 """The ``Prune`` and ``Decompose`` procedures of Solomon's construction.
 
-Both operate on :class:`WorkTree`, a lightweight rooted-tree view whose
-vertices are *original* vertex ids — the recursion of Algorithm 1
-constantly forms subtrees and pruned copies, and keeping original ids
-everywhere means spanner edges and reported paths never need
-translation.
+Every tree Algorithm 1's recursion manipulates is derived from the
+input tree by operations that preserve ancestor order and the relative
+order of siblings; consequently the vertices of each derived tree,
+listed in the *original* preorder, are exactly that tree's own
+preorder.  :class:`PackedTree` exploits this: a tree is two parallel
+arrays indexed by preorder position, its vertices keep their *original*
+ids (so spanner edges and reported paths never need translation), and
+prune / decompose / split / contraction all become single array passes
+with no per-vertex dict hashing and no explicit stack traversals.
 
-* :func:`prune` (Section 3.2 of [Sol13], as used in line 2 of the
-  paper's Algorithm 1): keeps the required vertices plus the branching
-  vertices of their Steiner closure, at most ``|R| - 1`` Steiner
-  vertices, preserving ancestor order (hence T-monotonicity).
-* :func:`decompose` (line 4): returns cut vertices ``CV`` such that
-  every connected component of ``T \\ CV`` contains at most ``ell``
-  required vertices; a single (centroid) cut for ``ell >= ceil(n/2)``,
-  at most ``|V|/(ell+1)`` cuts in general (Lemma 3.1).
-* :func:`split_components`: the components ``T1..Tp`` of ``T \\ CV``
+* :func:`prune_packed` (Section 3.2 of [Sol13], as used in line 2 of
+  the paper's Algorithm 1): keeps the required vertices plus the
+  branching vertices of their Steiner closure, at most ``|R| - 1``
+  Steiner vertices, preserving ancestor order (hence T-monotonicity).
+* :func:`decompose_packed` (line 4): returns cut vertices ``CV`` such
+  that every connected component of ``T \\ CV`` contains at most
+  ``ell`` required vertices; a single (centroid) cut for
+  ``ell >= ceil(n/2)``, at most ``|V|/(ell+1)`` cuts in general
+  (Lemma 3.1).
+* :func:`split_packed`: the components ``T1..Tp`` of ``T \\ CV``
   together with their border cut vertices.
+* :func:`decompose_centroid`: the recursive-centroid ablation of
+  ``Decompose``.
+
+The frozen dict implementation in ``repro._seed_baseline``
+(``_seed_prune`` / ``_seed_decompose`` / ``_seed_split_components``)
+is the differential oracle (``tests/test_decompose.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import InvariantViolation
 from ..observability import OBS
 
 __all__ = [
-    "WorkTree",
-    "prune",
-    "decompose",
-    "decompose_centroid",
-    "split_components",
     "PackedTree",
     "prune_packed",
     "decompose_packed",
+    "decompose_centroid",
     "split_packed",
 ]
 
 
-# The packed hot path only (the dict WorkTree is the reference
-# implementation, exercised by tests, not production builds).  Scanned
-# vertex totals expose the recursion's aggregate O(n log n)-ish work.
+# Scanned vertex totals expose the recursion's aggregate O(n log n)-ish
+# work.
 _C_PRUNE = OBS.registry.counter("decompose.prune_calls")
 _C_PRUNE_KEPT = OBS.registry.counter("decompose.prune_kept")
 _C_DECOMPOSE = OBS.registry.counter("decompose.calls")
 _C_SCANNED = OBS.registry.counter("decompose.vertices_scanned")
-
-
-class WorkTree:
-    """A rooted tree over original vertex ids (no weights).
-
-    ``parent[root] == -1``.  Children lists preserve insertion order so
-    traversals are deterministic.
-    """
-
-    __slots__ = ("parent", "children", "root", "_order")
-
-    def __init__(
-        self,
-        parent: Dict[int, int],
-        root: int,
-        children: Optional[Dict[int, List[int]]] = None,
-    ):
-        self.parent = parent
-        self.root = root
-        if children is None:
-            children = {v: [] for v in parent}
-            for v, p in parent.items():
-                if p != -1:
-                    children[p].append(v)
-        # Callers constructing both maps in one traversal (prune,
-        # split_components) pass children directly; the recursion builds
-        # hundreds of thousands of small WorkTrees, so skipping the
-        # re-derivation pass is measurable.
-        self.children = children
-        self._order: Optional[List[int]] = None
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    def vertices(self) -> Iterable[int]:
-        return self.parent.keys()
-
-    def preorder(self) -> List[int]:
-        # Memoized: a WorkTree is never mutated after construction, and
-        # each recursion node walks the same pruned tree three times
-        # (decompose, split_components, the contracted tree).  Callers
-        # must not mutate the returned list.
-        if self._order is None:
-            order: List[int] = []
-            stack = [self.root]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                stack.extend(reversed(self.children[v]))
-            self._order = order
-        return self._order
-
-    def postorder(self) -> List[int]:
-        return list(reversed(self.preorder()))
-
-    @classmethod
-    def from_tree(cls, tree) -> "WorkTree":
-        """View a :class:`repro.graphs.tree.Tree` as a WorkTree."""
-        parent = {v: tree.parents[v] for v in range(tree.n)}
-        return cls(parent, tree.root)
-
-
-def prune(wt: WorkTree, required: Set[int]) -> WorkTree:
-    """The Steiner-closure pruning of [Sol13].
-
-    Returns a new WorkTree containing every required vertex plus every
-    vertex with at least two children subtrees that contain required
-    vertices (branching vertices).  The root of the result is the
-    highest kept vertex; parent pointers connect each kept vertex to its
-    nearest kept proper ancestor, so paths in the result are subpaths
-    (in vertex order) of paths in ``wt``.
-    """
-    if not required:
-        raise ValueError("prune needs at least one required vertex")
-    order = wt.preorder()
-    parent_of = wt.parent
-    # busy[v]: number of children subtrees of v containing a required
-    # vertex.  Kept vertices are the required ones plus every v with
-    # busy[v] >= 2 (the branching vertices of the Steiner closure).
-    busy: Dict[int, int] = {}
-    busy_get = busy.get
-    for v in reversed(order):
-        if v in required or busy_get(v, 0) > 0:
-            p = parent_of[v]
-            if p != -1:
-                busy[p] = busy_get(p, 0) + 1
-
-    # Preorder pass threading the nearest kept ancestor downward.
-    new_parent: Dict[int, int] = {}
-    new_children: Dict[int, List[int]] = {}
-    nearest_kept: Dict[int, int] = {}
-    new_order: List[int] = []
-    new_root = -1
-    root_count = 0
-    for v in order:
-        p = parent_of[v]
-        anc = nearest_kept[p] if p != -1 else -1
-        if v in required or busy_get(v, 0) >= 2:
-            new_parent[v] = anc
-            new_children[v] = []
-            new_order.append(v)
-            if anc == -1:
-                new_root = v
-                root_count += 1
-            else:
-                new_children[anc].append(v)
-            nearest_kept[v] = v
-        else:
-            nearest_kept[v] = anc
-    # Exactly one kept vertex has no kept ancestor: the closure root.
-    if root_count != 1:
-        raise InvariantViolation(f"prune produced {root_count} roots")
-    result = WorkTree(new_parent, new_root, new_children)
-    # The kept vertices in input preorder ARE the pruned tree's preorder
-    # (subtrees stay contiguous and children attach in discovery order),
-    # so the traversal the consumers would redo is seeded here.
-    result._order = new_order
-    return result
-
-
-def decompose(wt: WorkTree, required: Set[int], ell: int) -> List[int]:
-    """Greedy postorder cut-vertex selection (the ``Decompose`` procedure).
-
-    Accumulates required counts bottom-up and cuts a vertex whenever its
-    pending count would exceed ``ell``; each component of ``wt`` minus
-    the cut set then holds at most ``ell`` required vertices.
-    """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    cuts: List[int] = []
-    pending: Dict[int, int] = {}
-    children = wt.children
-    for v in reversed(wt.preorder()):
-        count = 1 if v in required else 0
-        for c in children[v]:
-            count += pending[c]
-        if count > ell:
-            cuts.append(v)
-            count = 0
-        pending[v] = count
-    return cuts
-
-
-def decompose_centroid(wt: WorkTree, required: Set[int], ell: int) -> List[int]:
-    """Ablation variant of :func:`decompose`: recursive centroid cutting.
-
-    Repeatedly removes the required-weight centroid of every component
-    still holding more than ``ell`` required vertices.  Produces the
-    same component guarantee as the greedy cutter with (empirically)
-    similar cut counts; kept for the E1 ablation bench.
-    """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    cuts: List[int] = []
-    pending = [wt]
-    while pending:
-        piece = pending.pop()
-        req_here = [v for v in piece.vertices() if v in required]
-        if len(req_here) <= ell:
-            continue
-        centroid = decompose(piece, set(req_here), max((len(req_here) + 1) // 2, 1))
-        # The greedy cutter with ell = ceil(n/2) yields exactly one cut:
-        # the required-weight centroid of the piece.
-        cut = centroid[0]
-        cuts.append(cut)
-        components, _, _ = split_components(piece, [cut])
-        pending.extend(components)
-    return cuts
-
-
-def split_components(
-    wt: WorkTree, cuts: Sequence[int]
-) -> Tuple[List[WorkTree], List[Set[int]], Dict[int, int]]:
-    """Components of ``wt`` minus the cut vertices, with border sets.
-
-    Returns ``(components, borders, comp_of)`` where ``borders[i]`` is
-    the set of cut vertices adjacent (in ``wt``) to component ``i`` and
-    ``comp_of`` maps every non-cut vertex to its component index.
-    """
-    cut_set = set(cuts)
-    comp_of: Dict[int, int] = {}
-    components: List[WorkTree] = []
-    borders: List[Set[int]] = []
-    wt_children = wt.children
-    for v in wt.preorder():
-        if v in cut_set:
-            continue
-        p = wt.parent[v]
-        if p == -1 or p in cut_set:
-            # v starts a new component; collect its subtree, stopping at cuts.
-            index = len(components)
-            parent: Dict[int, int] = {v: -1}
-            children: Dict[int, List[int]] = {}
-            comp_of[v] = index
-            stack = [v]
-            order: List[int] = []
-            # Pushing children reversed makes the pop sequence the
-            # component's preorder, which seeds the WorkTree's memoized
-            # traversal for free (the recursion re-walks each component
-            # immediately in prune/decompose).
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                kept = [c for c in wt_children[u] if c not in cut_set]
-                children[u] = kept
-                for c in kept:
-                    parent[c] = u
-                    comp_of[c] = index
-                stack.extend(reversed(kept))
-            component = WorkTree(parent, v, children)
-            component._order = order
-            components.append(component)
-            borders.append(set())
-
-    for c in cut_set:
-        p = wt.parent[c]
-        if p != -1 and p not in cut_set:
-            borders[comp_of[p]].add(c)
-        for child in wt.children[c]:
-            if child not in cut_set:
-                borders[comp_of[child]].add(c)
-    return components, borders, comp_of
-
-
-# ----------------------------------------------------------------------
-# Packed fast path.
-#
-# Every tree Algorithm 1's recursion manipulates is derived from the
-# input tree by operations that preserve ancestor order and the relative
-# order of siblings; consequently the vertices of each derived tree,
-# listed in the *original* preorder, are exactly that tree's own
-# preorder.  PackedTree exploits this: a tree is two parallel arrays
-# indexed by preorder position, and prune / decompose / split /
-# contraction all become single array passes with no per-vertex dict
-# hashing and no explicit stack traversals.  The WorkTree API above is
-# the reference implementation — kept for external callers, the tests
-# that pin its semantics, and the centroid-cut ablation — while the
-# navigator's hot path (TreeNavigator._preprocess) runs on PackedTree.
-# The two implementations are equivalent by the invariants noted at each
-# function below (and the navigation test suites compare the resulting
-# spanners path-for-path against the frozen seed implementation).
 
 
 class PackedTree:
@@ -321,8 +86,13 @@ class PackedTree:
 
 
 def prune_packed(pt: PackedTree, required: Set[int]) -> PackedTree:
-    """:func:`prune` on a :class:`PackedTree` (same semantics).
+    """The Steiner-closure pruning of [Sol13].
 
+    Returns a tree containing every required vertex plus every vertex
+    with at least two children subtrees that contain required vertices
+    (branching vertices).  Its root is the highest kept vertex; each
+    kept vertex hangs below its nearest kept proper ancestor, so paths
+    in the result are subpaths (in vertex order) of paths in ``pt``.
     The kept vertices in the input's preorder are the pruned tree's
     preorder (subtrees stay contiguous, children attach in discovery
     order), so one reverse pass computes the busy counts and one forward
@@ -365,10 +135,12 @@ def prune_packed(pt: PackedTree, required: Set[int]) -> PackedTree:
 
 
 def decompose_packed(pt: PackedTree, required: Set[int], ell: int) -> List[int]:
-    """:func:`decompose` on a :class:`PackedTree`.
+    """Greedy postorder cut-vertex selection (the ``Decompose`` procedure).
 
-    Returns cut *positions* (into ``pt``), in the same reverse-preorder
-    order the reference implementation reports cut vertices.
+    Accumulates required counts bottom-up and cuts a vertex whenever its
+    pending count would exceed ``ell``; each component of ``pt`` minus
+    the cut set then holds at most ``ell`` required vertices.  Returns
+    cut *positions* (into ``pt``) in reverse preorder.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -393,7 +165,7 @@ def decompose_packed(pt: PackedTree, required: Set[int], ell: int) -> List[int]:
 def split_packed(
     pt: PackedTree, cut_positions: Sequence[int]
 ) -> Tuple[List[List[int]], List[List[int]], List[Set[int]], List[int]]:
-    """:func:`split_components` on a :class:`PackedTree`.
+    """Components of ``pt`` minus the cut positions, with border sets.
 
     Returns ``(comps_ids, comps_parent, borders, comp_of)``: the raw
     ``ids``/``parent`` arrays of each component (zip a pair into a
@@ -404,8 +176,8 @@ def split_packed(
     restricted to one component is that component's preorder, so a
     single forward pass assembles every component simultaneously: a
     non-cut vertex whose parent is absent (root) or cut starts a new
-    component — matching the reference implementation's discovery order
-    — and every other vertex appends itself to its parent's component.
+    component, and every other vertex appends itself to its parent's
+    component.
     """
     ids = pt.ids
     parent = pt.parent
@@ -444,3 +216,39 @@ def split_packed(
         if p != -1 and not cut_flag[p]:
             borders[comp_of[p]].add(ids[j])
     return comps_ids, comps_parent, borders, comp_of
+
+
+def decompose_centroid(pt: PackedTree, required: Set[int], ell: int) -> List[int]:
+    """Ablation variant of :func:`decompose_packed`: recursive centroid cutting.
+
+    Repeatedly removes the required-weight centroid of every component
+    still holding more than ``ell`` required vertices.  Produces the
+    same component guarantee as the greedy cutter with (empirically)
+    similar cut counts; kept for the E1 ablation bench.  Returns cut
+    positions into ``pt``, in the order they are cut.
+    """
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    cuts: List[int] = []
+    # Each pending piece carries the positions of its vertices in pt.
+    pending = [(pt, list(range(len(pt))))]
+    while pending:
+        piece, where = pending.pop()
+        req_here = [v for v in piece.ids if v in required]
+        if len(req_here) <= ell:
+            continue
+        # The greedy cutter with ell = ceil(n/2) yields exactly one cut:
+        # the required-weight centroid of the piece.
+        half = max((len(req_here) + 1) // 2, 1)
+        cut = decompose_packed(piece, set(req_here), half)[0]
+        cuts.append(where[cut])
+        comps_ids, comps_parent, _, comp_of = split_packed(piece, [cut])
+        comps_where: List[List[int]] = [[] for _ in comps_ids]
+        for j, index in enumerate(comp_of):
+            if index >= 0:
+                comps_where[index].append(where[j])
+        pending.extend(
+            (PackedTree(ids, parent), w)
+            for ids, parent, w in zip(comps_ids, comps_parent, comps_where)
+        )
+    return cuts

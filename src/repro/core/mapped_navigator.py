@@ -33,8 +33,7 @@ import numpy as np
 
 from ..observability import OBS
 from ..treecover.packed_index import PackedCoverIndex
-from .navigation import dedup_path
-from .packed_query import pack_suite_arrays, suite_from_arrays
+from .packed_query import dedup_path, pack_suite_arrays, suite_from_arrays
 
 __all__ = ["PackedMetricNavigator", "navigator_arrays"]
 

@@ -98,7 +98,7 @@ class MetricNavigator(PackedMetricNavigator):
             # keeps answering after a mutation retires its cover.
             trees = cover.trees
             self.index = cover.packed_index()
-            self.packs = [navigator.query_pack() for navigator in navigators]
+            self.packs = [navigator.pack for navigator in navigators]
             self.vop = np.asarray(
                 [ct.vertex_of_point for ct in trees], dtype=np.int32
             ).reshape(len(trees), metric.n)

@@ -4,10 +4,12 @@ This module implements Theorem 1.1 of the paper: given an edge-weighted
 tree ``T``, a set of required vertices and an integer ``k >= 2``, it
 builds Solomon's 1-spanner ``G_T`` with hop-diameter ``k`` and
 ``O(n * alpha_k(n))`` edges *together with* the navigation data structure
-``D_T`` — the augmented recursion tree Φ, contracted trees 𝒯_β, and
-LCA / level-ancestor indexes — so that ``find_path(u, v)`` reports a
-T-monotone 1-spanner path of at most ``k`` hops in O(k) time
-(Algorithms 1 and 2 of the paper).
+``D_T`` — the augmented recursion tree Φ, the contracted trees 𝒯_β and
+the home table — so that ``find_path(u, v)`` reports a T-monotone
+1-spanner path of at most ``k`` hops in O(k) time (Algorithms 1 and 2
+of the paper).  The recursion (Algorithm 1) writes ``D_T`` straight
+into the flat arrays of a :class:`~repro.core.packed_query.QueryPack`,
+one append per Φ node; the query (Algorithm 2) runs on that pack.
 
 Construction outline (Section 3.1.1):
 
@@ -25,9 +27,9 @@ Construction outline (Section 3.1.1):
   tree for k >= 4;
 * components recurse with the same ``k``.
 
-The query algorithm mirrors the paper's ``FindPath`` /
-``LocateContracted`` / ``FindCut`` exactly, including the contracted
-trees that make finding the border cut vertices O(1).
+The query (:meth:`QueryPack.find_path`) mirrors the paper's
+``FindPath`` / ``LocateContracted`` / ``FindCut``, including the
+contracted trees that make finding the border cut vertices O(1).
 
 ``decrement=1`` switches the interconnection recursion to the
 [AS87]-style level-by-level scheme (budget −1 per level, paths up to
@@ -43,7 +45,6 @@ from contextlib import nullcontext
 
 from ..errors import check
 from ..graphs.graph import Graph
-from ..graphs.index import TreeIndex
 from ..graphs.tree import Tree
 from ..metrics.tree_metric import TreeMetric
 from ..observability import OBS, trace
@@ -54,145 +55,52 @@ from .decompose import (
     prune_packed,
     split_packed,
 )
+from .packed_query import QueryPack
 
-__all__ = ["TreeNavigator", "dedup_path"]
+__all__ = ["TreeNavigator"]
 
-# Build-side: recursion shape of Algorithm 1.  Query-side: every
-# find_path (recursive interconnection calls included) bumps queries,
-# and nodes_touched totals the path vertices each level contributes —
-# the empirical stand-in for the O(k) time bound of Theorem 1.1
-# (tests/test_asymptotics.py asserts it grows with k, not n).
+# Build-side: recursion shape of Algorithm 1.  The query-side counters
+# (treenav.queries / treenav.nodes_touched) live with the query in
+# core/packed_query.py.
 _C_RECURSIONS = OBS.registry.counter("treenav.recursions")
 _C_CUTS = OBS.registry.counter("treenav.cuts")
 _C_BASE_CASES = OBS.registry.counter("treenav.base_cases")
-_C_QUERIES = OBS.registry.counter("treenav.queries")
-_C_NODES = OBS.registry.counter("treenav.nodes_touched")
 
 
-def dedup_path(path: Sequence[int]) -> List[int]:
-    """Remove consecutive duplicates (the braces notation of the paper)."""
-    out: List[int] = []
-    for v in path:
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
+def _contract(
+    pt: PackedTree, cut_positions: Sequence[int], comp_of: Sequence[int], p: int
+) -> Tuple[List[int], List[int]]:
+    """Parent and depth arrays of the contracted tree 𝒯_β.
 
-
-class _PhiNode:
-    """A vertex of the augmented recursion tree Φ."""
-
-    __slots__ = (
-        "id",
-        "parent",
-        "level",
-        "is_leaf",
-        "cut_vertices",
-        "contracted",
-        "sub_navigator",
-        "child_component",
-    )
-
-    def __init__(self, node_id: int):
-        self.id = node_id
-        self.parent = -1
-        self.level = 0
-        self.is_leaf = False
-        # Inner vertices: the cut vertices CV (internal node) or the
-        # required vertices of the base case (leaf).
-        self.cut_vertices: List[int] = []
-        # Internal, k >= 3 only: the contracted tree 𝒯_β.
-        self.contracted: Optional[_ContractedTree] = None
-        # Internal, k >= 4 only: navigator over the pruned cut-vertex copy.
-        self.sub_navigator: Optional["TreeNavigator"] = None
-        # Maps a Φ-child id to the component index it recurses on.
-        self.child_component: Dict[int, int] = {}
-
-
-class _ContractedTree:
-    """The contracted tree 𝒯_β of an internal recursion node.
-
-    Vertices are component representatives ``t_i`` and cut vertices; a
-    cut vertex is adjacent to ``t_i`` iff it borders component ``T_i``
-    (Property 7).  Adjacent cut vertices of the working tree are linked
-    directly — a corner case the paper's prose elides but which keeps
-    𝒯_β connected (hence a tree) when ``Decompose`` cuts neighbours.
+    Vertices ``0..p-1`` are the component representatives ``t_i`` and
+    ``p + t`` is the ``t``-th cut vertex; a cut vertex is adjacent to
+    ``t_i`` iff it borders component ``T_i`` (Property 7).  Adjacent cut
+    vertices of the working tree are linked directly — a corner case the
+    paper's prose elides but which keeps 𝒯_β connected (hence a tree)
+    when ``Decompose`` cuts neighbours.
     """
-
-    __slots__ = (
-        "index",
-        "depth",
-        "cuts",
-        "p",
-        "_node_of_cut",
-        "_cut_of_node",
-        "_node_of_comp",
-    )
-
-    def __init__(
-        self,
-        pt: PackedTree,
-        cut_positions: Sequence[int],
-        comp_of: Sequence[int],
-        p: int,
-    ):
-        ids = pt.ids
-        tree_parent = pt.parent
-        # The query-side lookup dicts (node_of_cut and friends) are
-        # derived lazily from these two fields: one contracted tree
-        # exists per internal recursion node but only the handful a path
-        # lookup routes through ever get queried.
-        self.cuts: List[int] = [ids[j] for j in cut_positions]
-        self.p = p
-        self._node_of_cut: Optional[Dict[int, int]] = None
-        self._cut_of_node: Optional[Dict[int, int]] = None
-        self._node_of_comp: Optional[List[int]] = None
-
-        # Contracted id per position: component index for component
-        # vertices, p + rank for cut vertices.
-        cid = list(comp_of)
-        for t, j in enumerate(cut_positions):
-            cid[j] = p + t
-
-        m = p + len(cut_positions)
-        parent = [-1] * m
-        depth = [0] * m
-        seen = [False] * m
-        seen[cid[0]] = True
-        # Preorder visits a contracted node's first vertex after its
-        # contracted parent's first vertex, so depth[a] is final by the
-        # time b hangs below it — one pass yields parents and depths.
-        for j in range(1, len(ids)):
-            a = cid[tree_parent[j]]
-            b = cid[j]
-            if a != b and not seen[b]:
-                parent[b] = a
-                depth[b] = depth[a] + 1
-                seen[b] = True
-        # Built from a traversal of wt, a tree by construction — skip
-        # the O(m) connectivity validation (one 𝒯_β per recursion node).
-        self.index = TreeIndex(Tree(parent, validate=False), depth=depth)
-        self.depth = self.index.depth
-
-    @property
-    def node_of_cut(self) -> Dict[int, int]:
-        if self._node_of_cut is None:
-            self._node_of_cut = {c: self.p + t for t, c in enumerate(self.cuts)}
-        return self._node_of_cut
-
-    @property
-    def cut_of_node(self) -> Dict[int, int]:
-        if self._cut_of_node is None:
-            self._cut_of_node = {self.p + t: c for t, c in enumerate(self.cuts)}
-        return self._cut_of_node
-
-    @property
-    def node_of_comp(self) -> List[int]:
-        if self._node_of_comp is None:
-            self._node_of_comp = list(range(self.p))
-        return self._node_of_comp
-
-    def is_cut_node(self, node: int) -> bool:
-        return node in self.cut_of_node
+    # Contracted id per position: component index for component
+    # vertices, p + rank for cut vertices.
+    cid = list(comp_of)
+    for t, j in enumerate(cut_positions):
+        cid[j] = p + t
+    m = p + len(cut_positions)
+    parent = [-1] * m
+    depth = [0] * m
+    seen = [False] * m
+    seen[cid[0]] = True
+    tree_parent = pt.parent
+    # Preorder visits a contracted node's first vertex after its
+    # contracted parent's first vertex, so depth[a] is final by the
+    # time b hangs below it — one pass yields parents and depths.
+    for j in range(1, len(tree_parent)):
+        a = cid[tree_parent[j]]
+        b = cid[j]
+        if a != b and not seen[b]:
+            parent[b] = a
+            depth[b] = depth[a] + 1
+            seen[b] = True
+    return parent, depth
 
 
 class TreeNavigator:
@@ -211,7 +119,11 @@ class TreeNavigator:
 
     After construction, :meth:`find_path` answers queries between
     required vertices in O(k) time, and :attr:`edges` holds the spanner
-    edge set (pairs of vertex ids with tree-metric weights).
+    edge set (pairs of vertex ids with tree-metric weights).  The
+    navigation structure 𝒟_T — Φ, the contracted trees 𝒯_β and the
+    home table — exists only as :attr:`pack`, the
+    :class:`~repro.core.packed_query.QueryPack` the build writes as it
+    recurses.
     """
 
     def __init__(
@@ -246,33 +158,48 @@ class TreeNavigator:
         if not self.required:
             raise ValueError("need at least one required vertex")
         self.edges: Dict[Tuple[int, int], float] = _edges if _edges is not None else {}
-        self._is_root_navigator = _edges is None
-
-        self._phi_nodes: List[_PhiNode] = []
-        self.home: Dict[int, int] = {}
-        # Flat-array query engine, built lazily on first find_path.
-        self._qpack = None
+        is_root = _edges is None
+        self.pack = QueryPack(k, tree.n)
 
         worktree = _worktree if _worktree is not None else PackedTree.from_tree(tree)
         # One span per root navigator only: sub-navigators are part of the
         # same build and would bloat the trace with one span per recursion.
         span = (
             trace("treenav.build", n=tree.n, k=k, required=len(self.required))
-            if self._is_root_navigator
+            if is_root
             else nullcontext()
         )
         with span:
-            self._preprocess(worktree, set(self.required))
-            self._build_phi_index()
-            if self._is_root_navigator:
+            self._preprocess(worktree, set(self.required), -1, 0, -1)
+            if is_root:
                 self._fill_edge_weights()
 
     # ------------------------------------------------------------------
     # Preprocessing (Algorithm 1)
 
-    def _new_phi_node(self) -> _PhiNode:
-        node = _PhiNode(len(self._phi_nodes))
-        self._phi_nodes.append(node)
+    def _new_phi_node(
+        self, parent: int, depth: int, comp: int, leaf: bool, cuts: List[int]
+    ) -> int:
+        """Append one Φ node to the pack; returns its id.
+
+        ``comp`` is the index of the component of the parent's working
+        tree this node recurses on (``-1`` at the root).  The 𝒯_β slots
+        start empty and are filled by the caller for internal nodes.
+        """
+        pack = self.pack
+        node = len(pack.phi_parent)
+        pack.phi_parent.append(parent)
+        pack.phi_depth.append(depth)
+        pack.phi_leaf.append(leaf)
+        pack.phi_cuts.append(cuts)
+        pack.phi_comp.append(comp)
+        pack.phi_sub.append(None)
+        pack.ct_parent.append(None)
+        pack.ct_depth.append(None)
+        pack.ct_p.append(0)
+        home = pack.home
+        for c in cuts:
+            home[c] = node
         return node
 
     def _add_edge(self, u: int, v: int) -> None:
@@ -301,15 +228,18 @@ class TreeNavigator:
         )
         self.edges.update(zip(keys, weights.tolist()))
 
-    def _preprocess(self, wt: PackedTree, req: Set[int]) -> int:
-        """Recursive construction; returns the id of this call's Φ node."""
+    def _preprocess(
+        self, wt: PackedTree, req: Set[int], parent: int, depth: int, comp: int
+    ) -> None:
+        """Recursive construction of the Φ subtree below ``parent``."""
         n = len(req)
         if n <= self.k + 1:
             # The base case connects the required vertices directly and
             # never looks at the tree, so the Steiner pruning would be
             # pure waste here — and the vast majority of recursion calls
             # land in this branch.
-            return self._handle_base_case(req)
+            self._handle_base_case(req, parent, depth, comp)
+            return
         wt = prune_packed(wt, req)
         ids = wt.ids
 
@@ -322,10 +252,11 @@ class TreeNavigator:
         if OBS.enabled:
             _C_RECURSIONS.inc()
             _C_CUTS.inc(len(cuts))
-        beta = self._new_phi_node()
-        beta.cut_vertices = cuts
-        for c in cuts:
-            self.home[c] = beta.id
+        pack = self.pack
+        beta = self._new_phi_node(parent, depth, comp, False, cuts)
+        rank = pack.rank
+        for t, c in enumerate(cuts):
+            rank[c] = t
 
         # E': interconnect the cut vertices.
         if self.decrement == 2 and self.k == 3:
@@ -333,7 +264,7 @@ class TreeNavigator:
                 for b in cuts[i + 1 :]:
                     self._add_edge(a, b)
         elif self.k >= 3:
-            beta.sub_navigator = TreeNavigator(
+            pack.phi_sub[beta] = TreeNavigator(
                 self.tree,
                 max(2, self.k - self.decrement),
                 required=cuts,
@@ -341,10 +272,15 @@ class TreeNavigator:
                 _worktree=wt,
                 _metric=self.metric,
                 _edges=self.edges,
-            )
+            ).pack
 
         # E'': each cut vertex to the required vertices it borders.
         comps_ids, comps_parent, borders, comp_of = split_packed(wt, cut_positions)
+        if self.k >= 3:
+            ct_parent, ct_depth = _contract(wt, cut_positions, comp_of, len(comps_ids))
+            pack.ct_parent[beta] = ct_parent
+            pack.ct_depth[beta] = ct_depth
+            pack.ct_p[beta] = len(comps_ids)
         pos_of = {v: j for j, v in enumerate(ids)}
         comp_required: List[List[int]] = [[] for _ in comps_ids]
         for v in req:
@@ -368,39 +304,32 @@ class TreeNavigator:
         # component's tree, so its PackedTree is only materialized for
         # components large enough to recurse (a small minority).
         base_bound = self.k + 1
-        phi_nodes = self._phi_nodes
         for i, creq in enumerate(comp_required):
             if not creq:
                 continue
             if len(creq) <= base_bound:
-                child_id = self._handle_base_case(creq)
+                self._handle_base_case(creq, beta, depth + 1, i)
             else:
-                child_id = self._preprocess(
-                    PackedTree(comps_ids[i], comps_parent[i]), set(creq)
+                self._preprocess(
+                    PackedTree(comps_ids[i], comps_parent[i]), set(creq),
+                    beta, depth + 1, i,
                 )
-            phi_nodes[child_id].parent = beta.id
-            beta.child_component[child_id] = i
 
-        if self.k >= 3:
-            beta.contracted = _ContractedTree(
-                wt, cut_positions, comp_of, len(comps_ids)
-            )
-        return beta.id
-
-    def _handle_base_case(self, req: Sequence[int]) -> int:
+    def _handle_base_case(
+        self, req: Sequence[int], parent: int, depth: int, comp: int
+    ) -> None:
+        """A Φ leaf: the clique on the component's required vertices."""
         if OBS.enabled:
             _C_BASE_CASES.inc()
-        leaf = self._new_phi_node()
-        leaf.is_leaf = True
         if len(req) == 1:
             # Singleton components are common and need neither edges nor
             # the sort below.
-            (u,) = req
-            leaf.cut_vertices = [u]
-            self.home[u] = leaf.id
-            return leaf.id
+            self._new_phi_node(parent, depth, comp, True, list(req))
+            return
         ordered = sorted(req)
-        leaf.cut_vertices = ordered
+        # The base-case subgraph is the clique on ``ordered``: every
+        # query between two of its vertices is the direct edge.
+        self._new_phi_node(parent, depth, comp, True, ordered)
         edges = self.edges
         for i, a in enumerate(ordered):
             # ordered is sorted, so a < b and the key needs no swap
@@ -409,28 +338,6 @@ class TreeNavigator:
             for b in ordered[i + 1 :]:
                 if (a, b) not in edges:
                     edges[(a, b)] = -1.0
-        # The base-case subgraph is the clique on ``ordered``: every
-        # query between two of its vertices is the direct edge.
-        home = self.home
-        for u in ordered:
-            home[u] = leaf.id
-        return leaf.id
-
-    def _build_phi_index(self) -> None:
-        parents = [node.parent for node in self._phi_nodes]
-        # The recursion may create several parentless nodes only when the
-        # whole call was a single base case; Φ always has one root here
-        # because _preprocess links every child it spawns.
-        self._phi = TreeIndex(Tree(parents, validate=False))
-        for node, depth in zip(self._phi_nodes, self._phi.depth):
-            node.level = depth
-
-    def __getstate__(self):
-        # The packed query engine is derived (and holds references into
-        # sub-navigators); rebuild it lazily on the receiving side.
-        state = dict(self.__dict__)
-        state["_qpack"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Spanner accessors
@@ -456,117 +363,18 @@ class TreeNavigator:
 
     def phi_depth(self) -> int:
         """Depth of the augmented recursion tree (Observation 3.1)."""
-        return max(self._phi.depth) if self._phi_nodes else 0
-
-    @property
-    def phi_nodes(self) -> List[_PhiNode]:
-        """The augmented recursion tree's nodes (read-only use)."""
-        return self._phi_nodes
-
-    @property
-    def phi_index(self) -> TreeIndex:
-        """LCA/level-ancestor index over the recursion tree Φ."""
-        return self._phi
+        return max(self.pack.phi_depth)
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
 
-    def query_pack(self):
-        """The flat-array query engine for this navigator (lazy).
-
-        Built once on first use (a :class:`MetricNavigator` asks for
-        every tree's pack when it is built); all ``find_path`` calls
-        run on plain positional arrays with no per-query index builds.
-        See :mod:`repro.core.packed_query`.
-        """
-        pack = self._qpack
-        if pack is None:
-            from .packed_query import QueryPack
-
-            pack = self._qpack = QueryPack(self)
-        return pack
-
     def find_path(self, u: int, v: int) -> List[int]:
         """A T-monotone 1-spanner path from ``u`` to ``v`` with <= k hops.
 
-        Both endpoints must be required vertices.  Runs in O(k) time on
-        the packed query engine; output and observability counters are
-        bit-identical to :meth:`find_path_reference` (the dict-backed
-        Algorithm 2 kept as the differential-test reference).
+        Both endpoints must be required vertices (``KeyError``
+        otherwise).  Runs in O(k) time on :attr:`pack`.
         """
-        pack = self._qpack
-        if pack is None:
-            pack = self.query_pack()
-        return pack.find_path(u, v)
-
-    def find_path_reference(self, u: int, v: int) -> List[int]:
-        """Dict-backed Algorithm 2 — the differential-test reference.
-
-        Byte-for-byte the pre-packed implementation; kept so tests can
-        assert path-for-path identity against :meth:`find_path`.
-        """
-        if u not in self.home or v not in self.home:
-            raise KeyError("find_path endpoints must be required vertices")
-        obs = OBS.enabled
-        if obs:
-            _C_QUERIES.inc()
-        if u == v:
-            if obs:
-                _C_NODES.inc(1)
-            return [u]
-        hu = self._phi_nodes[self.home[u]]
-        hv = self._phi_nodes[self.home[v]]
-        if hu.id == hv.id and hu.is_leaf:
-            # Line 3 of Algorithm 2 on the base-case clique: one hop.
-            if obs:
-                _C_NODES.inc(2)
-            return [u, v]
-        beta = self._phi_nodes[self._phi.lca(hu.id, hv.id)]
-        if self.k == 2:
-            w = beta.cut_vertices[0]
-            if obs:
-                _C_NODES.inc(3)
-            return dedup_path([u, w, v])
-
-        contracted = beta.contracted
-        u_node = self._locate_contracted(u, beta)
-        v_node = self._locate_contracted(v, beta)
-        c = contracted.index.lca(u_node, v_node)
-        x_node = self._find_cut(u, u_node, v_node, beta, c)
-        y_node = self._find_cut(v, v_node, u_node, beta, c)
-        x = contracted.cut_of_node[x_node]
-        y = contracted.cut_of_node[y_node]
-        if beta.sub_navigator is None:
-            # k = 3 with the cut-vertex clique: one direct hop x -> y.
-            if obs:
-                _C_NODES.inc(4)
-            return dedup_path([u, x, y, v])
-        # The interconnection recursion counts its own levels; this level
-        # contributes the two endpoints it wraps around the middle.
-        middle = beta.sub_navigator.find_path_reference(x, y)
-        if obs:
-            _C_NODES.inc(2)
-        return dedup_path([u] + middle + [v])
-
-    def _locate_contracted(self, u: int, beta: _PhiNode) -> int:
-        """The vertex of 𝒯_β standing for ``u`` (``LocateContracted``)."""
-        home_id = self.home[u]
-        if home_id == beta.id:
-            return beta.contracted.node_of_cut[u]
-        child = self._phi.ancestor_at_depth(home_id, beta.level + 1)
-        comp = beta.child_component[child]
-        return beta.contracted.node_of_comp[comp]
-
-    def _find_cut(self, u: int, u_node: int, v_node: int, beta: _PhiNode, c: int) -> int:
-        """First cut vertex on the 𝒯_β path from ``u_node`` to ``v_node``."""
-        contracted = beta.contracted
-        if self.home[u] == beta.id:
-            return u_node
-        if u_node == c:
-            return contracted.index.ancestor_at_depth(
-                v_node, contracted.depth[u_node] + 1
-            )
-        return contracted.index.ancestor_at_depth(u_node, contracted.depth[u_node] - 1)
+        return self.pack.find_path(u, v)
 
     # ------------------------------------------------------------------
     # Verification helpers (used by tests and benches)

@@ -1,25 +1,23 @@
-"""Allocation-lean array form of the ``FindPath`` query (Algorithm 2).
+"""The navigation structure 𝒟_T as flat arrays, and its ``FindPath``.
 
-PR 4 rewrote the navigator *build* onto :class:`PackedTree`
-preorder-position arrays but left the *query* on dict-backed structures
-(``home`` dict probes, lazily built sparse-table LCA / level-ancestor
-indexes per contracted tree).  A one-off scalar query could therefore
-pay an O(n log n) index build — the 190 ms p99 spikes in
-BENCH_navigation.json — for an O(k) walk.
-
-:class:`QueryPack` flattens one :class:`TreeNavigator`'s query-side
-state (Φ, the contracted trees 𝒯_β, the home table) into plain
-positional arrays and answers ``find_path`` by iterative pointer
-climbing on them:
+:class:`QueryPack` is the only in-memory form of one
+:class:`~repro.core.navigation.TreeNavigator`'s query state: the
+augmented recursion tree Φ, the contracted trees 𝒯_β and the dense
+home/rank tables, as plain positional arrays.  The navigator's build
+(Algorithm 1) appends one entry per Φ node as it recurses; the query
+(Algorithm 2) answers ``find_path`` by iterative pointer climbing on
+them:
 
 * Φ depths are O(k) (Observation 3.1) and contracted-tree LCA /
   level-ancestor hops are O(1) amortized per query level, so naive
   parent climbing beats building any index;
 * the recursion of Algorithm 2 (budget k → k−2) becomes a loop carrying
-  a prefix/suffix pair, so a query allocates only its output path;
-* every observability counter of the dict reference implementation is
-  incremented identically, and the reported path is required to be
-  bit-for-bit identical (``tests/test_packed_query.py`` enforces both).
+  a prefix/suffix pair, so a query allocates only its output path.
+
+``tests/test_packed_query.py`` checks every path against the frozen
+seed navigator (``repro._seed_baseline.SeedTreeNavigator``) and pins
+the observability counter deltas; ``tests/test_golden_bytes.py`` pins
+the arrays byte for byte.
 
 The same class runs in *mapped* mode: :func:`pack_suite_arrays`
 concatenates every pack of every tree of a cover into flat numpy
@@ -38,18 +36,18 @@ import numpy as np
 
 from ..observability import OBS
 
-__all__ = ["QueryPack", "pack_suite_arrays", "suite_from_arrays"]
+__all__ = ["QueryPack", "dedup_path", "pack_suite_arrays", "suite_from_arrays"]
 
-# Same instruments as the dict reference in core/navigation.py — the
-# registry hands back the same objects, so packed and reference paths
-# are indistinguishable to the counter-based theorem checks of
-# tests/test_asymptotics.py.
+# Every find_path level (the interconnection descent included) bumps
+# queries, and nodes_touched totals the path vertices each level
+# contributes — the empirical stand-in for the O(k) time bound of
+# Theorem 1.1 (tests/test_asymptotics.py asserts it grows with k, not n).
 _C_QUERIES = OBS.registry.counter("treenav.queries")
 _C_NODES = OBS.registry.counter("treenav.nodes_touched")
-_C_PACK_BUILDS = OBS.registry.counter("packed.query_pack_builds")
 
 
-def _dedup(path: List[int]) -> List[int]:
+def dedup_path(path: Sequence[int]) -> List[int]:
+    """Remove consecutive duplicates (the braces notation of the paper)."""
     out: List[int] = []
     for v in path:
         if not out or out[-1] != v:
@@ -60,12 +58,20 @@ def _dedup(path: List[int]) -> List[int]:
 class QueryPack:
     """Flat-array query state for one :class:`TreeNavigator`.
 
-    Build from a navigator (in-memory mode: the Φ and contracted-tree
-    fields are python lists referencing the navigator's own structures,
-    so construction copies nothing heavy) or from mapped arenas
-    (:func:`suite_from_arrays`; fields are numpy views).  Either way the
-    home and rank tables are dense over the host tree's vertices: ``-1``
-    marks a vertex that is not required.
+    Per Φ node ``i``: ``phi_parent``/``phi_depth``, ``phi_leaf``,
+    ``phi_cuts`` (the cut vertices of an internal node, the required
+    vertices of a leaf), ``phi_comp`` (the index of the parent's
+    component the node recurses on), ``phi_sub`` (the pack of the
+    sub-navigator interconnecting the cuts, if E' recurses) and the
+    contracted tree 𝒯_β as ``ct_parent``/``ct_depth`` with ``ct_p``
+    component representatives (k >= 3 internal nodes).  ``home`` and
+    ``rank`` are dense over the host tree's vertices: ``-1`` marks a
+    vertex with no home.
+
+    ``QueryPack(k, n)`` is an empty in-memory pack whose fields are
+    python lists the navigator's build appends to;
+    :func:`suite_from_arrays` builds mapped packs whose fields are
+    numpy views.
     """
 
     __slots__ = (
@@ -84,48 +90,20 @@ class QueryPack:
         "ct_p",
     )
 
-    def __init__(self, navigator=None):
-        if navigator is None:
-            return  # mapped mode: suite_from_arrays fills the slots
-        if OBS.enabled:
-            _C_PACK_BUILDS.inc()
-        self.k = navigator.k
-        self.n = n = navigator.tree.n
-        home = [-1] * n
-        for vertex, phi_id in navigator.home.items():
-            home[vertex] = phi_id
-        self.home = home
-        nodes = navigator.phi_nodes
-        m = len(nodes)
-        self.phi_parent = [node.parent for node in nodes]
-        self.phi_depth = [node.level for node in nodes]
-        self.phi_leaf = [node.is_leaf for node in nodes]
-        self.phi_cuts = [node.cut_vertices for node in nodes]
-        comp = [-1] * m
-        sub: List[Optional["QueryPack"]] = [None] * m
-        ct_parent: List[Optional[Sequence[int]]] = [None] * m
-        ct_depth: List[Optional[Sequence[int]]] = [None] * m
-        ct_p = [0] * m
-        rank = [0] * n
-        for node in nodes:
-            for child_id, comp_index in node.child_component.items():
-                comp[child_id] = comp_index
-            if node.sub_navigator is not None:
-                sub[node.id] = QueryPack(node.sub_navigator)
-            contracted = node.contracted
-            if contracted is not None:
-                ct_parent[node.id] = contracted.index.tree.parents
-                ct_depth[node.id] = contracted.depth
-                ct_p[node.id] = contracted.p
-            if not node.is_leaf:
-                for t, c in enumerate(node.cut_vertices):
-                    rank[c] = t
-        self.phi_comp = comp
-        self.phi_sub = sub
-        self.ct_parent = ct_parent
-        self.ct_depth = ct_depth
-        self.ct_p = ct_p
-        self.rank = rank
+    def __init__(self, k: int, n: int):
+        self.k = k
+        self.n = n
+        self.home = [-1] * n
+        self.rank = [0] * n
+        self.phi_parent: List[int] = []
+        self.phi_depth: List[int] = []
+        self.phi_leaf: List[bool] = []
+        self.phi_cuts: List[List[int]] = []
+        self.phi_comp: List[int] = []
+        self.phi_sub: List[Optional["QueryPack"]] = []
+        self.ct_parent: List[Optional[List[int]]] = []
+        self.ct_depth: List[Optional[List[int]]] = []
+        self.ct_p: List[int] = []
 
     # ------------------------------------------------------------------
     # Query
@@ -142,9 +120,7 @@ class QueryPack:
     def find_path(self, u: int, v: int) -> List[int]:
         """A T-monotone 1-spanner path with <= k hops (Algorithm 2).
 
-        Identical output and identical counter increments to the dict
-        reference (:meth:`TreeNavigator.find_path_reference`); the
-        recursive interconnection descent runs as a loop here.
+        The recursive interconnection descent runs as a loop.
         """
         pack = self
         prefix: List[int] = []
@@ -230,8 +206,8 @@ class QueryPack:
             prefix.extend(core)
             suffix.reverse()
             prefix.extend(suffix)
-            return _dedup(prefix)
-        return _dedup(core)
+            return dedup_path(prefix)
+        return dedup_path(core)
 
     def _locate(
         self, w: int, hw: int, beta: int, beta_depth: int, p: int, pp, pd
@@ -372,7 +348,7 @@ def suite_from_arrays(arrays: Dict[str, np.ndarray]) -> List[QueryPack]:
     ct_off = arrays["pk/ct_off"]
     pk_k = arrays["pk/k"]
     num_packs = len(pk_k)
-    packs = [QueryPack() for _ in range(num_packs)]
+    packs = [object.__new__(QueryPack) for _ in range(num_packs)]
     phi_sub_arr = arrays["pk/phi_sub"]
     phi_ct_arr = arrays["pk/phi_ct"]
     ct_p_arr = arrays["pk/ct_p"]

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..core.navigation import TreeNavigator
 from ..errors import FaultBudgetExceeded, InvariantViolation, check
 from ..graphs.graph import Graph
+from ..graphs.tree import Tree
 from ..metrics.base import Metric
 from ..routing.labels import HeavyPathLabeling, label_bits, label_distance, lca_key
 from ..routing.ports import DELIVER, Network, RouteResult
@@ -87,7 +88,10 @@ class _FtTreeData:
         self.navigator = TreeNavigator(
             cover_tree.tree, 2, required=cover_tree.vertex_of_point
         )
-        self.phi_labeling = HeavyPathLabeling(self.navigator.phi_index.tree)
+        self.pack = self.navigator.pack
+        self.phi_labeling = HeavyPathLabeling(
+            Tree(self.pack.phi_parent, validate=False)
+        )
         below = cover_tree.descendant_points()
         #: replicas[v] = R(v): up to f+1 descendant points, sorted by id.
         self.replicas = [sorted(pool[: f + 1]) for pool in below]
@@ -95,26 +99,26 @@ class _FtTreeData:
     def home_chain(self, p: int) -> List[Tuple[Tuple[int, int], List[int]]]:
         """(Φ-key, replica list of the cut vertex) for each internal
         ancestor of p's home node, including the home itself."""
-        nodes = self.navigator.phi_nodes
-        x = self.cover_tree.vertex_of_point[p]
-        beta = self.navigator.home[x]
+        pack = self.pack
+        beta = self.home_of(p)
         chain = []
         while beta != -1:
-            node = nodes[beta]
-            if not node.is_leaf:
-                cut = node.cut_vertices[0]
+            if not pack.phi_leaf[beta]:
+                cut = pack.phi_cuts[beta][0]
                 chain.append((self.phi_labeling.key(beta), self.replicas[cut]))
-            beta = node.parent
+            beta = pack.phi_parent[beta]
         return chain
 
+    def home_of(self, p: int) -> int:
+        """The Φ node holding point ``p``'s host vertex."""
+        return self.pack.home[self.cover_tree.vertex_of_point[p]]
+
     def base_members(self, p: int) -> List[int]:
-        nodes = self.navigator.phi_nodes
-        x = self.cover_tree.vertex_of_point[p]
-        home = nodes[self.navigator.home[x]]
-        if not home.is_leaf:
+        home = self.home_of(p)
+        if not self.pack.phi_leaf[home]:
             return []
         rep = self.cover_tree.rep_point
-        return [rep[y] for y in home.cut_vertices if rep[y] != p]
+        return [rep[y] for y in self.pack.phi_cuts[home] if rep[y] != p]
 
 
 class FaultTolerantRoutingScheme:
@@ -176,8 +180,7 @@ class FaultTolerantRoutingScheme:
                         (w, None if w == p else self.network.port(p, w))
                         for w in replicas
                     ]
-                x = data.cover_tree.vertex_of_point[p]
-                phi_label = data.phi_labeling.label(data.navigator.home[x])
+                phi_label = data.phi_labeling.label(data.home_of(p))
                 base = {
                     q: self.network.port(p, q) for q in data.base_members(p)
                 }

@@ -46,35 +46,33 @@ class TreeRoutingScheme:
         tree = cover_tree.tree
         self.points = list(range(len(cover_tree.vertex_of_point)))
         self.navigator = TreeNavigator(tree, 2, required=cover_tree.vertex_of_point)
-        self.phi_labeling = HeavyPathLabeling(self.navigator.phi_index.tree)
+        pack = self.navigator.pack
+        phi_leaf = pack.phi_leaf
+        self.phi_labeling = HeavyPathLabeling(Tree(pack.phi_parent, validate=False))
         self.rep = cover_tree.rep_point
 
         # Per point: the Φ node chain from its home up to the root, with
         # each internal node's cut vertex mapped to its representative.
-        nodes = self.navigator.phi_nodes
+        phi_parent = pack.phi_parent
+        phi_cuts = pack.phi_cuts
         self._home: Dict[int, int] = {}
         self._ancestors: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
         self._base_neighbors: Dict[int, List[int]] = {}
         for p in self.points:
             x = cover_tree.vertex_of_point[p]
-            home_id = self.navigator.home[x]
+            home_id = pack.home[x]
             self._home[p] = home_id
             chain: List[Tuple[Tuple[int, int], int]] = []
             beta = home_id
-            first = True
             while beta != -1:
-                node = nodes[beta]
-                include = not (first and node.is_leaf)
-                if include and not node.is_leaf:
-                    cut_rep = self.rep[node.cut_vertices[0]]
+                if not phi_leaf[beta]:
+                    cut_rep = self.rep[phi_cuts[beta][0]]
                     chain.append((self.phi_labeling.key(beta), cut_rep))
-                first = False
-                beta = node.parent
+                beta = phi_parent[beta]
             self._ancestors[p] = chain
-            home_node = nodes[home_id]
-            if home_node.is_leaf:
+            if phi_leaf[home_id]:
                 members = [
-                    self.rep[x2] for x2 in home_node.cut_vertices if self.rep[x2] != p
+                    self.rep[x2] for x2 in phi_cuts[home_id] if self.rep[x2] != p
                 ]
                 self._base_neighbors[p] = members
 
@@ -106,7 +104,7 @@ class TreeRoutingScheme:
             base: Dict[int, int] = {}
             for q in self._base_neighbors.get(p, []):
                 base[q] = network.port(p, q)
-            home_is_internal = not self.navigator.phi_nodes[self._home[p]].is_leaf
+            home_is_internal = not self.navigator.pack.phi_leaf[self._home[p]]
             self.labels[p] = {
                 "id": p,
                 "phi": phi_label,

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from ..core.navigation import TreeNavigator, dedup_path
+from ..core.navigation import TreeNavigator
+from ..core.packed_query import dedup_path
 from ..errors import FaultBudgetExceeded, InvariantViolation, check
 from ..graphs.graph import Graph
 from ..metrics.base import Metric

@@ -107,13 +107,13 @@ class TestAdjacentCutVertices:
         """Two adjacent hubs both exceed the decomposition threshold, so
         Decompose cuts neighbouring vertices — the contracted-tree corner
         case the paper's prose elides (cut-cut edges keep it connected)."""
-        from repro.core.decompose import WorkTree, decompose
+        from repro.core.decompose import PackedTree, decompose_packed
         import itertools
 
         parents = [-1, 0] + [0] * 20 + [1] * 20
         tree = Tree(parents, [0.0] + [1.0] * 41)
-        wt = WorkTree.from_tree(tree)
-        cuts = decompose(wt, set(range(42)), 7)
+        pt = PackedTree.from_tree(tree)
+        cuts = [pt.ids[j] for j in decompose_packed(pt, set(range(42)), 7)]
         assert 0 in cuts and 1 in cuts  # the adjacent hubs
         for k in (3, 4, 5):
             nav = TreeNavigator(tree, k)

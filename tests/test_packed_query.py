@@ -1,22 +1,28 @@
-"""Differential tests: packed query paths vs the dict-backed reference.
+"""Differential tests: packed query paths vs the frozen seed navigator.
 
-``TreeNavigator.find_path`` runs on the flat :class:`QueryPack` arrays;
-``TreeNavigator.find_path_reference`` is the original recursive
-dict/object implementation, kept verbatim as the oracle.  These tests
-pin the contract that the rewrite is *bit-identical* — same paths, same
-observability counter deltas — across random trees, hop parameters and
-cover backends, and that the packed scalar path stays allocation-lean.
+``TreeNavigator`` builds its :class:`QueryPack` directly and answers
+``find_path`` on it; ``repro._seed_baseline.SeedTreeNavigator`` is the
+seed's dict/object implementation of Algorithms 1 and 2, frozen as the
+oracle.  These tests pin that the two agree path for path (and on the
+``KeyError`` for vertices without a home) with identical spanner edge
+sets, across random trees, hop parameters and cover backends; that the
+observability counter deltas of a query are those recorded before the
+direct pack build; and that the packed scalar path stays
+allocation-lean.
 """
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._seed_baseline import SeedTreeNavigator
 from repro.core import MetricNavigator, TreeNavigator
-from repro.graphs import random_tree
+from repro.graphs import path_tree, random_tree
 from repro.metrics import (
     grid_graph_metric,
     random_graph_metric,
@@ -39,15 +45,20 @@ tree_params = st.tuples(
 
 
 def _counter_deltas(fn):
-    """(result, {counter: delta}) for the treenav instruments."""
+    """(result, (queries delta, nodes_touched delta)) of one call."""
     names = ("treenav.queries", "treenav.nodes_touched")
     with OBS.scoped(True):
-        before = {
-            name: OBS.registry.counter(name).value for name in names
-        }
+        before = [OBS.registry.counter(name).value for name in names]
         result = fn()
-        after = {name: OBS.registry.counter(name).value for name in names}
-    return result, {name: after[name] - before[name] for name in names}
+        after = [OBS.registry.counter(name).value for name in names]
+    return result, tuple(a - b for a, b in zip(after, before))
+
+
+def _path_or_raised(navigator, u, v):
+    try:
+        return navigator.find_path(u, v)
+    except KeyError:
+        return "raised"
 
 
 @given(tree_params)
@@ -56,17 +67,12 @@ def test_packed_path_identical_to_reference(params):
     n, seed, k = params
     tree = random_tree(n, seed=seed)
     navigator = TreeNavigator(tree, k)
+    oracle = SeedTreeNavigator(tree, k)
+    assert navigator.edges.keys() == oracle.edges.keys()
     rng = random.Random(seed)
     for _ in range(8):
         u, v = rng.randrange(n), rng.randrange(n)
-        packed, packed_counts = _counter_deltas(
-            lambda: navigator.find_path(u, v)
-        )
-        reference, reference_counts = _counter_deltas(
-            lambda: navigator.find_path_reference(u, v)
-        )
-        assert packed == reference
-        assert packed_counts == reference_counts
+        assert navigator.find_path(u, v) == oracle.find_path(u, v)
 
 
 @given(tree_params)
@@ -78,23 +84,89 @@ def test_packed_path_rejects_non_required(params):
     if len(required) < 2:
         return
     navigator = TreeNavigator(tree, k, required=required)
+    oracle = SeedTreeNavigator(tree, k, required=required)
+    assert navigator.edges.keys() == oracle.edges.keys()
     u, v = required[0], required[-1]
-    assert navigator.find_path(u, v) == navigator.find_path_reference(u, v)
+    assert navigator.find_path(u, v) == oracle.find_path(u, v)
     # Odd ids are outside the required list (though cut vertices may
-    # still enter the home table): packed and reference must agree on
+    # still enter the home table): packed and seed must agree on
     # every outsider — same KeyError, or same path.
     for outsider in range(1, n, 2):
         for args in ((outsider, u), (u, outsider)):
-            packed = reference = ("raised",)
-            try:
-                packed = navigator.find_path(*args)
-            except KeyError:
-                pass
-            try:
-                reference = navigator.find_path_reference(*args)
-            except KeyError:
-                pass
-            assert packed == reference
+            assert _path_or_raised(navigator, *args) == _path_or_raised(
+                oracle, *args
+            )
+
+
+#: (shape, n, seed, k) -> {(treenav.queries delta, treenav.nodes_touched
+#: delta): number of pairs}, recorded from the object-graph navigator
+#: that preceded the direct pack build.  (1, 1) is u == v, (1, 2) a
+#: pair inside one base-case leaf, and a queries delta above 1 a query
+#: that descends into interconnection sub-packs.
+PINNED_COUNTER_DELTAS = {
+    ("random", 60, 1, 2): {(1, 1): 10, (1, 2): 2, (1, 3): 90},
+    ("random", 60, 1, 3): {(1, 1): 10, (1, 2): 4, (1, 4): 90},
+    ("random", 60, 1, 4): {(1, 1): 10, (1, 2): 8, (2, 3): 12, (2, 4): 8, (2, 5): 64},
+    ("random", 60, 1, 5): {(1, 1): 10, (1, 2): 8, (2, 3): 20, (2, 4): 8, (2, 6): 56},
+    ("random", 60, 1, 6): {(1, 1): 10, (1, 2): 7, (2, 3): 12, (2, 4): 72},
+    ("random", 150, 2, 2): {(1, 1): 10, (1, 2): 3, (1, 3): 90},
+    ("random", 150, 2, 3): {(1, 1): 10, (1, 2): 3, (1, 4): 90},
+    ("random", 150, 2, 4): {(1, 1): 10, (1, 2): 3, (2, 3): 16, (2, 4): 4, (2, 5): 70},
+    ("random", 150, 2, 5): {(1, 1): 10, (1, 2): 3, (2, 3): 8, (2, 4): 2, (2, 6): 80},
+    ("random", 150, 2, 6): {(1, 1): 10, (1, 2): 4, (2, 3): 8, (2, 4): 12, (3, 5): 70},
+    ("path", 120, 3, 2): {(1, 1): 10, (1, 2): 5, (1, 3): 88},
+    ("path", 120, 3, 3): {(1, 1): 10, (1, 2): 5, (1, 4): 88},
+    ("path", 120, 3, 4): {(1, 1): 10, (1, 2): 10, (2, 3): 28, (2, 4): 4, (2, 5): 52},
+    ("path", 120, 3, 5): {(1, 1): 10, (1, 2): 11, (2, 3): 12, (2, 4): 4, (2, 6): 68},
+    ("path", 120, 3, 6): {(1, 1): 10, (1, 2): 11, (2, 3): 14, (2, 4): 14, (3, 5): 56},
+}
+
+
+def _counter_pairs(navigator, n, seed):
+    """All ordered pairs of 10 sampled vertices (u == v included), plus
+    one pair inside each of the first five multi-vertex leaves."""
+    pack = navigator.pack
+    rng = random.Random(seed)
+    sample = rng.sample(range(n), 10)
+    pairs = [(u, v) for u in sample for v in sample]
+    leaves = {}
+    for x in range(n):
+        home = pack.home[x]
+        if home >= 0 and pack.phi_leaf[home]:
+            leaves.setdefault(home, []).append(x)
+    for home in sorted(leaves)[:5]:
+        if len(leaves[home]) >= 2:
+            pairs.append((leaves[home][0], leaves[home][-1]))
+    return pairs
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTER_DELTAS))
+def test_counter_deltas_pinned(case):
+    shape, n, seed, k = case
+    tree = (random_tree if shape == "random" else path_tree)(n, seed=seed)
+    navigator = TreeNavigator(tree, k)
+    histogram = Counter()
+    for u, v in _counter_pairs(navigator, n, seed):
+        _, deltas = _counter_deltas(lambda: navigator.find_path(u, v))
+        histogram[deltas] += 1
+    assert dict(histogram) == PINNED_COUNTER_DELTAS[case]
+
+
+class _SeedOracles:
+    """Seed navigators over a cover's trees, built on first use."""
+
+    def __init__(self, cover, k):
+        self.cover = cover
+        self.k = k
+        self.built = {}
+
+    def find_path(self, index, a, b):
+        if index not in self.built:
+            cover_tree = self.cover.trees[index]
+            self.built[index] = SeedTreeNavigator(
+                cover_tree.tree, self.k, required=list(cover_tree.vertex_of_point)
+            )
+        return self.built[index].find_path(a, b)
 
 
 class TestCoverBackends:
@@ -102,6 +174,7 @@ class TestCoverBackends:
 
     def _check(self, metric, cover, k, seed):
         navigator = MetricNavigator(metric, cover, k)
+        oracles = _SeedOracles(cover, k)
         pairs = sample_pairs(metric.n, 60, seed=seed)
         gamma = max(cover.stretch(u, v) for u, v in pairs)
         for u, v in pairs:
@@ -110,7 +183,8 @@ class TestCoverBackends:
             cover_tree = cover.trees[index]
             a = cover_tree.vertex_of_point[u]
             b = cover_tree.vertex_of_point[v]
-            assert tree_nav.find_path(a, b) == tree_nav.find_path_reference(a, b)
+            assert tree_nav.find_path(a, b) == oracles.find_path(index, a, b)
+            assert tree_nav.edges.keys() == oracles.built[index].edges.keys()
             navigator.verify_query(u, v, gamma + 1e-9)
 
     def test_robust_cover(self):
@@ -164,9 +238,9 @@ class TestPrunedDifferential:
     """Pruning must not perturb a single retained path.
 
     Retained trees are the *same* :class:`CoverTree` objects, so every
-    query answered by a retained tree must be bit-identical — same
-    packed path, same reference path — whether asked through the full
-    or the pruned cover.  This is the "bit-identical query answers on
+    query answered by a retained tree must be bit-identical — the same
+    path, and the seed navigator's path — whether asked through the
+    full or the pruned cover.  This is the "bit-identical query answers on
     retained trees" half of the pruning contract; the stretch half
     lives in ``tests/test_tree_covers.py``.
     """
@@ -178,6 +252,7 @@ class TestPrunedDifferential:
             assert pruned.size < cover.size
         nav_full = MetricNavigator(metric, cover, k)
         nav_pruned = MetricNavigator(metric, pruned, k)
+        oracles = _SeedOracles(pruned, k)
         for u, v in sample_pairs(metric.n, 80, seed=seed):
             j, _ = pruned.best_tree(u, v)
             orig = report.retained[j]
@@ -188,7 +263,7 @@ class TestPrunedDifferential:
             full_nav = nav_full.navigators[orig]
             path = pruned_nav.find_path(a, b)
             assert path == full_nav.find_path(a, b)
-            assert path == pruned_nav.find_path_reference(a, b)
+            assert path == oracles.find_path(j, a, b)
 
     def test_robust_cover_paths_survive_prune(self):
         metric = random_points(80, dim=2, seed=11)

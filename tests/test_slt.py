@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps import approximate_spt, base_mst, mst_weight, shallow_light_tree
-from repro.core import MetricNavigator, decompose, decompose_centroid
-from repro.core.decompose import WorkTree, split_components
+from repro.core import MetricNavigator, decompose_centroid
+from repro.core.decompose import PackedTree, decompose_packed, split_packed
 from repro.graphs import Graph, random_tree
 from repro.metrics import random_points
 from repro.treecover import robust_tree_cover
@@ -71,17 +71,17 @@ class TestShallowLightTree:
 class TestCentroidDecomposeAblation:
     @pytest.mark.parametrize("ell", [2, 5, 12])
     def test_same_component_guarantee(self, ell):
-        wt = WorkTree.from_tree(random_tree(120, seed=1))
+        pt = PackedTree.from_tree(random_tree(120, seed=1))
         required = set(range(120))
-        cuts = decompose_centroid(wt, required, ell)
-        components, _, _ = split_components(wt, cuts)
-        for comp in components:
-            assert len(set(comp.vertices()) & required) <= ell
+        cuts = decompose_centroid(pt, required, ell)
+        comps_ids, _, _, _ = split_packed(pt, cuts)
+        for ids in comps_ids:
+            assert len(set(ids) & required) <= ell
 
     def test_cut_counts_comparable_to_greedy(self):
-        wt = WorkTree.from_tree(random_tree(200, seed=2))
+        pt = PackedTree.from_tree(random_tree(200, seed=2))
         required = set(range(200))
         for ell in (4, 10, 30):
-            greedy = len(decompose(wt, required, ell))
-            centroid = len(decompose_centroid(wt, required, ell))
+            greedy = len(decompose_packed(pt, required, ell))
+            centroid = len(decompose_centroid(pt, required, ell))
             assert centroid <= 3 * greedy + 3

@@ -1,4 +1,4 @@
-"""Tests for the tree substrate: Tree, LCA, level ancestors, TreeIndex."""
+"""Tests for the tree substrate: Tree, LCA, level ancestors."""
 
 import random
 
@@ -17,7 +17,6 @@ from repro.graphs import (
     random_tree,
     star_tree,
 )
-from repro.graphs.index import TreeIndex
 
 
 def brute_lca(tree, u, v):
@@ -176,20 +175,6 @@ class TestLcaAndLevelAncestor:
         for cls in (LadderLevelAncestor, LiftingLevelAncestor):
             with pytest.raises(ValueError):
                 cls(t).ancestor_at_depth(2, 5)
-
-    @pytest.mark.parametrize("n", [3, 30, 47, 48, 49, 200])
-    def test_tree_index_both_modes_agree(self, n):
-        """TreeIndex switches naive/indexed at its threshold; both agree."""
-        t = random_tree(n, seed=n)
-        index = TreeIndex(t)
-        rng = random.Random(7)
-        depth = t.depths()
-        for _ in range(150):
-            u, v = rng.randrange(n), rng.randrange(n)
-            assert index.lca(u, v) == brute_lca(t, u, v)
-            d = rng.randrange(depth[u] + 1)
-            got = index.ancestor_at_depth(u, d)
-            assert depth[got] == d and t.is_ancestor(got, u)
 
 
 @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=1000))
