@@ -8,7 +8,9 @@
 # memory-mapped and checks its answers, and a burst of 2,000 pipelined
 # queries on each of two connections, against the in-memory navigator:
 # the bursts' answer lines byte for byte, and the daemon's admission,
-# navigator, latency and inline-batch counts.  Exercises every serving layer (admission
+# navigator, latency and inline-batch counts, and one write mixing valid
+# queries with a malformed line and an out-of-range pair (each line gets
+# its own answer).  Exercises every serving layer (admission
 # batching, degraded labelling, chaos recovery, the HTTP facade) on a
 # small instance; fast enough for CI.  The exhaustive suite lives in
 # tests/test_serve.py behind the `serve` pytest marker.
@@ -251,6 +253,32 @@ print(f"burst ok: {len(burst)} pipelined queries on each of two "
       "to the in-memory navigator's envelopes; counts moved by exactly "
       f"the bursts ({navigated} navigated paths, {inline:.0f} batches "
       "on the loop)")
+
+# One write of valid queries with a malformed line and an out-of-range
+# pair among them: the batch decode leaves those two lines to the
+# per-line parser, and every line gets its own answer.
+mixed = [("path", 1, 2), ("distance", 3, 9), ("path", 5, 5), ("path", 7, 40)]
+lines = [encode_line({"id": f"m{i}", "op": op, "u": u, "v": v})
+         for i, (op, u, v) in enumerate(mixed)]
+lines.insert(2, b"this is not json\n")
+lines.insert(4, encode_line({"id": "far", "op": "path", "u": 0, "v": n + 5}))
+with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+    sock.sendall(b"".join(lines))
+    sock.shutdown(socket.SHUT_WR)
+    with sock.makefile("rb") as reader:
+        answers = [json.loads(line) for line in reader]
+assert len(answers) == len(lines), answers
+by_id = {answer["id"]: answer for answer in answers}
+assert len(by_id) == len(lines), answers
+for i, (op, u, v) in enumerate(mixed):
+    answer = by_id[f"m{i}"]
+    assert answer["status"] == "ok", answer
+    assert answer["result"] == expected_result(op, u, v), answer
+assert "not valid JSON" in by_id[None]["error"], by_id[None]
+assert by_id["far"]["status"] == "error", by_id["far"]
+assert f"[0, {n})" in by_id["far"]["error"], by_id["far"]
+print(f"mixed write ok: {len(mixed)} queries answered beside a malformed "
+      "line and an out-of-range pair, each with its own answer")
 
 with ServeClient("127.0.0.1", port) as client:
     client.shutdown()

@@ -33,7 +33,12 @@ import numpy as np
 
 from ..observability import OBS
 from ..treecover.packed_index import PackedCoverIndex
-from .packed_query import dedup_path, pack_suite_arrays, suite_from_arrays
+from .packed_query import (
+    dedup_path,
+    pack_suite_arrays,
+    publish_tally,
+    suite_from_arrays,
+)
 
 __all__ = ["PackedMetricNavigator", "navigator_arrays"]
 
@@ -142,17 +147,47 @@ class PackedMetricNavigator:
         return self.index.best_pair(u, v)
 
     def _best_trees(
-        self, pairs: Sequence[Tuple[int, int]]
+        self, ps: Sequence[int], qs: Sequence[int]
     ) -> List[Tuple[int, float]]:
         if self.index is None:
-            return self.cover.best_trees(pairs)
-        ps = [u for u, _ in pairs]
-        qs = [v for _, v in pairs]
+            return self.cover.best_trees(list(zip(ps, qs)))
         if self.home is not None:
             homes = self.home[np.asarray(ps, dtype=np.int64)]
             dist = self.index.distances(homes, ps, qs)
             return list(zip(homes.tolist(), dist.tolist()))
         return self.index.best_pairs(ps, qs)
+
+    def check_pairs(self, us: Sequence[int], vs: Sequence[int]) -> None:
+        """Raise :class:`ValueError` naming the first pair outside
+        ``[0, n)``: one range check for a whole batch."""
+        n = self.metric.n
+        if us and (min(us) < 0 or max(us) >= n or min(vs) < 0
+                   or max(vs) >= n):
+            for u, v in zip(us, vs):
+                self._check_pair(u, v)
+
+    def select_trees(
+        self, us: Sequence[int], vs: Sequence[int]
+    ) -> Tuple[List[int], List[float]]:
+        """Batched :meth:`best_tree` as two columns, the chosen tree and
+        its tree distance per pair (``-1`` and ``0.0`` where u == v).
+
+        The ids must lie in ``[0, n)``: a batch is range-checked once,
+        by :meth:`check_pairs`, before it gets here.
+        """
+        m = len(us)
+        at = [i for i in range(m) if us[i] != vs[i]]
+        if len(at) == m:
+            best = self._best_trees(us, vs) if m else []
+            return [t for t, _ in best], [d for _, d in best]
+        trees = [-1] * m
+        dists = [0.0] * m
+        if at:
+            best = self._best_trees([us[i] for i in at], [vs[i] for i in at])
+            for i, (t, d) in zip(at, best):
+                trees[i] = t
+                dists[i] = d
+        return trees, dists
 
     # ------------------------------------------------------------------
     # Queries
@@ -197,17 +232,10 @@ class PackedMetricNavigator:
         """Batched :meth:`best_tree`, one selection for all pairs:
         ``(tree_index, tree_distance)`` per pair, ``(-1, 0.0)`` if u == v."""
         pairs = list(pairs)
-        selected = [(-1, 0.0)] * len(pairs)
-        nontrivial = []
-        for t, (u, v) in enumerate(pairs):
-            self._check_pair(u, v)
-            if u != v:
-                nontrivial.append(t)
-        if nontrivial:
-            best = self._best_trees([pairs[t] for t in nontrivial])
-            for t, chosen in zip(nontrivial, best):
-                selected[t] = chosen
-        return selected
+        us = [u for u, _ in pairs]
+        vs = [v for _, v in pairs]
+        self.check_pairs(us, vs)
+        return list(zip(*self.select_trees(us, vs)))
 
     def find_paths(
         self,
@@ -219,16 +247,32 @@ class PackedMetricNavigator:
         Tree selection runs once for all pairs; only the O(k) tree
         navigation remains per pair.  Returns ``(point_path,
         tree_index)`` per pair, in input order.  ``trees``, the indexes
-        :meth:`best_trees` chose for ``pairs``, skips the selection.
+        :meth:`select_trees` chose for ``pairs``, skips the selection
+        (and its range check).  The counters move once per call.
         """
         pairs = list(pairs)
         if trees is None:
             trees = [index for index, _ in self.best_trees(pairs)]
-        results = [
-            ([u], -1) if u == v else (self._tree_path(index, u, v), index)
-            for (u, v), index in zip(pairs, trees)
-        ]
+        # memoryview reads are Python ints, not numpy scalars.
+        vop = memoryview(self.vop)
+        rep = memoryview(self.rep)
+        rep_off = memoryview(self.rep_off)
+        packs = self.packs
+        tally = [0, 0]
+        results = []
+        for (u, v), index in zip(pairs, trees):
+            if u == v:
+                results.append(([u], -1))
+                continue
+            base = rep_off[index]
+            vertex_path = packs[index].find_path(
+                vop[index, u], vop[index, v], tally
+            )
+            results.append(
+                (dedup_path([rep[base + x] for x in vertex_path]), index)
+            )
         if OBS.enabled:
+            publish_tally(tally)
             navigated = [result for result in results if result[1] >= 0]
             _C_QUERIES.inc(len(navigated))
             _H_HOPS.observe_many([len(path) - 1 for path, _ in navigated])

@@ -207,9 +207,12 @@ def build_tree_network(tree: Tree, seed: int = 0) -> Tuple[TreeRoutingScheme, Ne
     from ..graphs.graph import Graph
 
     overlay = Graph(tree.n)
-    metric = scheme.navigator.metric
+    # With every vertex its own representative the overlay links are
+    # the spanner edges, weighed by the navigator's one batched fill
+    # (bit-identical to scalar ``metric.distance`` calls).
+    weights = scheme.navigator.edges
     for (a, b) in scheme.overlay_edges():
-        overlay.add_edge(a, b, metric.distance(a, b))
+        overlay.add_edge(a, b, weights[(a, b)])
     network = Network(overlay, seed=seed)
     scheme.finalize(network)
     return scheme, network

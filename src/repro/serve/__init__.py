@@ -34,8 +34,11 @@ from .protocol import (
     MUTATION_OPS,
     PROTOCOL_VERSION,
     QUERY_OPS,
+    Answers,
     ProtocolError,
+    QueryBatch,
     Request,
+    answer_lines,
     encode_line,
     make_response,
     parse_request,
@@ -48,14 +51,17 @@ __all__ = [
     "PROTOCOL_VERSION",
     "QUERY_OPS",
     "AdmissionPolicy",
+    "Answers",
     "ChaosController",
     "MicroBatcher",
     "ProtocolError",
+    "QueryBatch",
     "QueryEngine",
     "Request",
     "ServeClient",
     "SpannerServer",
     "ThreadedServer",
+    "answer_lines",
     "encode_line",
     "make_response",
     "parse_request",

@@ -26,7 +26,7 @@ place.  The semantics (enforced by :mod:`repro.serve.batcher`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["AdmissionPolicy"]
 
@@ -63,6 +63,22 @@ class AdmissionPolicy:
         if deadline_ms is None:
             return now + self.default_deadline
         return now + deadline_ms / 1000.0
+
+    def deadlines_at(
+        self, now: float, deadline_ms: Sequence[Optional[float]]
+    ) -> List[float]:
+        """:meth:`deadline_at` for each of a batch's requests, all
+        arriving at ``now``: one computation per distinct value."""
+        if not any(deadline_ms):  # every request takes the default
+            return [now + self.default_deadline] * len(deadline_ms)
+        at: Dict[Optional[float], float] = {}
+        out = []
+        for value in deadline_ms:
+            deadline = at.get(value)
+            if deadline is None:
+                deadline = at[value] = self.deadline_at(now, value)
+            out.append(deadline)
+        return out
 
     def backoff_delay(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (0-based)."""

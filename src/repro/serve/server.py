@@ -10,13 +10,18 @@ service block (ready/degraded/recovering + generation), so clients see
 degradation and recovery happen request by request.
 
 The query path runs to completion per socket read: each connection is
-an :class:`asyncio.Protocol` whose ``data_received`` parses the read's
-lines, admits each query straight into the batcher with the connection
-as its reply sink, then pumps the batcher, which runs the batch on the
-loop when it is fast and writes each touched connection's answers in
-one socket write.  A query on an idle daemon is read, answered and
-written in one loop turn, with no task, future or timer of its own.
-Admin lines answer inline; mutation lines run on the default executor.
+an :class:`asyncio.Protocol` whose ``data_received`` decodes the read's
+query lines in one pass into one columnar
+:class:`~repro.serve.protocol.QueryBatch`, range-checks it and admits
+it into the batcher with the connection as its sink, then pumps the
+batcher, which runs the batch on the loop when it is fast and writes
+each touched connection's answers in one socket write.  The answer
+lines are rendered straight from the engine's answer columns.  A query
+on an idle daemon is read, answered and written in one loop turn, with
+no task, future or timer of its own.  Lines the batch decode does not
+take go through :func:`~repro.serve.protocol.parse_request` one by
+one: admin lines answer inline, mutation lines run on the default
+executor, and bad lines get their error envelope.
 
 For scraping convenience the same port also answers plain HTTP GETs —
 ``/healthz`` (liveness), ``/readyz`` (200 only at full contract, 503
@@ -37,7 +42,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..checkpoint.recovery import CheckpointService
 from ..observability import OBS
@@ -49,8 +54,12 @@ from .protocol import (
     MUTATION_OPS,
     PROTOCOL_VERSION,
     QUERY_OPS,
+    Answers,
     ProtocolError,
+    QueryBatch,
     Request,
+    answer_lines,
+    decode_queries,
     encode_line,
     make_response,
     parse_request,
@@ -73,11 +82,12 @@ _DRAIN_HIGH_WATER = 1 << 16
 class _Connection(asyncio.Protocol):
     """One client connection: request lines in, answer lines out.
 
-    The first bytes tell NDJSON from an HTTP GET.  :meth:`answer` is
-    the reply sink the batcher delivers to; answers collect in ``out``
-    and leave in one ``writer.write`` when the server writes out after
-    a pump, so a batch costs each connection it touches one socket
-    write, not one per request.
+    The first bytes tell NDJSON from an HTTP GET.  :meth:`deliver` is
+    the sink the batcher answers this connection's query batches
+    through; answer lines collect in ``out`` and leave in one
+    ``writer.write`` when the server writes out after a pump, so a
+    batch costs each connection it touches one socket write, not one
+    per request.
     """
 
     def __init__(self, server: "SpannerServer"):
@@ -150,21 +160,23 @@ class _Connection(asyncio.Protocol):
     # -- requests --------------------------------------------------------
 
     def _read_lines(self, data: bytes) -> None:
-        """Handle every complete line of ``data``.  A line longer than
-        :data:`MAX_LINE_BYTES` is answered with an ``error`` envelope
-        and skipped up to its newline; the connection serves on."""
+        """Handle every complete line of ``data``: its query lines are
+        decoded in one pass and admitted as one batch.  A line longer
+        than :data:`MAX_LINE_BYTES` is answered with an ``error``
+        envelope and skipped up to its newline; the connection serves
+        on."""
         if self.skipping:
             newline = data.find(b"\n")
             if newline < 0:
                 return
             data, self.skipping = data[newline + 1:], False
-        lines = (self.partial + data if self.partial else data).split(b"\n")
-        self.partial = lines.pop()
-        handle_line = self.server._handle_line
-        for line in lines:
-            handle_line(self, line)
+        data = self.partial + data if self.partial else data
+        end = data.rfind(b"\n")
+        self.partial = data[end + 1:]
+        if end >= 0:
+            self.server._handle_lines(self, data[:end])
         if len(self.partial) > MAX_LINE_BYTES:
-            handle_line(self, self.partial)
+            self.server._handle_lines(self, self.partial)
             self.partial, self.skipping = b"", True
 
     def _answer_http(self) -> None:
@@ -175,31 +187,44 @@ class _Connection(asyncio.Protocol):
 
     # -- answers ---------------------------------------------------------
 
-    def answer(self, request_id: Any, payload: Dict[str, Any]) -> None:
-        """The reply sink of queries and mutations: a payload, answered.
+    def deliver(self, batch: QueryBatch, positions: Sequence[int],
+                answers: Answers, rows: Sequence[int]) -> None:
+        """The sink of this connection's query batches: the queries at
+        ``positions`` are answered by ``answers`` rows ``rows``.
 
-        Batches stamp the snapshot that answered them, encoded once per
-        batch; other payloads get the current service level."""
-        service = payload.get("service")
-        if service:
-            service_json = payload.get("service_json")
-        else:
-            service, service_json = self.server._service_block(), None
+        Answers no snapshot gave (shed, expired, failed) carry the
+        current service level."""
+        ids = batch.ids
+        if len(positions) != len(ids):
+            ids = [ids[j] for j in positions]
+        self.out.append(answer_lines(
+            answers, ids, rows,
+            None if answers.service is not None
+            else self.server._service_block(),
+        ))
+        if not self.dirty:
+            self.dirty = True
+            self.server.dirty.append(self)
+        self.unanswered -= len(positions)
+        if self.eof:
+            self._close_if_done()
+
+    def answer(self, request_id: Any, payload: Dict[str, Any]) -> None:
+        """The reply sink of mutations: a payload, answered with the
+        current service level."""
         self.send(make_response(
             request_id,
             payload.get("status", "error"),
             result=payload.get("result"),
             error=payload.get("error"),
-            service=service,
-        ), service_json)
+            service=self.server._service_block(),
+        ))
         self.unanswered -= 1
         if self.eof:
             self._close_if_done()
 
-    def send(
-        self, response: Dict[str, Any], service_json: Optional[str] = None
-    ) -> None:
-        self.out.append(encode_line(response, service_json))
+    def send(self, response: Dict[str, Any]) -> None:
+        self.out.append(encode_line(response))
         if not self.dirty:
             self.dirty = True
             self.server.dirty.append(self)
@@ -339,28 +364,37 @@ class SpannerServer:
             conn.flush()
         self.dirty.clear()
 
+    def _handle_lines(self, conn: _Connection, chunk: bytes) -> None:
+        """One read's lines (``chunk``, without its last newline): the
+        query lines decoded in one pass and admitted as one batch,
+        every other line on its own."""
+        batch, rest, count = decode_queries(chunk, MAX_LINE_BYTES)
+        obs = OBS.enabled
+        if obs and count:
+            _C_REQUESTS.inc(count)
+        for line in rest:
+            self._handle_line(conn, line)
+        if batch.us:
+            self._admit_queries(conn, batch)
+
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
-        stripped = line.strip()
-        if not stripped:
-            return
-        if OBS.enabled:
-            _C_REQUESTS.inc()
+        """A line the batch decode left: decoded and answered alone."""
         try:
             if len(line) > MAX_LINE_BYTES:
                 raise ProtocolError(
                     f"request line longer than {MAX_LINE_BYTES} bytes"
                 )
-            request = parse_request(stripped.decode("utf-8", errors="replace"))
+            request = parse_request(
+                line.strip().decode("utf-8", errors="replace")
+            )
         except ProtocolError as exc:
-            if OBS.enabled:
-                _C_BAD_REQUESTS.inc()
-            conn.send(make_response(
-                exc.request_id, "error", error=str(exc),
-                service=self._service_block(),
-            ))
+            self._refuse(conn, exc.request_id, str(exc))
             return
         if request.op in QUERY_OPS:
-            self._admit_query(conn, request)
+            self._admit_queries(conn, QueryBatch(
+                [request.id], [request.op], [request.u], [request.v],
+                [request.deadline_ms],
+            ))
         elif request.op in MUTATION_OPS:
             self._start_mutation(conn, request)
         else:
@@ -368,29 +402,44 @@ class SpannerServer:
             if request.op == "shutdown":
                 self.request_stop()
 
-    def _admit_query(self, conn: _Connection, request: Request) -> None:
-        u, v, n = request.u, request.v, self.service.metric.n
-        if not (0 <= u < n and 0 <= v < n):
-            error = f"point ids must lie in [0, {n}), got ({u}, {v})"
-        elif not (self.service.is_known_point(u)
-                  and self.service.is_known_point(v)):
-            error = (
-                f"pair ({u}, {v}) references a deleted (tombstoned) "
-                "point; only live points are queryable"
-            )
-        else:
-            conn.unanswered += 1
-            self.batcher.admit(
-                request.op, u, v,
-                self.policy.deadline_at(self.loop.time(), request.deadline_ms),
-                conn.answer, request.id,
-            )
-            return
+    def _refuse(self, conn: _Connection, request_id: Any, error: str) -> None:
         if OBS.enabled:
             _C_BAD_REQUESTS.inc()
         conn.send(make_response(
-            request.id, "error", error=error, service=self._service_block(),
+            request_id, "error", error=error, service=self._service_block(),
         ))
+
+    def _admit_queries(self, conn: _Connection, batch: QueryBatch) -> None:
+        """Refuse the queries naming unknown points; admit the rest as
+        one batch, at one loop-clock reading."""
+        service = self.service
+        n = service.metric.n
+        us, vs = batch.us, batch.vs
+        if max(us) >= n or max(vs) >= n or service.dynamic is not None:
+            keep = []
+            for j, (u, v) in enumerate(zip(us, vs)):
+                if not (u < n and v < n):
+                    error = f"point ids must lie in [0, {n}), got ({u}, {v})"
+                elif not (service.is_known_point(u)
+                          and service.is_known_point(v)):
+                    error = (
+                        f"pair ({u}, {v}) references a deleted "
+                        "(tombstoned) point; only live points are queryable"
+                    )
+                else:
+                    keep.append(j)
+                    continue
+                self._refuse(conn, batch.ids[j], error)
+            if not keep:
+                return
+            if len(keep) < len(us):
+                batch = batch.take(keep)
+        now = self.loop.time()
+        batch.admitted_at = now
+        batch.deadlines = self.policy.deadlines_at(now, batch.deadline_ms)
+        batch.sink = conn.deliver
+        conn.unanswered += len(batch)
+        self.batcher.admit(batch)
 
     def _start_mutation(self, conn: _Connection, request: Request) -> None:
         """Run a mutation on the default executor; answer when it ends.

@@ -57,7 +57,10 @@ def _max_table_bytes() -> float:
 class PackedCoverIndex:
     """Flat-array tree-selection oracle for one cover (read-only)."""
 
-    __slots__ = ("first_pt", "wd_pt", "tour_depth", "wd_tour", "table", "tour_off")
+    __slots__ = (
+        "first_pt", "wd_pt", "tour_depth", "wd_tour", "table", "tour_off",
+        "_spans",
+    )
 
     def __init__(
         self,
@@ -74,6 +77,9 @@ class PackedCoverIndex:
         self.wd_tour = wd_tour
         self.table = table
         self.tour_off = tour_off
+        #: Per window span, the flat ``table`` offsets of its two RMQ
+        #: reads (built on first query).
+        self._spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -168,15 +174,32 @@ class PackedCoverIndex:
             + self.tour_off.nbytes
         )
 
+    def _span_offsets(self) -> Tuple[np.ndarray, np.ndarray]:
+        """For a window ``[l, h]`` of span ``s = h - l``, the flat
+        ``table`` indexes of its two sparse-table reads are
+        ``left[s] + l`` and ``right[s] + h``: row ``j = ⌊log2(s + 1)⌋``,
+        columns ``l`` and ``h - 2^j + 1``."""
+        if self._spans is None:
+            # A window never leaves its tree's tour segment, so spans
+            # stay below the longest segment.
+            longest = int(np.diff(self.tour_off).max())
+            length = np.arange(1, longest + 1, dtype=np.int64)
+            j = np.floor(np.log2(length)).astype(np.int64)
+            left = j * self.table.shape[1]
+            self._spans = (left, left + 1 - (1 << j))
+        return self._spans
+
     def _lca_pos(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Tour position of the minimum-depth entry per window (vector)."""
         l = np.minimum(lo, hi)
         h = np.maximum(lo, hi)
-        length = (h - l + 1).astype(np.int64)
-        j = np.floor(np.log2(length)).astype(np.int64)
-        a = self.table[j, l]
-        b = self.table[j, h - (1 << j) + 1]
-        return np.where(self.tour_depth[a] <= self.tour_depth[b], a, b)
+        span = h - l
+        left, right = self._span_offsets()
+        flat = self.table.reshape(-1)
+        a = flat.take(left.take(span) + l)
+        b = flat.take(right.take(span) + h)
+        depth = self.tour_depth
+        return np.where(depth.take(a) <= depth.take(b), a, b)
 
     def best_pair(self, p: int, q: int) -> Tuple[int, float]:
         """Lowest tree index minimizing the tree distance, plus the
@@ -194,8 +217,10 @@ class PackedCoverIndex:
             return [self.best_pair(int(ps[0]), int(qs[0]))]
         ps = np.asarray(ps, dtype=np.int64)
         qs = np.asarray(qs, dtype=np.int64)
-        best = self._lca_pos(self.first_pt[:, ps], self.first_pt[:, qs])
-        d = (self.wd_pt[:, ps] + self.wd_pt[:, qs]) - 2.0 * self.wd_tour[best]
+        first, wd = self.first_pt, self.wd_pt
+        best = self._lca_pos(first.take(ps, axis=1), first.take(qs, axis=1))
+        d = (wd.take(ps, axis=1) + wd.take(qs, axis=1)) \
+            - 2.0 * self.wd_tour.take(best)
         index = np.argmin(d, axis=0)
         dist = d[index, np.arange(len(ps))]
         return list(zip(index.tolist(), dist.tolist()))

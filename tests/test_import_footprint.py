@@ -69,13 +69,13 @@ def test_mapped_service_answers_without_scipy(pruned_packed_checkpoint):
         service.load(path, mmap=True)
         no_scipy("a mapped load")
         engine = QueryEngine(service)
-        pairs = [(0, n - 1), (3, 17), (5, 5)]
-        paths = engine.execute("path", pairs)
-        distances = engine.execute("distance", pairs)
+        us, vs = [0, 3, 5], [n - 1, 17, 5]
+        paths = engine.execute("path", us, vs)
+        distances = engine.execute("distance", us, vs)
         no_scipy("path and distance queries")
-        assert [p["status"] for p in paths + distances] == ["ok"] * 6
-        assert paths[0]["result"]["path"][0] == 0
-        assert distances[2]["result"]["distance"] == 0.0
+        assert paths.status + distances.status == ["ok"] * 6
+        assert paths.result(0)["path"][0] == 0
+        assert distances.result(2)["distance"] == 0.0
         print("served", len(paths) + len(distances))
         """,
         pruned_packed_checkpoint,

@@ -361,13 +361,15 @@ class TestEngineRouterCacheWithPrunedCovers:
         assert len(navigator.cover.trees) == len(report.cover.trees)
 
         pairs = sample_pairs(48, 40, seed=61)
-        payloads = engine.execute("route", pairs)
+        answers = engine.execute(
+            "route", [u for u, _ in pairs], [v for _, v in pairs]
+        )
         direct = MetricRoutingScheme(metric, navigator.cover, seed=7)
-        for (u, v), payload in zip(pairs, payloads):
-            assert payload["status"] == "ok"
+        for row, (u, v) in enumerate(pairs):
+            assert answers.status[row] == "ok"
             expected = direct.route(u, v)
-            assert payload["result"]["path"] == list(expected.path)
-            assert payload["result"]["hops"] == expected.hops
+            assert answers.result(row)["path"] == list(expected.path)
+            assert answers.result(row)["hops"] == expected.hops
 
     def test_router_cache_is_generation_keyed_and_reused(self, tmp_path):
         from repro.checkpoint import CheckpointService, save_cover_checkpoint
@@ -385,9 +387,9 @@ class TestEngineRouterCacheWithPrunedCovers:
         _, status = service.snapshot()
         generation = status["generation"]
 
-        engine.execute("route", sample_pairs(40, 10, seed=63))
+        engine.execute("route", *zip(*sample_pairs(40, 10, seed=63)))
         assert set(engine._routers) == {generation}
         cached = engine._routers[generation]
         assert len(cached.cover.trees) == len(report.cover.trees)
-        engine.execute("route", sample_pairs(40, 10, seed=64))
+        engine.execute("route", *zip(*sample_pairs(40, 10, seed=64)))
         assert engine._routers[generation] is cached

@@ -36,16 +36,21 @@ from repro.metrics import random_points
 from repro.observability import OBS
 from repro.serve import (
     AdmissionPolicy,
+    Answers,
     ChaosController,
     MicroBatcher,
     ProtocolError,
+    QueryBatch,
     QueryEngine,
     ServeClient,
     ThreadedServer,
+    answer_lines,
     encode_line,
     make_response,
     parse_request,
 )
+from repro.serve import engine as engine_module
+from repro.serve.protocol import decode_queries
 from repro.serve import server as server_module
 from repro.treecover import robust_tree_cover
 
@@ -97,6 +102,51 @@ class TestProtocol:
             parse_request('{"id": 42, "op": "explode"}')
         assert excinfo.value.request_id == 42
 
+    def test_batch_decode_agrees_with_parse_request(self):
+        """Each non-blank line is decoded into the batch or left over,
+        in order; a decoded query is what ``parse_request`` reads from
+        its line, and every line it refuses is left over."""
+        lines = [
+            b'{"id": 1, "op": "path", "u": 1, "v": 2}',
+            b'  {"v": 2, "u": 1, "op": "distance", "id": "x"}\t',
+            b'{"id": 2, "op": "route", "u": 0, "v": 0, "deadline_ms": 50}',
+            b'{"id": 3, "op": "path", "u": 1, "v": 2, "deadline_ms": NaN}',
+            b'{"id": 4, "op": "path", "u": 1, "v": 2}\x1f',
+            b'{"id": 5, "op": "path", "u": 1, "v": 2, "deadline_ms": 0.5}',
+            b'{"id": [1], "op": "path", "u": 1, "v": 2, "pad": {"a": []}}',
+            b'{"id": 6, "op": "path", "u": 1, "v": 2} {"id": 7}',
+            b'{"id": 8, "op": "ping"}',
+            b"",
+            b"   ",
+            b'{"id": 9, "op": "path", "u": 1e2, "v": 2}',
+            b'{"id": 10, "op": ["path"], "u": 1, "v": 2}',
+            b'{"id": 11, "op": "path", "u": 1, "v": 2, "deadline_ms": -1}',
+            b'{"id": "\xc3\xbc\xff", "op": "path", "u": 3, "v": 4}',
+        ]
+        for subset in (lines, [line for line in lines if line.isascii()]):
+            batch, rest, count = decode_queries(b"\n".join(subset), 60)
+            nonblank = [line for line in subset if line.strip()]
+            assert count == len(nonblank)
+            decoded = iter(zip(batch.ids, batch.ops, batch.us, batch.vs,
+                               batch.deadline_ms))
+            left = iter(rest)
+            for line in nonblank:
+                text = line.strip().decode("utf-8", errors="replace")
+                try:
+                    request = parse_request(text)
+                except ProtocolError:
+                    request = None
+                if len(line) > 60 or request is None \
+                        or request.op not in ("path", "distance", "route") \
+                        or request.deadline_ms != request.deadline_ms:
+                    assert next(left) == line
+                    continue
+                assert next(decoded) == (
+                    request.id, request.op, request.u, request.v,
+                    request.deadline_ms,
+                )
+            assert next(decoded, None) is None and next(left, None) is None
+
     def test_response_envelope_ok_semantics(self):
         assert make_response(1, "ok")["ok"] is True
         assert make_response(1, "degraded")["ok"] is True
@@ -129,9 +179,31 @@ def _ok_payloads(op, pairs):
     ]
 
 
+def _columns(execute):
+    """A fake ``(op, pairs) -> payloads`` executor as the batcher's
+    ``(op, us, vs) -> Answers`` one."""
+    def run(op, us, vs):
+        payloads = execute(op, list(zip(us, vs)))
+        answers = Answers(None, [p["status"] for p in payloads],
+                          [p.get("error") for p in payloads])
+        answers.results = dict(enumerate(p["result"] for p in payloads))
+        return answers
+    return run
+
+
 def _settle(future, payload):
     assert not future.done(), "a request was answered twice"
     future.set_result(payload)
+
+
+def _query(loop, op, u, v, deadline, sink):
+    """One query as a batch: its answer goes to ``sink(payload)``."""
+    batch = QueryBatch([None], [op], [u], [v])
+    batch.admitted_at = loop.time()
+    batch.deadlines = [deadline]
+    batch.sink = lambda b, positions, answers, rows: sink(
+        answers.payload(rows[0]))
+    return batch
 
 
 def _admit(batcher, op, u, v, deadline):
@@ -140,7 +212,8 @@ def _admit(batcher, op, u, v, deadline):
     answer."""
     loop = asyncio.get_running_loop()
     future = loop.create_future()
-    batcher.admit(op, u, v, deadline, _settle, future)
+    batcher.admit(_query(loop, op, u, v, deadline,
+                         lambda payload: _settle(future, payload)))
     loop.call_soon(batcher.pump)
     return future
 
@@ -155,7 +228,7 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             policy = AdmissionPolicy(max_batch=4, default_deadline=30.0)
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             started = loop.time()
@@ -185,7 +258,9 @@ class TestBatcher:
                 threads.append(threading.get_ident())
                 return _ok_payloads(op, pairs)
 
-            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=32))
+            batcher = MicroBatcher(
+                _columns(execute), AdmissionPolicy(max_batch=32)
+            )
             await batcher.start()
             loop = asyncio.get_running_loop()
             first = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
@@ -219,7 +294,8 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             batcher = MicroBatcher(
-                execute, AdmissionPolicy(max_batch=4, default_deadline=30.0)
+                _columns(execute),
+                AdmissionPolicy(max_batch=4, default_deadline=30.0),
             )
             await batcher.start()
             loop = asyncio.get_running_loop()
@@ -267,7 +343,8 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             batcher = MicroBatcher(
-                execute, AdmissionPolicy(max_batch=1, default_deadline=30.0)
+                _columns(execute),
+                AdmissionPolicy(max_batch=1, default_deadline=30.0),
             )
             await batcher.start()
             loop = asyncio.get_running_loop()
@@ -303,9 +380,9 @@ class TestBatcher:
         engine = QueryEngine(service)
         threads = []
 
-        def execute(op, pairs):
+        def execute(op, us, vs):
             threads.append(threading.get_ident())
-            return engine.execute(op, pairs)
+            return engine.execute(op, us, vs)
 
         async def main():
             batcher = MicroBatcher(
@@ -338,7 +415,7 @@ class TestBatcher:
         offloaded = OBS.registry.counter("serve.batches_offloaded")
 
         async def main():
-            batcher = MicroBatcher(_ok_payloads, AdmissionPolicy())
+            batcher = MicroBatcher(_columns(_ok_payloads), AdmissionPolicy())
             await batcher.start()
             loop = asyncio.get_running_loop()
             for u in range(3):
@@ -362,7 +439,7 @@ class TestBatcher:
             policy = AdmissionPolicy(
                 max_batch=1, max_queue=2, default_deadline=30.0,
             )
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
@@ -395,7 +472,7 @@ class TestBatcher:
             policy = AdmissionPolicy(
                 max_batch=1, max_queue=8, default_deadline=30.0,
             )
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             blocked = _admit(batcher, "path", 0, 1, loop.time() + 30.0)
@@ -429,7 +506,7 @@ class TestBatcher:
                 max_batch=4, default_deadline=30.0,
                 max_retries=2, backoff_base=0.001,
             )
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             payload = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
@@ -440,6 +517,37 @@ class TestBatcher:
         assert len(attempts) == 2  # failed once, succeeded on retry
         assert payload["status"] == "ok"
 
+    def test_query_expired_during_backoff_is_answered_once(self):
+        """A pass that failed runs again without the queries whose
+        deadline passed during its backoff; those answer ``timeout``
+        once."""
+        async def main():
+            attempts = []
+
+            def execute(op, pairs):
+                attempts.append(list(pairs))
+                if len(attempts) == 1:
+                    raise RuntimeError("transient worker failure")
+                return _ok_payloads(op, pairs)
+
+            policy = AdmissionPolicy(
+                max_batch=4, default_deadline=30.0,
+                max_retries=2, backoff_base=0.2,
+            )
+            batcher = MicroBatcher(_columns(execute), policy)
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            short = _admit(batcher, "path", 0, 1, loop.time() + 0.05)
+            long = _admit(batcher, "path", 1, 2, loop.time() + 30.0)
+            payloads = await asyncio.gather(short, long)
+            await batcher.stop()
+            return attempts, payloads
+
+        attempts, payloads = asyncio.run(main())
+        assert [p["status"] for p in payloads] == ["timeout", "ok"]
+        assert "before the batch completed" in payloads[0]["error"]
+        assert attempts == [[(0, 1), (1, 2)], [(1, 2)]]
+
     def test_exhausted_retries_fail_with_error(self):
         async def main():
             def execute(op, pairs):
@@ -449,7 +557,7 @@ class TestBatcher:
                 max_batch=4, default_deadline=30.0,
                 max_retries=1, backoff_base=0.001,
             )
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             payload = await _admit(batcher, "path", 1, 2, loop.time() + 30.0)
@@ -469,15 +577,17 @@ class TestBatcher:
                 gate.wait(10.0)
                 return _ok_payloads(op, pairs)
 
-            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=4))
+            batcher = MicroBatcher(
+                _columns(execute), AdmissionPolicy(max_batch=4)
+            )
             await batcher.start()
             loop = asyncio.get_running_loop()
             started = loop.time()
-            batcher.admit(
-                "path", 0, 1, loop.time() + 0.1,
-                lambda token, payload: answers.append(
+            batcher.admit(_query(
+                loop, "path", 0, 1, loop.time() + 0.1,
+                lambda payload: answers.append(
                     (loop.time() - started, payload)),
-            )
+            ))
             batcher.pump()
             while not answers:
                 await asyncio.sleep(0.01)
@@ -501,7 +611,9 @@ class TestBatcher:
                 gate.wait(10.0)
                 return _ok_payloads(op, pairs)
 
-            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=1))
+            batcher = MicroBatcher(
+                _columns(execute), AdmissionPolicy(max_batch=1)
+            )
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
@@ -526,7 +638,9 @@ class TestBatcher:
                 gate.wait(10.0)
                 return _ok_payloads(op, pairs)
 
-            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=4))
+            batcher = MicroBatcher(
+                _columns(execute), AdmissionPolicy(max_batch=4)
+            )
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
@@ -546,8 +660,10 @@ class TestBatcher:
             return batches, first, payload, gone.cancelled()
 
         batches, first, payload, cancelled = asyncio.run(main())
-        assert first == {"status": "ok", "result": {"u": 0, "v": 1}}
-        assert payload == {"status": "ok", "result": {"u": 1, "v": 2}}
+        assert first == {"status": "ok", "result": {"u": 0, "v": 1},
+                         "error": None, "service": None}
+        assert payload == {"status": "ok", "result": {"u": 1, "v": 2},
+                           "error": None, "service": None}
         assert cancelled
         assert batches == [[(0, 1)], [(1, 2)]]
 
@@ -557,7 +673,7 @@ class TestBatcher:
         async def main():
             answers, pumps = [], []
             batcher = MicroBatcher(
-                _ok_payloads, AdmissionPolicy(max_batch=2),
+                _columns(_ok_payloads), AdmissionPolicy(max_batch=2),
                 on_answered=lambda: pumps.append(len(answers)),
             )
             await batcher.start()
@@ -565,8 +681,9 @@ class TestBatcher:
             deadline = loop.time() + 30.0
             await _admit(batcher, "path", 0, 1, deadline)  # first: offloaded
             for u in (1, 2, 3):
-                batcher.admit("path", u, u + 1, deadline,
-                              lambda token, payload: answers.append(token), u)
+                batcher.admit(_query(
+                    loop, "path", u, u + 1, deadline,
+                    lambda payload, u=u: answers.append(u)))
             pumps.clear()
             batcher.pump()
             # One batch ran inside the call and was handed on; the
@@ -588,7 +705,9 @@ class TestBatcher:
                 calls.append((op, list(pairs)))
                 return _ok_payloads(op, pairs)
 
-            batcher = MicroBatcher(execute, AdmissionPolicy(max_batch=8))
+            batcher = MicroBatcher(
+                _columns(execute), AdmissionPolicy(max_batch=8)
+            )
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
@@ -618,7 +737,7 @@ class TestBatcher:
                 return _ok_payloads(op, pairs)
 
             policy = AdmissionPolicy(max_batch=4, backoff_base=0.05)
-            batcher = MicroBatcher(execute, policy)
+            batcher = MicroBatcher(_columns(execute), policy)
             await batcher.start()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 30.0
@@ -717,16 +836,39 @@ def _json_line(envelope):
     return json.dumps(envelope, separators=(",", ":")).encode() + b"\n"
 
 
-def _assert_same_line(request_id, payload):
-    """The batch encoder's line for ``payload`` equals the JSON encoder's
-    (and both equal ``json.dumps``), as the daemon's sink builds it."""
+def _assert_same_line(request_id, answers, row=0):
+    """The line the daemon writes for ``answers`` row ``row`` equals the
+    JSON encoder's envelope of that row (and both equal ``json.dumps``),
+    with ``_SERVICE`` standing in for answers no snapshot gave."""
+    payload = answers.payload(row)
     envelope = make_response(
         request_id, payload["status"], result=payload["result"],
-        error=payload.get("error"), service=payload["service"],
+        error=payload["error"], service=payload["service"] or _SERVICE,
     )
-    line = encode_line(envelope, _service_json(payload["service"]))
+    line = answer_lines(answers, [request_id], [row], _SERVICE)
     assert line == encode_line(envelope) == _json_line(envelope)
     return line
+
+
+def _one_row(status, result, error=None):
+    """``result`` as the one row of a batch's answers: in the columns
+    when the engine writes it so, else as a result of its own."""
+    keys = tuple(result or ())
+    op = "distance" if keys == ("distance",) else "path"
+    answers = Answers([op], [status], [error], _SERVICE,
+                      _service_json(_SERVICE))
+    if keys == ("distance",):
+        answers.distance[0] = result["distance"]
+    elif keys == ("path", "hops", "weight", "stretch", "tree") and all(
+        type(x) is int for x in result["path"]
+    ):
+        answers.path[0] = result["path"]
+        answers.weight[0] = result["weight"]
+        answers.stretch[0] = result["stretch"]
+        answers.tree[0] = result["tree"]
+    else:
+        answers.results[0] = result
+    return answers
 
 
 class TestWireEncoding:
@@ -752,9 +894,9 @@ class TestWireEncoding:
     ])
     @pytest.mark.parametrize("status", ["ok", "degraded"])
     def test_results(self, result, status):
-        _assert_same_line(
-            11, {"status": status, "result": result, "service": _SERVICE}
-        )
+        answers = _one_row(status, result)
+        assert answers.result(0) == result
+        _assert_same_line(11, answers)
 
     @pytest.mark.parametrize("request_id", [
         "seven", None, 7.5, True, False, 2 ** 64 + 1, -(2 ** 63) - 5, 0,
@@ -764,10 +906,7 @@ class TestWireEncoding:
         for result in ({"distance": 2.5},
                        {"path": [0, 3], "hops": 1, "weight": 2.5,
                         "stretch": 1.0, "tree": 2}):
-            _assert_same_line(
-                request_id,
-                {"status": "ok", "result": result, "service": _SERVICE},
-            )
+            _assert_same_line(request_id, _one_row("ok", result))
 
     @pytest.mark.parametrize("status,error", [
         ("overloaded", "admission queue full (256 requests waiting)"),
@@ -776,10 +915,7 @@ class TestWireEncoding:
         ("undelivered", "no surviving trees; recovery has not completed"),
     ])
     def test_failure_envelopes(self, status, error):
-        _assert_same_line(
-            5, {"status": status, "result": None, "error": error,
-                "service": _SERVICE},
-        )
+        _assert_same_line(5, Answers.failed(status, error, 1))
 
     @pytest.mark.parametrize("envelope", [
         {"id": 1, "result": {1: "int key", True: "bool key", None: 0}},
@@ -796,22 +932,21 @@ class TestWireEncoding:
         service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
         engine = QueryEngine(service)
         pairs = [(3, 3)] + _pairs(31)
+        us, vs = [u for u, _ in pairs], [v for _, v in pairs]
         for op in ("path", "distance", "route"):
-            batch = engine.execute(op, pairs)
-            for i, ((u, v), payload) in enumerate(zip(pairs, batch)):
-                assert payload["service_json"] == _service_json(
-                    payload["service"]
-                )
-                line = _assert_same_line(i, payload)
+            answers = engine.execute(op, us, vs)
+            assert answers.service_json == _service_json(answers.service)
+            for i, (u, v) in enumerate(pairs):
+                line = _assert_same_line(i, answers, i)
                 if op == "path" and u == v:
-                    assert payload["result"] == {
+                    assert answers.result(i) == {
                         "path": [u], "hops": 0, "weight": 0,
                         "stretch": 1.0, "tree": -1,
                     }
                 if op == "distance" and u == v:
-                    assert payload["result"] == {"distance": 0.0}
+                    assert answers.result(i) == {"distance": 0.0}
                 # One pair answers the same alone and in a batch of 32.
-                alone = engine.execute(op, [(u, v)])[0]
+                alone = engine.execute(op, [u], [v])
                 assert _assert_same_line(i, alone) == line
 
     def test_path_answers_compute_each_distance_once(self, serve_metric,
@@ -824,9 +959,11 @@ class TestWireEncoding:
         pairs = [(3, 3)] + _pairs(31)
         with OBS.scoped(True):
             before = calls.value
-            payloads = engine.execute("path", pairs)
+            answers = engine.execute(
+                "path", [u for u, _ in pairs], [v for _, v in pairs]
+            )
             used = calls.value - before
-        hops = [payload["result"]["hops"] for payload in payloads]
+        hops = [answers.result(i)["hops"] for i in range(len(pairs))]
         assert 1 in hops and max(hops) >= 2
         assert used == sum(1 + (h if h >= 2 else 0) for h in hops)
 
@@ -836,12 +973,13 @@ class TestWireEncoding:
         killed = ChaosController(service).inject(kill=[0, 1], recover=False)
         assert killed["killed"] == [0, 1]
         pairs = _pairs(12)
+        us, vs = [u for u, _ in pairs], [v for _, v in pairs]
         for op in ("path", "distance"):
-            batch = engine.execute(op, pairs)
-            assert {payload["status"] for payload in batch} == {"degraded"}
-            for i, payload in enumerate(batch):
-                assert payload["service"]["trees_pending"] == 2
-                _assert_same_line(i, payload)
+            answers = engine.execute(op, us, vs)
+            assert set(answers.status) == {"degraded"}
+            assert answers.service["trees_pending"] == 2
+            for i in range(len(pairs)):
+                _assert_same_line(i, answers, i)
 
 
 class TestServerEndToEnd:
@@ -954,7 +1092,7 @@ class TestServerEndToEnd:
             sock.sendall(encode_line({"id": 7, "op": "path", "u": 3, "v": 41}))
             with sock.makefile("rb") as reader:
                 line = reader.readline()
-        payload = engine.execute("path", [(3, 41)])[0]
+        payload = engine.execute("path", [3], [41]).payload(0)
         assert line == encode_line(make_response(
             7, payload["status"], result=payload["result"],
             error=payload["error"], service=payload["service"],
@@ -1082,7 +1220,7 @@ class TestServerEndToEnd:
         assert ids == list(range(len(burst)))  # in request order
         navigator = server.server.service.navigator
         for line, (op, u, v) in zip(lines, burst):
-            payload = engine.execute(op, [(u, v)])[0]
+            payload = engine.execute(op, [u], [v]).payload(0)
             assert line == encode_line(make_response(
                 json.loads(line)["id"], payload["status"],
                 result=payload["result"], error=payload["error"],
@@ -1183,15 +1321,55 @@ class TestServerEndToEnd:
         assert len(answers) == len(chunks) * 100
         assert all(answer["result"]["pong"] for answer in answers)
 
+    def test_queries_flow_while_a_route_scheme_builds(
+        self, serve_metric, serve_ckpt, monkeypatch
+    ):
+        """A route pass that builds its routing scheme runs off the
+        loop without holding back path and distance queries: with a
+        scheme build longer than their deadline, none of them times
+        out, and the route query is answered once the build is done."""
+        building = threading.Event()
+        real_scheme = engine_module.MetricRoutingScheme
+
+        def slow_scheme(*args, **kwargs):
+            building.set()
+            time.sleep(1.5)
+            return real_scheme(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "MetricRoutingScheme",
+                            slow_scheme)
+        service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
+        policy = AdmissionPolicy(max_batch=8, default_deadline=0.5)
+        with ThreadedServer(service, policy=policy) as threaded, \
+                ServeClient(threaded.host, threaded.port) as client:
+            route_id = client.send([
+                {"op": "route", "u": 2, "v": 31, "deadline_ms": 30000},
+            ])
+            assert building.wait(30)
+            sent = []
+            give_up = time.monotonic() + 1.0
+            while time.monotonic() < give_up:
+                wave = [{"op": op, "u": u, "v": v}
+                        for op in ("path", "distance")
+                        for u, v in _pairs(2, offset=len(sent))]
+                sent += client.send(wave)
+                time.sleep(0.05)
+            answers = client.collect(sent)
+            routed = client.collect(route_id)[0]
+        assert len(answers) >= 40
+        assert {answer["status"] for answer in answers} == {"ok"}
+        assert routed["status"] == "ok"
+        assert routed["result"]["path"][0] == 2
+
     def test_deadline_expires_behind_a_slow_executor_batch(
         self, serve_metric, serve_ckpt, monkeypatch
     ):
         execute = QueryEngine.execute
 
-        def slow_execute(engine, op, pairs):
-            if (0, 1) in pairs:
+        def slow_execute(engine, op, us, vs):
+            if (0, 1) in zip(us, vs):
                 time.sleep(1.5)
-            return execute(engine, op, pairs)
+            return execute(engine, op, us, vs)
 
         monkeypatch.setattr(QueryEngine, "execute", slow_execute)
         service = CheckpointService(serve_metric, k=K).load(serve_ckpt)
