@@ -5,16 +5,18 @@
 # (100% delivery, <= 2 hops, stretch exactly 1, headers within the
 # log^2 n budget) -> rerun with 5% of the nodes killed mid-traffic and
 # demand exact drop accounting (every loss is dead_node, survivors
-# still stretch-1) -> small metric and fault-tolerant legs through
-# `--verify` -> scrape netsim.* off a live /metrics endpoint.  The
-# exhaustive suite lives in tests/test_netsim.py (netsim marker; the
-# full-size bench legs additionally carry -m bench).
+# still stretch-1) -> small metric (one of them a Ramsey cover routed
+# through home trees) and fault-tolerant legs through `--verify` ->
+# scrape netsim.* off a live /metrics endpoint.  The exhaustive suite
+# lives in tests/test_netsim.py (netsim marker; the full-size bench
+# legs additionally carry -m bench).
 #
 # Usage: scripts/netsim_smoke.sh [work_dir]
 set -eu
 cd "$(dirname "$0")/.."
 WORK_DIR="${1:-$(mktemp -d)}"
 BIG_JSON="$WORK_DIR/netsim_tree.json"
+RAMSEY_JSON="$WORK_DIR/netsim_ramsey.json"
 SCRAPE_LOG="$WORK_DIR/netsim_scrape.log"
 PORT=$((21000 + $$ % 20000))
 
@@ -92,6 +94,25 @@ EOF
 # Leg 3: the other two theorems through the CLI's own contract gates.
 PYTHONPATH=src python -m repro netsim --scheme metric --family euclidean \
     --n 150 --messages 1500 --verify
+# The Ramsey cover here has ζ = 2 home trees: a header carries
+# 1 + ⌈log₂ 150⌉ + ⌈log₂ 2⌉ = 10 bits.
+PYTHONPATH=src python -m repro netsim --scheme metric --family general \
+    --n 150 --ell 3 --verify --json >"$RAMSEY_JSON"
+
+PYTHONPATH=src python - "$RAMSEY_JSON" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    lines = fh.read().splitlines()
+text = "\n".join(lines[lines.index("{"):])
+report, _ = json.JSONDecoder().raw_decode(text)
+assert report["zeta"] == 2, report
+assert report["delivered"] == report["injected"], report
+assert report["header_bits_max"] == 10, report
+print(f"ramsey leg ok: zeta={report['zeta']}, "
+      f"headers<={report['header_bits_max']} bits")
+EOF
 PYTHONPATH=src python -m repro netsim --scheme ft --family euclidean \
     --n 90 --f 2 --kill 2 --messages 900 --spacing 0.01 --verify
 

@@ -30,7 +30,7 @@ from ..errors import CheckpointCorruption
 from ..metrics.base import Metric
 from ..observability import OBS, trace
 from ..routing.labels import (
-    HeavyPathLabeling,
+    cover_labelings,
     label_from_jsonable,
     label_to_jsonable,
 )
@@ -327,18 +327,6 @@ def load_ft_checkpoint(
 
 # ----------------------------------------------------------------------
 # Routing label tables
-
-def cover_labelings(cover: TreeCover) -> List[List[tuple]]:
-    """Per-tree heavy-path distance labels of every point's host vertex
-    (the [FGNW17]-substitute labels of the Section 5 routing schemes)."""
-    tables: List[List[tuple]] = []
-    for cover_tree in cover.trees:
-        labeling = HeavyPathLabeling(cover_tree.tree)
-        tables.append(
-            [labeling.label(v) for v in cover_tree.vertex_of_point]
-        )
-    return tables
-
 
 def _labels_section_name(index: int) -> str:
     return f"labels/{index:04d}"

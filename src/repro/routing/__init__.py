@@ -7,6 +7,7 @@ from .ports import DELIVER, Network, RouteResult
 from .tree_routing import (
     SELF,
     TreeRoutingScheme,
+    TreeRoutingState,
     build_tree_network,
     header_bits,
     tree_protocol,
@@ -27,6 +28,7 @@ __all__ = [
     "RouteResult",
     "SELF",
     "TreeRoutingScheme",
+    "TreeRoutingState",
     "build_tree_network",
     "header_bits",
     "tree_protocol",

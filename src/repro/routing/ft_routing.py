@@ -1,7 +1,10 @@
 """Fault-tolerant 2-hop routing for doubling metrics (Theorem 5.2).
 
-The non-FT scheme stores, per recursion-tree ancestor β, one port to β's
-cut vertex.  The FT scheme stores the ports of all ``f + 1`` replicas
+The scheme is Theorem 5.1's over every tree of a robust cover, with
+each cut vertex standing for its replica set.  The per-tree state is
+:class:`~repro.routing.tree_routing.TreeRoutingState`; where the non-FT
+scheme stores, per recursion-tree ancestor β, one port to β's cut
+vertex, the FT scheme stores the ports of all ``f + 1`` replicas
 ``R(cut(β))`` (ordered by id, as in Section 5.2): a source scans the
 replica list for a non-faulty intermediate in O(f) time, and the biclique
 edges of the FT spanner (Theorem 4.2) guarantee the two hops exist.
@@ -14,17 +17,16 @@ carry only ports in their headers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-from ..core.navigation import TreeNavigator
-from ..errors import FaultBudgetExceeded, InvariantViolation, check
+from ..errors import FaultBudgetExceeded, InvariantViolation
 from ..graphs.graph import Graph
-from ..graphs.tree import Tree
 from ..metrics.base import Metric
-from ..routing.labels import HeavyPathLabeling, label_bits, label_distance, lca_key
-from ..routing.ports import DELIVER, Network, RouteResult
 from ..treecover.base import TreeCover
 from ..treecover.dumbbell import robust_tree_cover
+from .labels import cover_labelings, id_bits, label_bits, lca_key, pick_tree
+from .ports import DELIVER, Network, RouteResult, check_route
+from .tree_routing import TreeRoutingState
 
 __all__ = ["FaultTolerantRoutingScheme", "ft_protocol_for"]
 
@@ -47,14 +49,7 @@ def ft_protocol_for(faults: Set[int]):
         v = label["id"]
         if v == u:
             return DELIVER, None
-        # Tree choice by exact per-tree distances (O(ζ) scan).
-        best = float("inf")
-        index = 0
-        for i, own in enumerate(table["dist"]):
-            d = label_distance(own, label["dist"][i])
-            if d < best:
-                best = d
-                index = i
+        index = pick_tree(table["dist"], label["dist"])
         tree_table = table["trees"][index]
         tree_label = label["trees"][index]
         base = tree_table["base"]
@@ -80,47 +75,6 @@ def ft_protocol_for(faults: Set[int]):
     return protocol
 
 
-class _FtTreeData:
-    """Per-tree preprocessing: navigator, replica ports, labels."""
-
-    def __init__(self, cover_tree, f: int):
-        self.cover_tree = cover_tree
-        self.navigator = TreeNavigator(
-            cover_tree.tree, 2, required=cover_tree.vertex_of_point
-        )
-        self.pack = self.navigator.pack
-        self.phi_labeling = HeavyPathLabeling(
-            Tree(self.pack.phi_parent, validate=False)
-        )
-        below = cover_tree.descendant_points()
-        #: replicas[v] = R(v): up to f+1 descendant points, sorted by id.
-        self.replicas = [sorted(pool[: f + 1]) for pool in below]
-
-    def home_chain(self, p: int) -> List[Tuple[Tuple[int, int], List[int]]]:
-        """(Φ-key, replica list of the cut vertex) for each internal
-        ancestor of p's home node, including the home itself."""
-        pack = self.pack
-        beta = self.home_of(p)
-        chain = []
-        while beta != -1:
-            if not pack.phi_leaf[beta]:
-                cut = pack.phi_cuts[beta][0]
-                chain.append((self.phi_labeling.key(beta), self.replicas[cut]))
-            beta = pack.phi_parent[beta]
-        return chain
-
-    def home_of(self, p: int) -> int:
-        """The Φ node holding point ``p``'s host vertex."""
-        return self.pack.home[self.cover_tree.vertex_of_point[p]]
-
-    def base_members(self, p: int) -> List[int]:
-        home = self.home_of(p)
-        if not self.pack.phi_leaf[home]:
-            return []
-        rep = self.cover_tree.rep_point
-        return [rep[y] for y in self.pack.phi_cuts[home] if rep[y] != p]
-
-
 class FaultTolerantRoutingScheme:
     """f-FT, 2-hop, (1 + O(ε))-stretch routing over a doubling metric."""
 
@@ -144,65 +98,49 @@ class FaultTolerantRoutingScheme:
         self.metric = metric
         self.f = f
         self.cover = cover if cover is not None else robust_tree_cover(metric, eps)
-        self.trees = [_FtTreeData(ct, f) for ct in self.cover.trees]
+        self.trees = [TreeRoutingState(ct) for ct in self.cover.trees]
+        #: replicas[t][v] = R(v) of tree t's vertex v, sorted by id.
+        self.replicas = [
+            [sorted(pool) for pool in ct.replica_sets(f)] for ct in self.cover.trees
+        ]
 
         # Overlay: the FT spanner's biclique edges, union over trees.
         overlay = Graph(metric.n)
-        for data in self.trees:
-            reps = data.replicas
-            for (a, b) in data.navigator.edges:
+        for state, reps in zip(self.trees, self.replicas):
+            for (a, b) in state.navigator.edges:
                 for p in reps[a]:
                     for q in reps[b]:
                         if p != q:
                             overlay.add_edge(p, q, metric.distance(p, q))
         self.network = Network(overlay, seed=seed)
-        self.overlay = overlay
+        port = self.network.port
 
-        self._distance_labelings = [
-            HeavyPathLabeling(ct.tree) for ct in self.cover.trees
-        ]
-
+        dist_tables = cover_labelings(self.cover)
         self.labels: Dict[int, dict] = {}
         self.tables: Dict[int, dict] = {}
         for p in range(metric.n):
             per_tree_labels = []
             per_tree_tables = []
-            for data in self.trees:
-                chain = data.home_chain(p)
+            for state, reps in zip(self.trees, self.replicas):
                 h_in = {}
                 h_out = {}
-                for key, replicas in chain:
+                for key, cut in state.chain[p]:
                     h_in[key] = [
-                        (w, None if w == p else self.network.port(w, p))
-                        for w in replicas
+                        (w, None if w == p else port(w, p)) for w in reps[cut]
                     ]
                     h_out[key] = [
-                        (w, None if w == p else self.network.port(p, w))
-                        for w in replicas
+                        (w, None if w == p else port(p, w)) for w in reps[cut]
                     ]
-                phi_label = data.phi_labeling.label(data.home_of(p))
-                base = {
-                    q: self.network.port(p, q) for q in data.base_members(p)
-                }
-                per_tree_labels.append({"phi": phi_label, "h_in": h_in})
+                base = {q: port(p, q) for q in state.base[p]}
+                per_tree_labels.append({"phi": state.phi[p], "h_in": h_in})
                 per_tree_tables.append(
-                    {"phi": phi_label, "h_out": h_out, "base": base}
+                    {"phi": state.phi[p], "h_out": h_out, "base": base}
                 )
-            dist = [
-                labeling.label(self.cover.trees[i].vertex_of_point[p])
-                for i, labeling in enumerate(self._distance_labelings)
-            ]
+            dist = [table[p] for table in dist_tables]
             self.labels[p] = {"id": p, "trees": per_tree_labels, "dist": dist}
             self.tables[p] = {"trees": per_tree_tables, "dist": dist}
 
     # ------------------------------------------------------------------
-
-    def protocol_for(self, faults: Set[int]):
-        """A decision function closed over the current faulty set.
-
-        Delegates to the module-level :func:`ft_protocol_for` (kept as
-        a method for backwards compatibility)."""
-        return ft_protocol_for(faults)
 
     def route(
         self,
@@ -226,52 +164,40 @@ class FaultTolerantRoutingScheme:
         if enforce_budget and len(faulty) > self.f:
             raise FaultBudgetExceeded(self.f, faulty)
         return self.network.route(
-            u, self.protocol_for(faulty), self.labels[v], self.tables, max_hops=8
+            u, ft_protocol_for(faulty), self.labels[v], self.tables, max_hops=8
         )
 
     def verify_route(
         self, u: int, v: int, faults: Set[int], gamma: float
     ) -> Tuple[int, float]:
         """Route and check delivery, the 2-hop budget, fault avoidance
-        and the stretch bound; raises :class:`InvariantViolation` (never
-        a ``python -O``-stripped ``assert``) on violation."""
-        result = self.route(u, v, faults)
-        check(
-            result.path[0] == u and result.path[-1] == v,
-            f"route {result.path} does not connect ({u}, {v})",
+        and the stretch bound (see
+        :func:`~repro.routing.ports.check_route`)."""
+        return check_route(
+            self.route(u, v, faults), u, v, self.metric.distance(u, v), gamma, faults
         )
-        check(result.hops <= 2, f"{result.path} uses {result.hops} hops")
-        check(not (set(result.path) & faults), "route visits a faulty node")
-        base = self.metric.distance(u, v)
-        stretch = result.weight / base if base > 0 else 1.0
-        check(stretch <= gamma + 1e-6, f"stretch {stretch} exceeds {gamma}")
-        return result.hops, stretch
 
     # ------------------------------------------------------------------
 
     def label_size_bits(self, p: int, float_bits: int = 32) -> int:
-        n = self.metric.n
-        id_bits = max(1, (n - 1).bit_length())
-        bits = id_bits
         label = self.labels[p]
-        for tree_label in label["trees"]:
-            bits += label_bits(tree_label["phi"], n, float_bits=0)
-            for entries in tree_label["h_in"].values():
-                bits += 2 * id_bits + len(entries) * 2 * id_bits
-        for d in label["dist"]:
-            bits += label_bits(d, n, float_bits=float_bits)
-        return bits
+        return id_bits(self.metric.n) + self._size_bits(label, "h_in", float_bits)
 
     def table_size_bits(self, p: int, float_bits: int = 32) -> int:
+        return self._size_bits(self.tables[p], "h_out", float_bits)
+
+    def _size_bits(self, entry: dict, ports: str, float_bits: int) -> int:
+        """Per tree: the Φ label, each chain key with its replica
+        (id, port) pairs, and each base (id, port); then the distance
+        labels."""
         n = self.metric.n
-        id_bits = max(1, (n - 1).bit_length())
+        bits_per_id = id_bits(n)
         bits = 0
-        table = self.tables[p]
-        for tree_table in table["trees"]:
-            bits += label_bits(tree_table["phi"], n, float_bits=0)
-            for entries in tree_table["h_out"].values():
-                bits += 2 * id_bits + len(entries) * 2 * id_bits
-            bits += len(tree_table["base"]) * 2 * id_bits
-        for d in table["dist"]:
+        for tree_entry in entry["trees"]:
+            bits += label_bits(tree_entry["phi"], n, float_bits=0)
+            for entries in tree_entry[ports].values():
+                bits += 2 * bits_per_id + len(entries) * 2 * bits_per_id
+            bits += len(tree_entry.get("base", ())) * 2 * bits_per_id
+        for d in entry["dist"]:
             bits += label_bits(d, n, float_bits=float_bits)
         return bits

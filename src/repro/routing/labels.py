@@ -17,18 +17,26 @@ labels uses *only* the labels, never the tree, mirroring the
 information constraints of the labeled routing model.  ``label_bits``
 charges ``2⌈log n⌉`` bits per (chain, position) entry plus
 ``float_bits`` per stored depth.
+
+:func:`cover_labelings` builds the per-point distance labels of a tree
+cover, which the routing schemes of Theorems 1.3 and 5.2 and the
+``routing_labels`` checkpoint all share; :func:`pick_tree` is the
+O(ζ) scan that picks a cover tree from two points' label lists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..graphs.tree import Tree
 
 __all__ = [
     "HeavyPathLabeling",
+    "cover_labelings",
     "lca_key",
     "label_distance",
+    "pick_tree",
+    "id_bits",
     "label_bits",
     "label_to_jsonable",
     "label_from_jsonable",
@@ -97,6 +105,17 @@ class HeavyPathLabeling:
         return (chain, pos)
 
 
+def cover_labelings(cover) -> List[List[Label]]:
+    """Per-tree heavy-path distance labels of every point's host vertex
+    (the [FGNW17]-substitute labels of the Section 5 routing schemes),
+    indexed ``[tree][point]``."""
+    tables: List[List[Label]] = []
+    for cover_tree in cover.trees:
+        labeling = HeavyPathLabeling(cover_tree.tree)
+        tables.append([labeling.label(v) for v in cover_tree.vertex_of_point])
+    return tables
+
+
 def lca_key(label_u: Label, label_v: Label) -> Tuple[int, int]:
     """The (chain, position) key of LCA(u, v), from the labels alone."""
     last_common: Optional[Entry] = None
@@ -135,10 +154,27 @@ def label_distance(label_u: Label, label_v: Label) -> float:
     return label_u[-1][2] + label_v[-1][2] - 2.0 * lca[2]
 
 
+def pick_tree(own: Sequence[Label], other: Sequence[Label]) -> int:
+    """Index of the cover tree whose distance labels put the two points
+    closest (the first such tree on ties): an O(ζ) scan of the labels."""
+    best = float("inf")
+    index = 0
+    for i, label in enumerate(own):
+        d = label_distance(label, other[i])
+        if d < best:
+            best = d
+            index = i
+    return index
+
+
+def id_bits(count: int) -> int:
+    """Bits that name one of ``count`` items: ⌈log₂ count⌉, at least 1."""
+    return max(1, (count - 1).bit_length())
+
+
 def label_bits(label: Label, n: int, float_bits: int = 32) -> int:
     """Size of a label in bits: 2 ids of ⌈log n⌉ bits plus one depth each."""
-    id_bits = max(1, (n - 1).bit_length())
-    return len(label) * (2 * id_bits + float_bits)
+    return len(label) * (2 * id_bits(n) + float_bits)
 
 
 def label_to_jsonable(label: Label) -> list:

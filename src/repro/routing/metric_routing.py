@@ -12,7 +12,10 @@ cover (Table 1):
   inside it; with a *Ramsey* cover (general metrics) the destination's
   label simply names its home tree, giving O(1) decision time.
 
-Headers grow by the tree index (⌈log ζ⌉ bits).
+Headers grow by the tree index (⌈log ζ⌉ bits).  Each tree's state is
+Theorem 5.1's :class:`~repro.routing.tree_routing.TreeRoutingScheme`
+unchanged; this module only adds the distance labels and the tree
+choice.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Dict, List, Tuple
 from ..graphs.graph import Graph
 from ..metrics.base import Metric
 from ..treecover.base import TreeCover
-from .labels import HeavyPathLabeling, label_bits, label_distance
-from .ports import DELIVER, Network, RouteResult
+from .labels import cover_labelings, id_bits, label_bits, pick_tree
+from .ports import DELIVER, Network, RouteResult, check_route
 from .tree_routing import TreeRoutingScheme, header_bits, tree_protocol
 
 __all__ = ["MetricRoutingScheme", "metric_protocol", "metric_header_bits"]
@@ -50,14 +53,7 @@ def metric_protocol(u: int, table: dict, header, destination_label: dict):
         return DELIVER, None
     index = destination_label["home"]
     if index is None:
-        # Scan the ζ trees with the two distance labels (O(ζ) time).
-        best = float("inf")
-        index = 0
-        for i, own in enumerate(table["dist"]):
-            d = label_distance(own, destination_label["dist"][i])
-            if d < best:
-                best = d
-                index = i
+        index = pick_tree(table["dist"], destination_label["dist"])
     port, inner = tree_protocol(
         u, table["trees"][index], None, destination_label["trees"][index]
     )
@@ -68,7 +64,7 @@ def metric_header_bits(header, n: int, zeta: int) -> int:
     """On-wire header size: the inner tree header plus ⌈log ζ⌉ bits."""
     if header is None:
         return 0
-    return header_bits(header[1], n) + max(1, zeta.bit_length())
+    return header_bits(header[1], n) + id_bits(zeta)
 
 
 class MetricRoutingScheme:
@@ -90,18 +86,13 @@ class MetricRoutingScheme:
             scheme.finalize(self.network)
 
         # Distance labels: exact tree distances from heavy-path labels.
-        self._distance_labelings = [
-            HeavyPathLabeling(cover_tree.tree) for cover_tree in cover.trees
-        ]
+        dist_tables = cover_labelings(cover)
 
         self.labels: Dict[int, dict] = {}
         self.tables: Dict[int, dict] = {}
         ramsey = cover.home is not None
         for p in range(metric.n):
-            dist_labels = [
-                labeling.label(cover.trees[i].vertex_of_point[p])
-                for i, labeling in enumerate(self._distance_labelings)
-            ]
+            dist_labels = [table[p] for table in dist_tables]
             if ramsey:
                 home = cover.home[p]
                 self.labels[p] = {
@@ -125,15 +116,6 @@ class MetricRoutingScheme:
 
     # ------------------------------------------------------------------
 
-    def protocol(self, u: int, table: dict, header, destination_label: dict):
-        """Fixed-port decision function; header = (tree index, inner header).
-
-        Delegates to the module-level :func:`metric_protocol` (kept as a
-        method for backwards compatibility with callers holding a
-        scheme).
-        """
-        return metric_protocol(u, table, header, destination_label)
-
     def route(self, u: int, v: int, max_hops: int = 8) -> RouteResult:
         """Route one packet; returns the trace for verification."""
         n = self.metric.n
@@ -152,16 +134,15 @@ class MetricRoutingScheme:
 
     def label_size_bits(self, p: int, float_bits: int = 32) -> int:
         n = self.metric.n
-        id_bits = max(1, (n - 1).bit_length())
         label = self.labels[p]
-        bits = id_bits
+        bits = id_bits(n)
         for index, tree_label in label["trees"].items():
             bits += self.schemes[index].label_size_bits(p, n)
         if label["home"] is None:
             for d in label["dist"]:
                 bits += label_bits(d, n, float_bits=float_bits)
         else:
-            bits += max(1, len(self.schemes).bit_length())
+            bits += id_bits(len(self.schemes))
         return bits
 
     def table_size_bits(self, p: int, float_bits: int = 32) -> int:
@@ -174,19 +155,6 @@ class MetricRoutingScheme:
         return bits
 
     def verify_route(self, u: int, v: int, gamma: float) -> Tuple[int, float]:
-        """Route and check: delivered, <= 2 hops, stretch <= gamma.
-
-        Raises :class:`~repro.errors.InvariantViolation` on the first
-        broken guarantee (a real exception, not an ``assert``)."""
-        from ..errors import check
-
-        result = self.route(u, v)
-        check(
-            result.path[0] == u and result.path[-1] == v,
-            f"route {result.path} does not connect ({u}, {v})",
-        )
-        check(result.hops <= 2, f"route {result.path} uses {result.hops} hops")
-        base = self.metric.distance(u, v)
-        stretch = result.weight / base if base > 0 else 1.0
-        check(stretch <= gamma + 1e-6, f"stretch {stretch} exceeds {gamma}")
-        return result.hops, stretch
+        """Route and check: delivered, <= 2 hops, stretch <= gamma
+        (see :func:`~repro.routing.ports.check_route`)."""
+        return check_route(self.route(u, v), u, v, self.metric.distance(u, v), gamma)

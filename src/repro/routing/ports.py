@@ -16,12 +16,12 @@ accumulates the traveled weight, and reports the trace.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from typing import Callable, Collection, Dict, List, Tuple
 
-from ..errors import RoutingError
+from ..errors import RoutingError, check
 from ..graphs.graph import Graph
 
-__all__ = ["Network", "RouteResult", "DELIVER"]
+__all__ = ["Network", "RouteResult", "DELIVER", "check_route"]
 
 #: Sentinel a protocol returns to signal the packet has arrived.
 DELIVER = -1
@@ -42,6 +42,33 @@ class RouteResult:
 
     def __repr__(self) -> str:
         return f"RouteResult(hops={self.hops}, weight={self.weight:.3f})"
+
+
+def check_route(
+    result: RouteResult,
+    u: int,
+    v: int,
+    distance: float,
+    gamma: float,
+    faults: Collection[int] = (),
+) -> Tuple[int, float]:
+    """Check a routed packet against the 2-hop schemes' guarantees.
+
+    The route must connect ``(u, v)`` in at most two hops, visit no
+    node of ``faults``, and weigh at most ``gamma`` times ``distance``
+    (the pair's metric distance).  Returns ``(hops, stretch)``; raises
+    :class:`~repro.errors.InvariantViolation` (never a ``python
+    -O``-stripped ``assert``) on the first broken guarantee.
+    """
+    check(
+        result.path[0] == u and result.path[-1] == v,
+        f"route {result.path} does not connect ({u}, {v})",
+    )
+    check(result.hops <= 2, f"route {result.path} uses {result.hops} hops")
+    check(not set(result.path) & set(faults), "route visits a faulty node")
+    stretch = result.weight / distance if distance > 0 else 1.0
+    check(stretch <= gamma + 1e-6, f"stretch {stretch} exceeds {gamma}")
+    return result.hops, stretch
 
 
 class Network:

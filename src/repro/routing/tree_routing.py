@@ -24,58 +24,87 @@ from typing import Dict, List, Optional, Tuple
 from ..core.navigation import TreeNavigator
 from ..graphs.tree import Tree
 from ..treecover.base import CoverTree
-from .labels import HeavyPathLabeling, label_bits, lca_key
+from .labels import HeavyPathLabeling, id_bits, label_bits, lca_key
 from .ports import DELIVER, Network
 
-__all__ = ["TreeRoutingScheme", "tree_protocol", "header_bits", "SELF"]
+__all__ = [
+    "TreeRoutingState", "TreeRoutingScheme", "tree_protocol", "header_bits", "SELF",
+]
 
 #: Port sentinel: the cut vertex's representative is this node itself.
 SELF = -2
 
 
-class TreeRoutingScheme:
-    """Labels + tables for 2-hop routing over one (cover) tree.
+class TreeRoutingState:
+    """Theorem 5.1's per-tree routing state, before any port is wired.
 
-    Build in two phases: the constructor derives the overlay edges; once
-    the global :class:`Network` exists (its ports are adversarial and
-    shared across trees), :meth:`finalize` fills in port numbers.
+    Built once per (cover) tree: the hop-diameter-2 navigator ``G_T``,
+    a heavy-path labeling of its recursion tree Φ, and for every point
+    ``p``:
+
+    * ``home[p]`` — the Φ node holding p's host vertex, and ``phi[p]``
+      its Φ label;
+    * ``chain[p]`` — ``(Φ key, cut vertex)`` for each internal Φ
+      ancestor of the home, the home itself first;
+    * ``base[p]`` — the other points of a leaf home (empty when the
+      home is internal).
+
+    Theorem 5.1 (:class:`TreeRoutingScheme`) maps each cut vertex to
+    its representative point; Theorem 5.2
+    (:class:`~repro.routing.ft_routing.FaultTolerantRoutingScheme`) maps
+    it to its replica set R(cut).  Points sharing a home share its
+    chain list.
     """
 
     def __init__(self, cover_tree: CoverTree):
         self.cover_tree = cover_tree
-        tree = cover_tree.tree
-        self.points = list(range(len(cover_tree.vertex_of_point)))
-        self.navigator = TreeNavigator(tree, 2, required=cover_tree.vertex_of_point)
-        pack = self.navigator.pack
-        phi_leaf = pack.phi_leaf
-        self.phi_labeling = HeavyPathLabeling(Tree(pack.phi_parent, validate=False))
         self.rep = cover_tree.rep_point
+        self.points = range(len(cover_tree.vertex_of_point))
+        self.navigator = TreeNavigator(
+            cover_tree.tree, 2, required=cover_tree.vertex_of_point
+        )
+        pack = self.navigator.pack
+        phi_parent, phi_leaf, phi_cuts = pack.phi_parent, pack.phi_leaf, pack.phi_cuts
+        self.phi_labeling = HeavyPathLabeling(Tree(phi_parent, validate=False))
+        # Every Φ node's key (its label's last (chain, position)), once.
+        keys = list(zip(self.phi_labeling.chain_of, self.phi_labeling.pos_of))
+        rep = self.rep
 
-        # Per point: the Φ node chain from its home up to the root, with
-        # each internal node's cut vertex mapped to its representative.
-        phi_parent = pack.phi_parent
-        phi_cuts = pack.phi_cuts
-        self._home: Dict[int, int] = {}
-        self._ancestors: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
-        self._base_neighbors: Dict[int, List[int]] = {}
-        for p in self.points:
-            x = cover_tree.vertex_of_point[p]
-            home_id = pack.home[x]
-            self._home[p] = home_id
-            chain: List[Tuple[Tuple[int, int], int]] = []
-            beta = home_id
-            while beta != -1:
-                if not phi_leaf[beta]:
-                    cut_rep = self.rep[phi_cuts[beta][0]]
-                    chain.append((self.phi_labeling.key(beta), cut_rep))
-                beta = phi_parent[beta]
-            self._ancestors[p] = chain
-            if phi_leaf[home_id]:
-                members = [
-                    self.rep[x2] for x2 in phi_cuts[home_id] if self.rep[x2] != p
-                ]
-                self._base_neighbors[p] = members
+        self.home: List[int] = []
+        self.phi: List[tuple] = []
+        self.chain: List[List[Tuple[Tuple[int, int], int]]] = []
+        self.base: List[List[int]] = []
+        chains: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
+        for p, x in enumerate(cover_tree.vertex_of_point):
+            home = pack.home[x]
+            chain = chains.get(home)
+            if chain is None:
+                chain = chains[home] = []
+                beta = home
+                while beta != -1:
+                    if not phi_leaf[beta]:
+                        chain.append((keys[beta], phi_cuts[beta][0]))
+                    beta = phi_parent[beta]
+            self.home.append(home)
+            self.phi.append(self.phi_labeling.label(home))
+            self.chain.append(chain)
+            self.base.append(
+                [rep[y] for y in phi_cuts[home] if rep[y] != p]
+                if phi_leaf[home] else []
+            )
 
+
+class TreeRoutingScheme(TreeRoutingState):
+    """Labels + tables for 2-hop routing over one (cover) tree.
+
+    Build in two phases: the constructor derives the overlay edges; once
+    the global :class:`Network` exists (its ports are adversarial and
+    shared across trees), :meth:`finalize` fills in port numbers, each
+    cut vertex acting through its representative point.
+    """
+
+    def __init__(self, cover_tree: CoverTree):
+        super().__init__(cover_tree)
         self.labels: Dict[int, dict] = {}
         self.tables: Dict[int, dict] = {}
 
@@ -90,57 +119,57 @@ class TreeRoutingScheme:
 
     def finalize(self, network: Network) -> None:
         """Fill labels and tables with the network's (fixed) ports."""
+        port = network.port
+        rep = self.rep
+        phi_leaf = self.navigator.pack.phi_leaf
         for p in self.points:
-            phi_label = self.phi_labeling.label(self._home[p])
+            phi_label = self.phi[p]
+            home_key = self.phi_labeling.key(self.home[p])
+            home_internal = not phi_leaf[self.home[p]]
             h_in: Dict[Tuple[int, int], int] = {}
             h_out: Dict[Tuple[int, int], int] = {}
-            for key, cut_rep in self._ancestors[p]:
+            for key, cut in self.chain[p]:
+                cut_rep = rep[cut]
                 if cut_rep == p:
                     h_in[key] = SELF
                     h_out[key] = SELF
                 else:
-                    h_in[key] = network.port(cut_rep, p)
-                    h_out[key] = network.port(p, cut_rep)
-            base: Dict[int, int] = {}
-            for q in self._base_neighbors.get(p, []):
-                base[q] = network.port(p, q)
-            home_is_internal = not self.navigator.pack.phi_leaf[self._home[p]]
+                    h_in[key] = port(cut_rep, p)
+                    h_out[key] = port(p, cut_rep)
             self.labels[p] = {
                 "id": p,
                 "phi": phi_label,
-                "home_key": self.phi_labeling.key(self._home[p]),
-                "home_internal": home_is_internal,
+                "home_key": home_key,
+                "home_internal": home_internal,
                 "h_in": h_in,
             }
             self.tables[p] = {
                 "id": p,
                 "phi": phi_label,
-                "home_key": self.phi_labeling.key(self._home[p]),
-                "home_internal": home_is_internal,
+                "home_key": home_key,
+                "home_internal": home_internal,
                 "h_out": h_out,
-                "base": base,
+                "base": {q: port(p, q) for q in self.base[p]},
             }
 
     # ------------------------------------------------------------------
     # Bit accounting (Theorem 5.1: O(log^2 n) labels and tables).
 
     def label_size_bits(self, p: int, n: Optional[int] = None) -> int:
-        n = n if n is not None else len(self.points)
-        id_bits = max(1, (n - 1).bit_length())
-        label = self.labels[p]
-        bits = id_bits + 2 * id_bits + 1  # id, home key, internal flag
-        bits += label_bits(label["phi"], n, float_bits=0)
-        bits += len(label["h_in"]) * (2 * id_bits + id_bits)
-        return bits
+        return self._size_bits(self.labels[p], "h_in", n)
 
     def table_size_bits(self, p: int, n: Optional[int] = None) -> int:
+        return self._size_bits(self.tables[p], "h_out", n)
+
+    def _size_bits(self, entry: dict, ports: str, n: Optional[int]) -> int:
+        """Id, home key and internal flag, the Φ label, one (key, port)
+        per chain entry, and one (id, port) per base member."""
         n = n if n is not None else len(self.points)
-        id_bits = max(1, (n - 1).bit_length())
-        table = self.tables[p]
-        bits = id_bits + 2 * id_bits + 1
-        bits += label_bits(table["phi"], n, float_bits=0)
-        bits += len(table["h_out"]) * (2 * id_bits + id_bits)
-        bits += len(table["base"]) * (2 * id_bits)
+        bits_per_id = id_bits(n)
+        bits = 3 * bits_per_id + 1
+        bits += label_bits(entry["phi"], n, float_bits=0)
+        bits += len(entry[ports]) * 3 * bits_per_id
+        bits += len(entry.get("base", ())) * 2 * bits_per_id
         return bits
 
 
@@ -187,12 +216,11 @@ def tree_protocol(u: int, table: dict, header, destination_label: dict):
 
 def header_bits(header, n: int = 1 << 16) -> int:
     """Header size: one tag bit plus at most one port number."""
-    id_bits = max(1, (n - 1).bit_length())
     if header is None:
         return 0
     if header[0] == "deliver":
         return 1
-    return 1 + id_bits
+    return 1 + id_bits(n)
 
 
 def build_tree_network(tree: Tree, seed: int = 0) -> Tuple[TreeRoutingScheme, Network]:

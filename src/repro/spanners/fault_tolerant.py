@@ -46,8 +46,8 @@ def _build_ft_tree(ctx, index: int):
     """Per-tree fan-out unit: navigator K_T plus replica pools R(v).
 
     Both derive from the cover tree alone, so the trees of the cover can
-    build on independent workers; the replica pools are the ``f + 1``
-    prefixes of the descendant lists (Theorem 4.2).
+    build on independent workers; the replica pools are
+    :meth:`~repro.treecover.base.CoverTree.replica_sets` (Theorem 4.2).
     """
     trees, k, f = ctx.payload
     cover_tree = trees[index]
@@ -57,8 +57,7 @@ def _build_ft_tree(ctx, index: int):
         required=cover_tree.vertex_of_point,
         _metric=cover_tree.tree_metric,
     )
-    pools = [pool[: f + 1] for pool in cover_tree.descendant_points()]
-    return navigator, pools
+    return navigator, cover_tree.replica_sets(f)
 
 
 class FaultTolerantSpanner:

@@ -154,6 +154,12 @@ class CoverTree:
                 below[v].extend(below[c])
         return below
 
+    def replica_sets(self, f: int) -> List[List[int]]:
+        """The replica set ``R(v)`` of Theorem 4.2 for every tree vertex:
+        the first ``f + 1`` of its descendant points (all of them when
+        the subtree holds fewer)."""
+        return [pool[: f + 1] for pool in self.descendant_points()]
+
     def check_dominating(self, metric: Metric, pairs: Sequence[Tuple[int, int]]) -> None:
         """Check domination (δ_T >= δ_X) on the given pairs; raises
         :class:`~repro.errors.InvariantViolation` on violation."""

@@ -10,6 +10,11 @@ routing are byte-for-byte what they were.
 
 Decrement 1 (the [AS87]-style ablation) has no frozen seed oracle;
 these digests are its only identity check.
+
+:data:`ROUTING_STATE_GOLDEN` was recorded while the metric and
+fault-tolerant routing schemes still kept their own copies of the
+per-tree routing state, the distance labels and the tree choice; it
+pins that sharing one copy changed no label, table or routed path.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.checkpoint import cover_labelings
 from repro.core import MetricNavigator, TreeNavigator
 from repro.core.packed_query import pack_suite_arrays
 from repro.graphs import random_tree
@@ -186,6 +192,23 @@ ROUTING_GOLDEN = {
 }
 
 
+#: Labels, tables, distance-label tables and the (path, weight) of
+#: every routed ordered pair, for the schemes built by
+#: :func:`routing_state_digests`.
+ROUTING_STATE_GOLDEN = {
+    "metric_robust": "299c8cde034a7055c0b8c56f6a277947b56e4e239a433fda49ad57b8c13f4d48",
+    "ft_f2": "14ecf19bb75b422cf5d6d55509f13b3171c466f1285e997917e5cc6c260ced32",
+    "cover_labelings_robust": "3ac227a087a98d0b9202f17f35d0b52c8f58708480433a7e69e3cacd6c1d62ce",
+    "cover_labelings_ramsey": "5b882ace2776f3503d1d3e68dae2948e9b5bc7722691c5b849556f0eeaaed280",
+    "metric_routes_robust": "d4c4add4c36a6b7e1912e41a5ffc433b3694c3962b79ee46d516220c6f68015d",
+    "metric_routes_ramsey": "de7f5408f4db22633dba7e97d1047054da8a617e9f98ff3d4fe5eb4c8a846ab8",
+    "ft_routes_f2": "4190888e442e36301536f1d97c21720ae42d8913df8c061d1d163b19541aba84",
+}
+
+#: The faulty set every fault-tolerant route avoids (|F| = f = 2).
+FT_FAULTS = frozenset({3, 17})
+
+
 def cover_digests(name, k):
     metric, cover = _cover(name)
     navigator = MetricNavigator(metric, cover, k, workers=0)
@@ -218,6 +241,36 @@ def routing_digests():
     }
 
 
+def _routes_digest(route, n, skip=frozenset()):
+    """Digest of ``route(u, v)``'s path and weight over ordered pairs."""
+    rows = []
+    for u in range(n):
+        for v in range(n):
+            if u != v and u not in skip and v not in skip:
+                result = route(u, v)
+                rows.append((u, v, result.path, repr(result.weight)))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def routing_state_digests():
+    robust_metric, robust = _cover("robust")
+    ramsey_metric, ramsey = _cover("ramsey")
+    robust_scheme = MetricRoutingScheme(robust_metric, robust, seed=27)
+    ramsey_scheme = MetricRoutingScheme(ramsey_metric, ramsey, seed=27)
+    ft = FaultTolerantRoutingScheme(random_points(24, dim=2, seed=28), f=2, seed=29)
+    return {
+        "metric_robust": _routing_digest(robust_scheme.labels, robust_scheme.tables),
+        "ft_f2": _routing_digest(ft.labels, ft.tables),
+        "cover_labelings_robust": _routing_digest(cover_labelings(robust), []),
+        "cover_labelings_ramsey": _routing_digest(cover_labelings(ramsey), []),
+        "metric_routes_robust": _routes_digest(robust_scheme.route, robust_metric.n),
+        "metric_routes_ramsey": _routes_digest(ramsey_scheme.route, ramsey_metric.n),
+        "ft_routes_f2": _routes_digest(
+            lambda u, v: ft.route(u, v, FT_FAULTS), ft.metric.n, skip=FT_FAULTS
+        ),
+    }
+
+
 @pytest.mark.parametrize("name,k", COVER_CASES)
 def test_cover_navigator_bytes(name, k):
     assert cover_digests(name, k) == COVER_GOLDEN[(name, k)]
@@ -231,3 +284,7 @@ def test_tree_navigator_bytes(decrement, k):
 
 def test_routing_labels_and_tables():
     assert routing_digests() == ROUTING_GOLDEN
+
+
+def test_routing_state_bytes():
+    assert routing_state_digests() == ROUTING_STATE_GOLDEN

@@ -52,6 +52,7 @@ from repro.routing import (
     MetricRoutingScheme,
     Network,
     build_tree_network,
+    metric_protocol,
     tree_protocol,
 )
 from repro.treecover import (
@@ -460,13 +461,14 @@ class TestLocalityAudit:
     def test_bound_method_protocol_is_rejected(self, metric_env):
         scheme, _ = metric_env
         with pytest.raises(InvariantViolation):
-            audit_protocol(scheme.protocol)
+            audit_protocol(scheme.route)
 
     def test_closure_over_global_object_is_rejected(self, metric_env):
         scheme, _ = metric_env
 
-        def cheating(u, table, header, label, _scheme=None):
-            return scheme.protocol(u, table, header, label)
+        def cheating(u, table, header, label):
+            # Reads u's table off the scheme instead of the node.
+            return metric_protocol(u, scheme.tables[u], header, label)
 
         with pytest.raises(InvariantViolation):
             audit_protocol(cheating)

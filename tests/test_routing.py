@@ -24,6 +24,7 @@ from repro.routing import (
     label_bits,
     label_distance,
     lca_key,
+    metric_header_bits,
     tree_protocol,
 )
 from repro.treecover import planar_tree_cover, ramsey_tree_cover, robust_tree_cover
@@ -219,8 +220,26 @@ class TestMetricRouting:
         scheme = MetricRoutingScheme(metric, cover, seed=27)
         for u, v in sample_pairs(50, 60, seed=28):
             result = scheme.route(u, v)
-            bound = math.ceil(math.log2(50)) + max(1, len(cover.trees).bit_length()) + 1
+            bound = 1 + math.ceil(math.log2(50)) + math.ceil(math.log2(len(cover.trees)))
             assert result.header_bits <= bound
+
+    @pytest.mark.parametrize("zeta", [2, 4])
+    def test_header_names_tree_in_ceil_log_zeta_bits(self, zeta):
+        index_bits = math.ceil(math.log2(zeta))
+        assert metric_header_bits((0, ("forward", 3)), 150, zeta) == 1 + 8 + index_bits
+        assert metric_header_bits((0, ("deliver",)), 150, zeta) == 1 + index_bits
+
+    @pytest.mark.parametrize("ell,zeta", [(3, 2), (2, 4)])
+    def test_ramsey_label_names_home_in_ceil_log_zeta_bits(self, ell, zeta):
+        metric = random_graph_metric(60, seed=1)
+        cover = ramsey_tree_cover(metric, ell=ell, seed=0)
+        assert cover.size == zeta
+        scheme = MetricRoutingScheme(metric, cover, seed=5)
+        index_bits = math.ceil(math.log2(zeta))
+        for p in range(60):
+            home_tree = scheme.schemes[cover.home[p]]
+            expected = 6 + home_tree.label_size_bits(p, 60) + index_bits
+            assert scheme.label_size_bits(p) == expected
 
 
 class TestFaultTolerantRouting:
