@@ -52,11 +52,17 @@ EOF
 # Leg 2: kill 5% of the nodes mid-traffic.  The tree scheme has no
 # fault tolerance, so losses are allowed — but every single one must be
 # accounted as dead_node, the books must balance exactly, and the
-# messages that do get through must still be 2-hop stretch-1.
+# messages that do get through must still be 2-hop stretch-1.  The run
+# is driven in steps of simulated time, and the netsim.* series it
+# exports must count each delivery exactly once: an observer pass that
+# is skipped or repeated at the end of a `run` call breaks the counts.
 PYTHONPATH=src python - <<'EOF'
+import math
+
 from repro.graphs import random_tree
 from repro.netsim import (NetworkSimulator, SimReport, audit_locality,
                           compile_tree_scheme, kill_schedule, uniform_pairs)
+from repro.observability import OBS
 from repro.resilience.injectors import RandomInjector
 from repro.routing import build_tree_network
 
@@ -75,7 +81,11 @@ for when, victim in kill_schedule(
     start=horizon / 3.0, spacing=horizon / (3.0 * kills),
 ):
     sim.kill_at(when, victim)
-sim.run()
+OBS.enable()
+until = 0.0
+while len(sim.scheduler):
+    until += 1.0
+    sim.run(until=until)
 
 report = SimReport(sim)
 losses = {r: c for r, c in report.drop_counts.items() if c}
@@ -85,10 +95,22 @@ assert set(losses) <= {"dead_node"}, losses
 assert report.delivery_rate >= 0.80, report.delivery_rate
 assert report.max_hops <= 2, report.max_hops
 assert report.stretch_percentile(99) <= 1.0 + 1e-9
+series = dict(
+    line.rsplit(" ", 1) for line in OBS.registry.export_prom_text().splitlines()
+    if line.startswith("repro_netsim_")
+)
+assert int(series["repro_netsim_delivered"]) == report.delivered, series
+assert int(series["repro_netsim_hops_count"]) == report.delivered, series
+count = int(series["repro_netsim_stretch_pct_count"])
+assert count == report.delivered == len(report.stretches), (count, report.delivered)
+mean_pct = float(series["repro_netsim_stretch_pct_sum"]) / count
+report_pct = 100.0 * sum(report.stretches) / len(report.stretches)
+assert math.isclose(mean_pct, report_pct, rel_tol=1e-12), (mean_pct, report_pct)
 print(f"kill leg ok: {kills} nodes (5%) killed mid-run, "
       f"{report.delivered}/{report.injected} delivered "
       f"({100 * report.delivery_rate:.1f}%), losses {losses} "
-      "(all dead_node, books balance)")
+      "(all dead_node, books balance); "
+      f"stretch_pct count {count}, mean {mean_pct:.6f} = report's")
 EOF
 
 # Leg 3: the other two theorems through the CLI's own contract gates.
@@ -146,6 +168,7 @@ while True:
 assert "repro_netsim_injected 2000" in text, text[:400]
 assert "repro_netsim_delivered 2000" in text, text[:400]
 assert "repro_netsim_hops_count 2000" in text, text[:400]
+assert "repro_netsim_stretch_pct_count 2000" in text, text[:400]
 assert "repro_netsim_header_bits_sum" in text, text[:400]
 print(f"scraped /metrics: {len(text.splitlines())} series lines, "
       "netsim counters present")

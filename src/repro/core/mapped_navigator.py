@@ -205,7 +205,7 @@ class PackedMetricNavigator:
         # ndarray.item reads a Python int straight from the array; an
         # index expression would build a numpy scalar first.
         vop = self.vop
-        vertex_path = self.packs[index].find_path(
+        vertex_path = self.packs[index].raw_path(
             vop.item(index, u), vop.item(index, v)
         )
         rep = self.rep
@@ -265,7 +265,7 @@ class PackedMetricNavigator:
                 results.append(([u], -1))
                 continue
             base = rep_off[index]
-            vertex_path = packs[index].find_path(
+            vertex_path = packs[index].raw_path(
                 vop[index, u], vop[index, v], tally
             )
             results.append(

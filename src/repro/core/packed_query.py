@@ -136,10 +136,21 @@ class QueryPack:
     ) -> List[int]:
         """A T-monotone 1-spanner path with <= k hops (Algorithm 2).
 
-        The recursive interconnection descent runs as a loop.  The
-        ``treenav.*`` counts of the query go to ``tally``, a
+        The ``treenav.*`` counts of the query go to ``tally``, a
         ``[queries, nodes_touched]`` list its caller publishes once per
         batch (:func:`publish_tally`), or are published here.
+        """
+        return dedup_path(self.raw_path(u, v, tally))
+
+    def raw_path(
+        self, u: int, v: int, tally: Optional[List[int]] = None
+    ) -> List[int]:
+        """:meth:`find_path` before consecutive duplicates are removed.
+
+        A caller that maps the vertices to other ids (cover-tree
+        representatives) dedups once, after the mapping: the mapping
+        keeps every consecutive duplicate, so the result is the same.
+        The recursive interconnection descent runs as a loop.
         """
         pack = self
         prefix: List[int] = []
@@ -225,8 +236,8 @@ class QueryPack:
             prefix.extend(core)
             suffix.reverse()
             prefix.extend(suffix)
-            return dedup_path(prefix)
-        return dedup_path(core)
+            return prefix
+        return core
 
     def _locate(
         self, w: int, hw: int, beta: int, beta_depth: int, p: int, pp, pd

@@ -75,7 +75,7 @@ class EuclideanMetric(Metric):
         if OBS.enabled:
             _C_BATCH.inc()
             _C_BATCH_VALUES.inc(self.n)
-        return np.linalg.norm(self.points - self.points[u], axis=1)
+        return self._norms(self.points - self.points[u])
 
     def pairwise(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -95,7 +95,18 @@ class EuclideanMetric(Metric):
         if OBS.enabled:
             _C_BATCH.inc()
             _C_BATCH_VALUES.inc(us.size)
-        return np.linalg.norm(self.points[us] - self.points[vs], axis=1)
+        return self._norms(self.points[us] - self.points[vs])
+
+    @staticmethod
+    def _norms(diff: np.ndarray) -> np.ndarray:
+        """Row norms summed column by column, in :meth:`distance`'s
+        order, so every value is bit-identical to it.  (``np.linalg.norm``
+        sums eight or more squares pairwise and can differ in the last
+        bit from dimension 8 on.)"""
+        total = np.zeros(len(diff))
+        for column in diff.T:
+            total += column * column
+        return np.sqrt(total)
 
     def ball_many(
         self,

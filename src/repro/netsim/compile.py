@@ -23,16 +23,19 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..metrics.base import Metric
 from ..routing.ft_routing import FaultTolerantRoutingScheme, ft_protocol_for
 from ..routing.metric_routing import (
     MetricRoutingScheme,
-    metric_header_bits,
+    metric_header_bit_counter,
     metric_protocol,
 )
 from ..routing.ports import Network
-from ..routing.tree_routing import TreeRoutingScheme
-from ..routing.tree_routing import header_bits as tree_header_bits
-from ..routing.tree_routing import tree_protocol
+from ..routing.tree_routing import (
+    TreeRoutingScheme,
+    header_bit_counter,
+    tree_protocol,
+)
 from .links import Link
 from .node import SimNode
 
@@ -47,10 +50,11 @@ __all__ = [
 class CompiledNetwork:
     """A scheme lowered to nodes + links + a pure decision function.
 
-    Observer-side object: it may hold the distance oracle and contract
-    metadata for *measurement*, but the :class:`SimNode` structs and
-    the ``protocol`` callable it carries are what actually route, and
-    those are locality-audited.
+    Observer-side object: it may hold the metric (the simulator's
+    stretch oracle, queried in batches) and contract metadata for
+    *measurement*, but the :class:`SimNode` structs and the
+    ``protocol`` callable it carries are what actually route, and those
+    are locality-audited.
     """
 
     def __init__(
@@ -61,7 +65,7 @@ class CompiledNetwork:
         protocol: Callable,
         header_bits: Callable,
         labels: Dict[int, dict],
-        oracle: Callable[[int, int], float],
+        metric: Metric,
         hop_budget: int,
         gamma: Optional[float] = None,
         protocol_factory: Optional[Callable] = None,
@@ -74,7 +78,7 @@ class CompiledNetwork:
         self.protocol = protocol
         self.header_bits = header_bits
         self.labels = labels
-        self.oracle = oracle
+        self.metric = metric
         self.hop_budget = hop_budget
         self.gamma = gamma
         #: For FT schemes: faults -> decision function.  ``None`` for
@@ -133,15 +137,14 @@ def compile_tree_scheme(
 ) -> CompiledNetwork:
     """Lower a Theorem 5.1 tree scheme (stretch 1, 2 hops) to a network."""
     n = len(scheme.points)
-    metric = scheme.navigator.metric
     return CompiledNetwork(
         name="tree",
         nodes=_build_nodes(network, scheme.labels, scheme.tables),
         links=_build_links(network, latency_scale, service_time, queue_cap),
         protocol=tree_protocol,
-        header_bits=lambda h: tree_header_bits(h, n),
+        header_bits=header_bit_counter(n),
         labels=scheme.labels,
-        oracle=metric.distance,
+        metric=scheme.navigator.metric,
         hop_budget=2,
         gamma=1.0,
         zeta=1,
@@ -168,9 +171,9 @@ def compile_metric_scheme(
             scheme.network, latency_scale, service_time, queue_cap
         ),
         protocol=metric_protocol,
-        header_bits=lambda h: metric_header_bits(h, n, zeta),
+        header_bits=metric_header_bit_counter(n, zeta),
         labels=scheme.labels,
-        oracle=scheme.metric.distance,
+        metric=scheme.metric,
         hop_budget=2,
         gamma=gamma,
         zeta=zeta,
@@ -223,9 +226,9 @@ def compile_ft_scheme(
             scheme.network, latency_scale, service_time, queue_cap
         ),
         protocol=ft_protocol_for(frozenset()),
-        header_bits=lambda h: tree_header_bits(h, n),
+        header_bits=header_bit_counter(n),
         labels=scheme.labels,
-        oracle=scheme.metric.distance,
+        metric=scheme.metric,
         hop_budget=2,
         gamma=gamma,
         protocol_factory=ft_protocol_for,

@@ -2,8 +2,8 @@
 
 :class:`SimReport` is computed *after* the event queue drains, entirely
 from the simulator's observer-plane records (delivered envelopes, drop
-ledger, the metric oracle).  ``check_contract`` turns the paper's
-guarantees into hard gates that raise
+ledger, the metric as a batched stretch oracle).  ``check_contract``
+turns the paper's guarantees into hard gates that raise
 :class:`~repro.errors.InvariantViolation` — the bench stage and the
 smoke script both call it, so a regression fails loudly instead of
 shipping a quietly-degraded BENCH row.
@@ -48,11 +48,7 @@ class SimReport:
 
         self.hops: List[int] = [e.hops for e in sim.delivered]
         self.header_bits: List[int] = [e.max_header_bits for e in sim.delivered]
-        self.stretches: List[float] = []
-        for env in sim.delivered:
-            s = sim.stretch_of(env)
-            if s is not None:
-                self.stretches.append(s)
+        self.stretches: List[float] = sim.stretches(sim.delivered)
 
     # -- derived numbers -------------------------------------------------
 

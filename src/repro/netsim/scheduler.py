@@ -49,6 +49,9 @@ class EventScheduler:
             )
         self.tie_break = tie_break
         self.seed = seed
+        # The seeded policy's salt, mixed once here so that a tie key
+        # costs one ``_mix`` per event.
+        self._salt = _mix(seed)
         self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._seq = 0
         self.now = 0.0
@@ -62,7 +65,7 @@ class EventScheduler:
             return seq
         if self.tie_break == "lifo":
             return -seq
-        return _mix(seq ^ _mix(self.seed))
+        return _mix(seq ^ self._salt)
 
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         """Enqueue ``action`` to run at simulated ``time``."""

@@ -17,9 +17,13 @@ model separates:
   compiled ``protocol_factory`` with the current faulty set — the
   paper's model where the faulty set ``F`` is known to the router.
 * **observer plane** — delivery, drops, hop counts, per-hop header
-  bits and delivered stretch (against the metric oracle) are recorded
-  on the simulator and mirrored into the global ``netsim.*``
-  instruments when observability is enabled.
+  bits and delivered stretch (against the metric, the observer-side
+  oracle) are recorded on the simulator.  Drops and kills reach the
+  global ``netsim.*`` instruments as they happen; deliveries reach
+  them in one pass when :meth:`NetworkSimulator.run` returns (or
+  raises): one counter increment and one batched histogram update per
+  instrument, in delivery order, with every stretch from one batched
+  metric call.  The event loop itself only stamps and appends.
 
 Determinism: with a fixed scheduler policy and seed, runs are exactly
 reproducible; and because decisions are pure, *delivered paths* are
@@ -29,7 +33,7 @@ identical across tie-break policies whenever links do not drop
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation, ReproError, RoutingError
 from ..observability import OBS
@@ -87,6 +91,8 @@ class NetworkSimulator:
         self._next_msg_id = 0
         self.injected = 0
         self.delivered: List[Envelope] = []
+        #: How many of ``delivered`` the observer pass has counted.
+        self._observed = 0
         self.dropped: List[Tuple[Envelope, str]] = []
         self.drop_counts: Dict[str, int] = {r: 0 for r in DROP_REASONS}
 
@@ -205,13 +211,6 @@ class NetworkSimulator:
     def _deliver(self, env: Envelope) -> None:
         env.delivered_at = self.scheduler.now
         self.delivered.append(env)
-        if OBS.enabled:
-            self._c_delivered.inc()
-            self._h_hops.observe(env.hops)
-            self._h_header_bits.observe(env.max_header_bits)
-            s = self.stretch_of(env)
-            if s is not None:
-                self._h_stretch.observe(100.0 * s)
 
     def _drop(self, env: Envelope, reason: str) -> None:
         self.dropped.append((env, reason))
@@ -219,14 +218,47 @@ class NetworkSimulator:
         if OBS.enabled:
             self._c_drops[reason].inc()
 
-    def stretch_of(self, env: Envelope) -> Optional[float]:
-        """Delivered stretch against the metric oracle (observer-side)."""
-        if env.src == env.dst:
-            return 1.0 if env.weight == 0.0 else None
-        d = self.compiled.oracle(env.src, env.dst)
-        if d <= 0.0:
-            return None
-        return env.weight / d
+    def _observe(self) -> None:
+        """Feed the deliveries made since the last pass to the
+        ``netsim.*`` instruments; a pass that finds observability off
+        skips its deliveries for good."""
+        fresh = self.delivered[self._observed:]
+        self._observed = len(self.delivered)
+        if not fresh or not OBS.enabled:
+            return
+        self._c_delivered.inc(len(fresh))
+        self._h_hops.observe_many([env.hops for env in fresh])
+        self._h_header_bits.observe_many([env.max_header_bits for env in fresh])
+        self._h_stretch.observe_many(
+            [100.0 * s for s in self.stretches(fresh)]
+        )
+
+    def stretches(self, envelopes: Sequence[Envelope]) -> List[float]:
+        """Delivered stretch of each envelope against the metric, in
+        order, from one batched distance call (observer-side).
+
+        A self-addressed envelope has stretch 1 if it travelled no
+        weight; any other envelope between points at distance zero has
+        no stretch and is left out.  Only ``src != dst`` pairs reach
+        the metric.
+        """
+        remote = [env for env in envelopes if env.src != env.dst]
+        distances = iter(
+            self.compiled.metric.pair_distances(
+                [env.src for env in remote], [env.dst for env in remote]
+            ).tolist()
+            if remote else ()
+        )
+        out = []
+        for env in envelopes:
+            if env.src == env.dst:
+                if env.weight == 0.0:
+                    out.append(1.0)
+                continue
+            d = next(distances)
+            if d > 0.0:
+                out.append(env.weight / d)
+        return out
 
     # -- driving ---------------------------------------------------------
 
@@ -238,7 +270,10 @@ class NetworkSimulator:
             # full hop allowance, plus injections and kills.
             pending = self.injected + len(self.scheduler)
             max_events = 16 + (self.hop_limit + 2) * max(1, pending)
-        return self.scheduler.run(until=until, max_events=max_events)
+        try:
+            return self.scheduler.run(until=until, max_events=max_events)
+        finally:
+            self._observe()
 
     @property
     def now(self) -> float:

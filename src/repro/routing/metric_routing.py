@@ -10,7 +10,8 @@ cover (Table 1):
 * the source evaluates the pair's distance in each tree from the two
   distance labels (O(ζ) decision time), picks the best tree, and routes
   inside it; with a *Ramsey* cover (general metrics) the destination's
-  label simply names its home tree, giving O(1) decision time.
+  label simply names its home tree, giving O(1) decision time, and
+  neither labels nor tables carry distance labels.
 
 Headers grow by the tree index (⌈log ζ⌉ bits).  Each tree's state is
 Theorem 5.1's :class:`~repro.routing.tree_routing.TreeRoutingScheme`
@@ -20,16 +21,21 @@ choice.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..graphs.graph import Graph
 from ..metrics.base import Metric
 from ..treecover.base import TreeCover
 from .labels import cover_labelings, id_bits, label_bits, pick_tree
 from .ports import DELIVER, Network, RouteResult, check_route
-from .tree_routing import TreeRoutingScheme, header_bits, tree_protocol
+from .tree_routing import TreeRoutingScheme, header_bit_counter, tree_protocol
 
-__all__ = ["MetricRoutingScheme", "metric_protocol", "metric_header_bits"]
+__all__ = [
+    "MetricRoutingScheme",
+    "metric_protocol",
+    "metric_header_bits",
+    "metric_header_bit_counter",
+]
 
 
 def metric_protocol(u: int, table: dict, header, destination_label: dict):
@@ -60,11 +66,23 @@ def metric_protocol(u: int, table: dict, header, destination_label: dict):
     return port, None if port == DELIVER else (index, inner)
 
 
+def metric_header_bit_counter(n: int, zeta: int) -> Callable[[Any], int]:
+    """:func:`metric_header_bits` for one network, as a one-argument
+    function; ⌈log n⌉ and ⌈log ζ⌉ are computed once, not per header."""
+    inner = header_bit_counter(n)
+    index = id_bits(zeta)
+
+    def bits(header) -> int:
+        if header is None:
+            return 0
+        return inner(header[1]) + index
+
+    return bits
+
+
 def metric_header_bits(header, n: int, zeta: int) -> int:
     """On-wire header size: the inner tree header plus ⌈log ζ⌉ bits."""
-    if header is None:
-        return 0
-    return header_bits(header[1], n) + id_bits(zeta)
+    return metric_header_bit_counter(n, zeta)(header)
 
 
 class MetricRoutingScheme:
@@ -85,30 +103,34 @@ class MetricRoutingScheme:
         for scheme in self.schemes:
             scheme.finalize(self.network)
 
-        # Distance labels: exact tree distances from heavy-path labels.
-        dist_tables = cover_labelings(cover)
-
         self.labels: Dict[int, dict] = {}
         self.tables: Dict[int, dict] = {}
-        ramsey = cover.home is not None
-        for p in range(metric.n):
-            dist_labels = [table[p] for table in dist_tables]
-            if ramsey:
+        if cover.home is not None:
+            # Ramsey cover: the label names the home tree, so no node
+            # ever reads a distance label and none is stored.
+            for p in range(metric.n):
                 home = cover.home[p]
                 self.labels[p] = {
                     "id": p,
                     "home": home,
                     "trees": {home: self.schemes[home].labels[p]},
                 }
-            else:
-                self.labels[p] = {
-                    "id": p,
-                    "home": None,
-                    "trees": {
-                        i: scheme.labels[p] for i, scheme in enumerate(self.schemes)
-                    },
-                    "dist": dist_labels,
+                self.tables[p] = {
+                    "trees": [scheme.tables[p] for scheme in self.schemes],
                 }
+            return
+        # Distance labels: exact tree distances from heavy-path labels.
+        dist_tables = cover_labelings(cover)
+        for p in range(metric.n):
+            dist_labels = [table[p] for table in dist_tables]
+            self.labels[p] = {
+                "id": p,
+                "home": None,
+                "trees": {
+                    i: scheme.labels[p] for i, scheme in enumerate(self.schemes)
+                },
+                "dist": dist_labels,
+            }
             self.tables[p] = {
                 "trees": [scheme.tables[p] for scheme in self.schemes],
                 "dist": dist_labels,
@@ -118,15 +140,14 @@ class MetricRoutingScheme:
 
     def route(self, u: int, v: int, max_hops: int = 8) -> RouteResult:
         """Route one packet; returns the trace for verification."""
-        n = self.metric.n
-        zeta = len(self.schemes)
         return self.network.route(
             u,
             metric_protocol,
             self.labels[v],
             self.tables,
             max_hops=max_hops,
-            header_bits=lambda h: metric_header_bits(h, n, zeta),
+            header_bits=metric_header_bit_counter(
+                self.metric.n, len(self.schemes)),
         )
 
     # ------------------------------------------------------------------
@@ -150,7 +171,7 @@ class MetricRoutingScheme:
         bits = 0
         for scheme in self.schemes:
             bits += scheme.table_size_bits(p, n)
-        for d in self.tables[p]["dist"]:
+        for d in self.tables[p].get("dist", ()):
             bits += label_bits(d, n, float_bits=float_bits)
         return bits
 

@@ -19,7 +19,7 @@ paper's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.navigation import TreeNavigator
 from ..graphs.tree import Tree
@@ -28,7 +28,8 @@ from .labels import HeavyPathLabeling, id_bits, label_bits, lca_key
 from .ports import DELIVER, Network
 
 __all__ = [
-    "TreeRoutingState", "TreeRoutingScheme", "tree_protocol", "header_bits", "SELF",
+    "TreeRoutingState", "TreeRoutingScheme", "tree_protocol", "header_bits",
+    "header_bit_counter", "SELF",
 ]
 
 #: Port sentinel: the cut vertex's representative is this node itself.
@@ -214,13 +215,23 @@ def tree_protocol(u: int, table: dict, header, destination_label: dict):
     return out_port, ("forward", in_port)
 
 
+def header_bit_counter(n: int) -> Callable[[Any], int]:
+    """:func:`header_bits` for a network of ``n`` nodes, as the
+    one-argument function a simulator charges on every hop; the port
+    width ⌈log n⌉ is computed once, not per header."""
+    forward = 1 + id_bits(n)
+
+    def bits(header) -> int:
+        if header is None:
+            return 0
+        return 1 if header[0] == "deliver" else forward
+
+    return bits
+
+
 def header_bits(header, n: int = 1 << 16) -> int:
     """Header size: one tag bit plus at most one port number."""
-    if header is None:
-        return 0
-    if header[0] == "deliver":
-        return 1
-    return 1 + id_bits(n)
+    return header_bit_counter(n)(header)
 
 
 def build_tree_network(tree: Tree, seed: int = 0) -> Tuple[TreeRoutingScheme, Network]:

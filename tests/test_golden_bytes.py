@@ -233,10 +233,18 @@ def routing_digests():
     tree_scheme, _ = build_tree_network(random_tree(150, seed=26), seed=27)
     metric, cover = _cover("ramsey")
     metric_scheme = MetricRoutingScheme(metric, cover, seed=27)
+    # The digest was recorded while Ramsey tables still carried every
+    # tree's distance label, which no node reads there; put them back
+    # so the digest still pins the rest of each table.
+    dist_tables = cover_labelings(cover)
+    metric_tables = {
+        p: {**table, "dist": [rows[p] for rows in dist_tables]}
+        for p, table in metric_scheme.tables.items()
+    }
     ft = FaultTolerantRoutingScheme(random_points(24, dim=2, seed=28), f=1, seed=29)
     return {
         "tree": _routing_digest(tree_scheme.labels, tree_scheme.tables),
-        "metric": _routing_digest(metric_scheme.labels, metric_scheme.tables),
+        "metric": _routing_digest(metric_scheme.labels, metric_tables),
         "ft": _routing_digest(ft.labels, ft.tables),
     }
 

@@ -39,6 +39,21 @@ class TestEuclidean:
             for v in range(20):
                 assert abs(row[v] - m.distance(u, v)) < 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 16])
+    def test_batch_kernels_are_bit_identical_to_distance(self, dim):
+        """``pair_distances`` and ``distances_from`` sum the squares in
+        :meth:`distance`'s order; ``np.linalg.norm`` differed in the
+        last bit on thousands of pairs from dimension 8 on."""
+        m = random_points(300, dim, seed=dim)
+        rng = np.random.default_rng(dim)
+        us = rng.integers(0, 300, 2000).tolist()
+        vs = rng.integers(0, 300, 2000).tolist()
+        assert m.pair_distances(us, vs).tolist() == [
+            m.distance(u, v) for u, v in zip(us, vs)]
+        for u in range(0, 300, 15):
+            assert m.distances_from(u).tolist() == [
+                m.distance(u, v) for v in range(300)]
+
     def test_neighbors_within_matches_scan(self):
         m = random_points(80, dim=2, seed=2)
         for u in (0, 10, 79):

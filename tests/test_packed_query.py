@@ -309,3 +309,28 @@ class TestAllocationRegression:
         # the pre-rewrite path allocated tens of kB rebuilding lazy
         # dicts and touring Φ recursively.
         assert per_query < 8192, f"{per_query:.0f} bytes allocated per query"
+
+
+def test_mapped_find_paths_dedups_each_path_once(monkeypatch):
+    """A batched mapped query removes consecutive duplicates once, after
+    mapping tree vertices to points, and returns what the in-memory
+    navigator returns."""
+    from repro.core import PackedMetricNavigator, mapped_navigator, navigator_arrays
+    from repro.core import packed_query
+
+    metric = random_points(80, dim=2, seed=11)
+    navigator = MetricNavigator(metric, robust_tree_cover(metric, eps=0.5), 3)
+    mapped = PackedMetricNavigator(metric, 3, navigator_arrays(navigator))
+    pairs = sample_pairs(80, 120, seed=12) + [(5, 5)]
+    expected = [navigator.find_path_with_tree(u, v) for u, v in pairs]
+    calls = []
+    dedup = packed_query.dedup_path
+
+    def counting(path):
+        calls.append(1)
+        return dedup(path)
+
+    monkeypatch.setattr(mapped_navigator, "dedup_path", counting)
+    monkeypatch.setattr(packed_query, "dedup_path", counting)
+    assert mapped.find_paths(pairs) == expected
+    assert len(calls) == len(pairs) - 1

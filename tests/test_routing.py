@@ -241,6 +241,25 @@ class TestMetricRouting:
             expected = 6 + home_tree.label_size_bits(p, 60) + index_bits
             assert scheme.label_size_bits(p) == expected
 
+    def test_ramsey_tables_hold_no_distance_labels(self):
+        """A Ramsey label names the home tree, so no node reads a
+        distance label: tables hold the ζ per-tree tables only (the
+        largest was 1,276 bits, 624 of them distance labels, when all
+        ζ labels were stored)."""
+        metric = random_graph_metric(150, seed=1)
+        cover = ramsey_tree_cover(metric, ell=2, seed=0)
+        assert cover.size == 4
+        scheme = MetricRoutingScheme(metric, cover, seed=0)
+        bits = []
+        for p in range(150):
+            assert set(scheme.tables[p]) == {"trees"}
+            bits.append(scheme.table_size_bits(p))
+            assert bits[-1] == sum(
+                tree.table_size_bits(p, 150) for tree in scheme.schemes)
+        assert max(bits) == 652
+        for u, v in sample_pairs(150, 100, seed=2):
+            assert scheme.route(u, v).path[-1] == v
+
 
 class TestFaultTolerantRouting:
     def setup_method(self):
