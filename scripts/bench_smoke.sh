@@ -1,12 +1,16 @@
 #!/usr/bin/env sh
 # Smoke the benchmark-regression harness end to end: run a tiny-n
-# `python -m repro bench --quick`, then validate the emitted
-# BENCH_tree_covers.json / BENCH_navigation.json / BENCH_serving.json /
-# BENCH_dynamic.json against the schema contract
-# (repro.bench.validate_bench_json).  Fast enough for CI; the
-# full-size >= 3x gate lives in tests/test_bench_harness.py behind the
-# `bench` pytest marker, and the crash-path smoke for the dynamic rows
-# (kill -9 mid-journal, restart, replay) is scripts/churn_smoke.sh.
+# `python -m repro bench --quick`, whose stages (repro.bench.stages())
+# raise on a broken contract — the zeta gates of the robust, pruned and
+# compact covers, the mapped serving rows, the dynamic rows and the
+# netsim delivery/stretch/hop/drop gates — then validate every emitted
+# BENCH_*.json against the schema contract
+# (repro.bench.validate_bench_json).  Fast enough for CI; the full-size
+# gates live in tests/test_bench_harness.py and tests/test_netsim.py
+# behind the `bench` pytest marker, tests/test_bench_manifest.py pins the
+# shape of the files this script emits, and the crash-path smoke for the
+# dynamic rows (kill -9 mid-journal, restart, replay) is
+# scripts/churn_smoke.sh.
 #
 # Usage: scripts/bench_smoke.sh [out_dir]
 set -eu
@@ -23,49 +27,23 @@ PYTHONPATH=src python - "$OUT_DIR" <<'EOF'
 import json
 import sys
 
-from repro.bench import validate_bench_json
+from repro.bench import FILES, validate_bench_json
 
 out_dir = sys.argv[1]
-for name in ("BENCH_tree_covers.json", "BENCH_navigation.json",
-             "BENCH_serving.json", "BENCH_dynamic.json"):
-    path = f"{out_dir}/{name}"
+payloads = {}
+for file in FILES:
+    path = f"{out_dir}/BENCH_{file}.json"
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payloads[file] = payload = json.load(handle)
     validate_bench_json(payload)
     print(f"{path}: schema {payload['schema']} OK "
           f"({len(payload['results'])} results)")
 
-# The zeta attack: the robust rebuild must never emit *more* trees than
-# the frozen seed construction, and the pruning/compact rows must be
-# present and actually shrinking the cover within their re-verified
-# stretch budgets.
-with open(f"{out_dir}/BENCH_tree_covers.json", encoding="utf-8") as handle:
-    covers = json.load(handle)
-rows = {entry["name"]: entry for entry in covers["results"]}
-robust = rows["robust_cover"]["detail"]
-if robust["zeta"] > robust["zeta_seed"]:
-    raise SystemExit(
-        f"robust cover grew past the seed: zeta {robust['zeta']} > "
-        f"zeta_seed {robust['zeta_seed']}"
-    )
-pruning = rows["cover_pruning"]["detail"]
-assert pruning["zeta_after"] < pruning["zeta_before"], pruning
-assert pruning["reduction"] > 1.0, pruning
-assert pruning["stretch_max"] <= pruning["gamma"] + 1e-6, pruning
-assert pruning["nav_delta"]["retained_paths_identical"] is True, pruning
-compact = rows["compact_cover"]["detail"]
-assert compact["zeta"] < compact["zeta_robust"], compact
-print(f"zeta gates OK (robust {robust['zeta']} <= seed "
-      f"{robust['zeta_seed']}, pruned to {pruning['zeta_after']} "
-      f"[{pruning['reduction']}x], compact {compact['zeta']})")
-
 # The packed-query rewrite must keep scalar queries at least at parity
 # with the frozen seed loop, even at smoke sizes — a speedup below 1.0
 # here means the hot path regressed to (or below) the seed
-# implementation.
-with open(f"{out_dir}/BENCH_navigation.json", encoding="utf-8") as handle:
-    nav = json.load(handle)
-rows = {entry["name"]: entry for entry in nav["results"]}
+# implementation.  A timing gate, so it is not a stage check.
+rows = {entry["name"]: entry for entry in payloads["navigation"]["results"]}
 scalar = rows["query_scalar"]
 if scalar["speedup"] is not None and scalar["speedup"] < 1.0:
     raise SystemExit(
@@ -74,30 +52,6 @@ if scalar["speedup"] is not None and scalar["speedup"] < 1.0:
         f"seed {scalar['seed_seconds']}s)"
     )
 print(f"query_scalar speedup {scalar['speedup']}x vs seed: OK")
-
-# The zero-copy serving rows must be present and internally consistent.
-with open(f"{out_dir}/BENCH_serving.json", encoding="utf-8") as handle:
-    serving = json.load(handle)
-rows = {entry["name"]: entry for entry in serving["results"]}
-cold = rows["cold_load_first_query"]
-assert cold["detail"]["mapped"] is True, cold
-assert cold["detail"]["first_query_status"] == "ok", cold
-fleet = rows["multi_worker_rss"]
-assert fleet["detail"]["workers"] >= 2, fleet
-print(f"mapped serving rows OK (cold load {cold['seconds']}s, "
-      f"pss_ratio {fleet['detail'].get('pss_ratio')})")
-
-# The dynamic rows must carry the headline numbers: a rebuild
-# baseline, sustained update throughput, and the crossover summary.
-with open(f"{out_dir}/BENCH_dynamic.json", encoding="utf-8") as handle:
-    dynamic = json.load(handle)
-rows = {entry["name"]: entry for entry in dynamic["results"]}
-assert rows["full_rebuild"]["seconds"] > 0, rows["full_rebuild"]
-assert rows["update_batch_1"]["detail"]["updates_per_s"] > 0
-crossover = rows["patch_vs_rebuild"]["detail"]
-assert crossover["crossover_batch"] >= 1, crossover
-print(f"dynamic rows OK ({rows['update_batch_1']['detail']['updates_per_s']} "
-      f"updates/s at batch 1, crossover batch {crossover['crossover_batch']})")
 EOF
 
 # Second pass with --trace: the BENCH rows must now embed span trees,

@@ -1,38 +1,54 @@
-"""Benchmark-regression harness (``python -m repro bench``).
+"""Benchmark-regression harness (``python -m repro bench``) and its stage table.
 
-Times the vectorized construction and query paths against the frozen
-pre-vectorization implementations in :mod:`repro._seed_baseline` on
-identical inputs, and emits schema-stable JSON artifacts:
+Every timed stage of the repository is one :class:`Stage` of
+:func:`stages`.  A stage names the BENCH file its row lands in (or
+none), sets up off the clock, and times its ``run``; its ``seed``
+callable re-runs the frozen pre-vectorization implementation of
+:mod:`repro._seed_baseline` (or the baseline the row is compared
+against) on the same input, so every speedup is measured in this
+process, on this machine.  A stage's ``check`` raises when the stage
+broke its contract (Table 1 stretch and tree counts, hop budgets,
+delivery, drop accounting), so a degraded row never lands in an
+artifact.  The table has four consumers:
 
-* ``BENCH_tree_covers.json`` — construction time of the net hierarchy,
-  the CKR/HST hierarchy, and the Theorem 4.1 robust tree cover, each
-  with its seed-baseline time and speedup, plus output invariants
-  (ζ, measured stretch) so a regression in either speed or quality is
-  visible in version control diffs.
-* ``BENCH_navigation.json`` — navigator build time, scalar query
-  p50/p99 latency, and batched :meth:`MetricNavigator.find_paths`
-  per-query latency, plus spanner edge counts.
-* ``BENCH_dynamic.json`` — sustained insert/delete throughput with
-  interleaved queries through :class:`repro.dynamic.DynamicRobustCover`,
-  journal fsync latency, and the patch-vs-rebuild crossover.
+* :func:`run_bench`, behind ``python -m repro bench`` and the five
+  ``bench_*`` entry points, turns the stages of one BENCH file into its
+  schema-stable payload;
+* ``tests/test_bench_harness.py`` and the ``-m bench`` gates call those
+  entry points;
+* ``scripts/bench_smoke.sh`` runs the CLI at toy sizes;
+* ``benchmarks/bench_stages.py`` times the library stages (no BENCH
+  file) under pytest-benchmark.
+
+The BENCH files: ``BENCH_tree_covers.json`` (net hierarchy, HST, the
+Theorem 4.1 robust cover, its prune and the compact backend),
+``BENCH_navigation.json`` (navigator build, scalar and batched query
+latency), ``BENCH_serving.json`` (daemon cold start, mapped-fleet
+memory, closed-loop admission batching), ``BENCH_dynamic.json`` (churn
+throughput, journal latency, patch-vs-rebuild) and ``BENCH_netsim.json``
+(Theorems 5.1, 1.3 and 5.2 in the message-passing simulator).
 
 Schema stability contract: the ``schema`` field names the payload
-version (``repro.bench.tree_covers/v1``, ``repro.bench.navigation/v1``).
-Consumers may rely on the keys checked by :func:`validate_bench_json`;
-anything else (the ``detail`` dicts, ``meta``) is informational and may
-grow without a version bump.  Removing or retyping a checked key
-requires bumping the version suffix.
+version (``repro.bench.tree_covers/v1``, ``repro.bench.navigation/v1``,
+...).  Consumers may rely on the keys checked by
+:func:`validate_bench_json`; anything else (the ``detail`` dicts,
+``meta``) is informational and may grow without a version bump.
+Removing or retyping a checked key requires bumping the version suffix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import platform
 import random
+import tempfile
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,6 +63,7 @@ from ._seed_baseline import (
     seed_robust_tree_cover,
 )
 from .core.metric_navigator import MetricNavigator
+from .errors import check as require
 from .metrics.base import sample_pairs
 from .metrics.doubling import NetHierarchy
 from .metrics.euclidean import random_points
@@ -61,6 +78,11 @@ __all__ = [
     "SERVING_SCHEMA",
     "DYNAMIC_SCHEMA",
     "NETSIM_SCHEMA",
+    "FILES",
+    "Ctx",
+    "Stage",
+    "stages",
+    "run_bench",
     "bench_tree_covers",
     "bench_navigation",
     "bench_serving",
@@ -76,6 +98,101 @@ SERVING_SCHEMA = "repro.bench.serving/v1"
 DYNAMIC_SCHEMA = "repro.bench.dynamic/v1"
 NETSIM_SCHEMA = "repro.bench.netsim/v1"
 
+_WORKER_KEYS = ("workers", "workers_requested", "workers_fallback")
+
+#: BENCH file -> (schema id, payload ``config`` keys in order).  The file
+#: lands at ``BENCH_<file>.json``.
+FILES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "tree_covers": (TREE_COVERS_SCHEMA, (
+        "n", "dim", "seed", "eps", "alpha", "repeats", "robust_repeats",
+        "include_baseline", *_WORKER_KEYS, "prune", "prune_eps",
+        "compact_shifts", "trace")),
+    "navigation": (NAVIGATION_SCHEMA, (
+        "n", "dim", "seed", "eps", "k", "queries", "include_baseline",
+        *_WORKER_KEYS, "trace")),
+    "serving": (SERVING_SCHEMA, (
+        "n", "dim", "seed", "eps", "k", "queries", "window", "batch_sizes",
+        *_WORKER_KEYS, "rss_workers")),
+    "dynamic": (DYNAMIC_SCHEMA, (
+        "n", "dim", "seed", "eps", "batch_sizes", "rounds", "queries",
+        *_WORKER_KEYS)),
+    "netsim": (NETSIM_SCHEMA, (
+        "tree_n", "tree_messages", "metric_n", "metric_messages", "ft_n",
+        "ft_messages", "ft_f", "seed", "tie_break", "workers")),
+}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One timed stage of the table.
+
+    ``setup(ctx)`` runs off the clock; ``run(ctx)`` is timed (best of
+    ``ctx.cfg.<repeats>`` when ``repeats`` names a config key) and its
+    value lands in ``ctx.out[name]``.  ``seed(ctx)`` is timed the same
+    way when the run includes baselines; a row compared against another
+    row's time gives ``reference(ctx)`` instead.  ``serial(ctx)`` is
+    the one-process run of a stage that fans out over workers, timed
+    only when a pool ran.  ``seconds(ctx, out)`` replaces the wall time
+    of ``run`` when the row times only part of it.  ``detail(ctx, out)``
+    builds the BENCH row's detail and ``check(ctx, out)`` raises when the
+    stage broke its contract.  ``n`` names the config key of the row's
+    size, ``each`` a config list the stage repeats over (``name`` is
+    formatted with the value, which ``ctx.each`` holds), and ``when`` a
+    config flag the stage needs.
+    """
+
+    name: str
+    file: Optional[str]
+    run: Callable
+    setup: Optional[Callable] = None
+    seed: Optional[Callable] = None
+    reference: Optional[Callable] = None
+    serial: Optional[Callable] = None
+    seconds: Optional[Callable] = None
+    detail: Optional[Callable] = None
+    check: Optional[Callable] = None
+    repeats: Optional[str] = None
+    n: str = "n"
+    each: Optional[str] = None
+    when: Optional[str] = None
+
+
+class Ctx:
+    """What the stages of one run share.
+
+    ``cfg`` is the run's configuration.  :meth:`memo` caches fixtures by
+    name in ``cache`` (a pytest session passes one cache to every
+    stage).  ``out``, ``seconds``, ``seed_out``, ``seed_seconds`` and
+    ``rows`` hold each finished stage's results by row name, and
+    context managers given to :meth:`enter` close with the context.
+    """
+
+    def __init__(self, cfg: Optional[Dict] = None,
+                 cache: Optional[Dict] = None) -> None:
+        self.cfg = SimpleNamespace(**(cfg or {}))
+        self.cache = {} if cache is None else cache
+        self.out: Dict = {}
+        self.seconds: Dict[str, float] = {}
+        self.seed_out: Dict = {}
+        self.seed_seconds: Dict[str, float] = {}
+        self.rows: Dict[str, Dict] = {}
+        self.each = None
+        self._exit = ExitStack()
+
+    def memo(self, key: str, factory: Callable[[], object]):
+        if key not in self.cache:
+            self.cache[key] = factory()
+        return self.cache[key]
+
+    def enter(self, manager):
+        return self._exit.enter_context(manager)
+
+    def __enter__(self) -> "Ctx":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._exit.close()
+
 
 def _best_of(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
     """(best wall-clock seconds, last result) over ``repeats`` runs."""
@@ -86,6 +203,27 @@ def _best_of(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _latencies_us(fn: Callable, calls) -> List[float]:
+    """Per-call wall time of ``fn(*args)`` for each ``args`` in ``calls``, µs."""
+    lat = []
+    for args in calls:
+        start = time.perf_counter()
+        fn(*args)
+        lat.append((time.perf_counter() - start) * 1e6)
+    return lat
+
+
+def _pct(values, q: float) -> float:
+    return round(float(np.percentile(np.asarray(values), q)), 2)
+
+
+def _pairs(n: int, count: int, seed: int) -> List[Tuple[int, int]]:
+    """``count`` seeded random pairs over ``range(n)`` with ``u != v``."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    return [(u, v) for u, v in pairs if u != v]
 
 
 def _meta() -> Dict[str, str]:
@@ -134,8 +272,8 @@ def _trace_context(trace: bool):
 def _drain_spans(trace: bool) -> Optional[List[Dict]]:
     """Root spans accumulated since the previous drain, or ``None``.
 
-    Called after each timed stage so the stage's span trees land on its
-    own BENCH row.  Traced runs measure the instrumented code path —
+    Called after each stage so the stage's span trees land on its own
+    BENCH row.  Traced runs measure the instrumented code path —
     timings carry the (small) tracing overhead by design.
     """
     return OBS.take_roots() if trace else None
@@ -201,87 +339,192 @@ def _parallel_detail(
     return detail
 
 
-def _cover_pruning_row(
-    metric,
-    cover,
-    n: int,
-    seed: int,
-    prune_eps: float,
-    stretch_sample: int,
-    nav_delta_n: int,
-    eps: float,
-    workers: int,
-    trace: bool,
-) -> Dict:
-    """The ``cover_pruning`` row: zeta before/after the greedy set-cover
-    prune, the contract it was re-verified against, and the downstream
-    navigator-build/query deltas at ``min(n, nav_delta_n)`` (capped so
-    the full-size bench does not pay a second full navigator build)."""
-    from .treecover.prune import prune_cover
+# -- the runner -------------------------------------------------------------
 
-    report = prune_cover(cover, eps=prune_eps, workers=workers)
-    pruned = report.cover
-    worst, mean = pruned.measured_stretch(
-        sample_pairs(n, stretch_sample, seed=seed)
+
+def run_bench(file: str, config: Dict) -> Dict:
+    """Run the stages of BENCH file ``file`` under ``config``; its payload.
+
+    ``config`` holds every keyword of the file's ``bench_*`` entry point.
+    ``workers`` is resolved once through :func:`_timing_workers`; the
+    stages read the resolved count from ``ctx.cfg.workers``.  With
+    ``trace`` on, observability is scoped on for the run and each row
+    carries its stage's span trees under ``"trace"``.
+    """
+    schema, keys = FILES[file]
+    cfg = {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()}
+    trace = cfg.get("trace", False)
+    baseline = cfg.get("include_baseline", True)
+    with Ctx(cfg) as ctx, _trace_context(trace):
+        ctx.cfg.workers_requested = resolve_workers(cfg["workers"])
+        ctx.cfg.workers, ctx.cfg.workers_fallback = _timing_workers(cfg["workers"])
+        ctx.tmp = ctx.enter(tempfile.TemporaryDirectory())
+        rows = [
+            _run_stage(ctx, stage, value, trace, baseline)
+            for stage in stages()
+            if stage.file == file and (stage.when is None or getattr(ctx.cfg, stage.when))
+            for value in (getattr(ctx.cfg, stage.each) if stage.each else [None])
+        ]
+        payload = {
+            "schema": schema,
+            "config": {key: getattr(ctx.cfg, key) for key in keys},
+            "results": rows,
+            "meta": _meta(),
+        }
+        if trace:
+            payload["trace_metrics"] = OBS.registry.snapshot()
+    return payload
+
+
+def _run_stage(ctx: Ctx, stage: Stage, value, trace: bool, baseline: bool) -> Dict:
+    name = stage.name.format(value)
+    ctx.each = value
+    if stage.setup is not None:
+        stage.setup(ctx)
+    repeats = getattr(ctx.cfg, stage.repeats) if stage.repeats else 1
+    secs, out = _best_of(lambda: stage.run(ctx), repeats)
+    if stage.seconds is not None:
+        secs = stage.seconds(ctx, out)
+    ctx.out[name], ctx.seconds[name] = out, secs
+    seed_secs = None
+    if stage.seed is not None and baseline:
+        seed_secs, ctx.seed_out[name] = _best_of(lambda: stage.seed(ctx), repeats)
+        ctx.seed_seconds[name] = seed_secs
+    elif stage.reference is not None:
+        seed_secs = stage.reference(ctx)
+    detail = stage.detail(ctx, out) if stage.detail is not None else {}
+    if stage.serial is not None:
+        cfg = ctx.cfg
+        serial = secs
+        if cfg.workers > 1:
+            serial, _ = _best_of(lambda: stage.serial(ctx), repeats)
+        _parallel_detail(detail, cfg.workers, secs, serial,
+                         requested=cfg.workers_requested,
+                         fallback=cfg.workers_fallback)
+    ctx.rows[name] = row = _result(
+        name, getattr(ctx.cfg, stage.n), secs, seed_secs, detail,
+        spans=_drain_spans(trace),
+    )
+    if stage.check is not None:
+        stage.check(ctx, out)
+    return row
+
+
+# -- BENCH file stages -------------------------------------------------------
+
+
+def _metric(c: Ctx):
+    return c.memo("metric", lambda: random_points(
+        c.cfg.n, dim=c.cfg.dim, seed=c.cfg.seed))
+
+
+def _seed_metric(c: Ctx):
+    return c.memo("seed_metric", lambda: SeedEuclideanMetric(_metric(c).points))
+
+
+def _inputs(c: Ctx) -> None:
+    """Build the run's points (and the seed's copy) off the clock."""
+    _metric(c)
+    if c.cfg.include_baseline:
+        _seed_metric(c)
+
+
+def _cover(c: Ctx):
+    """The robust cover a serving or dynamic run starts from (untimed)."""
+    return c.memo("cover", lambda: robust_tree_cover(
+        _metric(c), eps=c.cfg.eps, workers=c.cfg.workers))
+
+
+def _detail_of(c: Ctx, name: str) -> Dict:
+    return c.rows[name]["detail"]
+
+
+def _stretch_detail(c: Ctx, cover) -> Dict:
+    worst, mean = cover.measured_stretch(
+        sample_pairs(c.cfg.n, c.cfg.stretch_sample, seed=c.cfg.seed)
+    )
+    return {"stretch_max": round(worst, 4), "stretch_mean": round(mean, 4)}
+
+
+def _cover_detail(c: Ctx, cover) -> Dict:
+    return {"eps": c.cfg.eps, "zeta": cover.size, "cover_bytes": cover.memory_bytes()}
+
+
+def _robust_stage(file: str, **fields) -> Stage:
+    return Stage(
+        "robust_cover", file, setup=_inputs,
+        run=lambda c: robust_tree_cover(_metric(c), eps=c.cfg.eps,
+                                        workers=c.cfg.workers),
+        serial=lambda c: robust_tree_cover(_metric(c), eps=c.cfg.eps, workers=0),
+        seed=lambda c: seed_robust_tree_cover(_seed_metric(c), eps=c.cfg.eps),
+        **fields,
     )
 
-    dn = min(n, nav_delta_n)
-    if dn == n:
-        d_metric, d_cover, d_report = metric, cover, report
+
+def _robust_cover_detail(c: Ctx, cover) -> Dict:
+    detail = _cover_detail(c, cover)
+    if "robust_cover" in c.seed_out:
+        detail["zeta_seed"] = c.seed_out["robust_cover"].size
+    detail.update(_stretch_detail(c, cover))
+    return detail
+
+
+def _check_robust_cover(c: Ctx, cover) -> None:
+    # The zeta attack: the robust rebuild must never emit *more* trees
+    # than the frozen seed construction.
+    detail = _detail_of(c, "robust_cover")
+    require(detail.get("zeta_seed", cover.size) >= cover.size,
+            f"robust cover grew past the seed: zeta {cover.size} > "
+            f"zeta_seed {detail.get('zeta_seed')}")
+    require(1.0 <= detail["stretch_mean"] <= detail["stretch_max"],
+            f"robust cover stretch out of range: {detail}")
+
+
+def _pruning_detail(c: Ctx, report) -> Dict:
+    """zeta before/after the greedy set-cover prune, the contract it was
+    re-verified against, and the navigator-build/query deltas at
+    ``min(n, nav_delta_n)`` (capped so the full-size bench does not pay a
+    second full navigator build)."""
+    from .treecover.prune import prune_cover
+
+    cfg = c.cfg
+    cover, pruned = c.out["robust_cover"], report.cover
+    dn = min(cfg.n, cfg.nav_delta_n)
+    if dn == cfg.n:
+        d_metric, d_cover, d_report = _metric(c), cover, report
     else:
-        d_metric = random_points(dn, dim=2, seed=seed)
-        d_cover = robust_tree_cover(d_metric, eps=eps, workers=workers)
-        d_report = prune_cover(d_cover, eps=prune_eps, workers=workers)
+        d_metric = random_points(dn, dim=2, seed=cfg.seed)
+        d_cover = robust_tree_cover(d_metric, eps=cfg.eps, workers=cfg.workers)
+        d_report = prune_cover(d_cover, eps=cfg.prune_eps, workers=cfg.workers)
     d_pruned = d_report.cover
 
     k = 3
-    start = time.perf_counter()
-    nav_full = MetricNavigator(d_metric, d_cover, k, workers=workers)
-    build_full = time.perf_counter() - start
-    start = time.perf_counter()
-    nav_pruned = MetricNavigator(d_metric, d_pruned, k, workers=workers)
-    build_pruned = time.perf_counter() - start
-
-    rng = random.Random(seed)
-    pairs = [(rng.randrange(dn), rng.randrange(dn)) for _ in range(200)]
-    pairs = [(u, v) for u, v in pairs if u != v]
-
-    def _p50_us(nav) -> float:
-        lat = []
-        for u, v in pairs:
-            t0 = time.perf_counter()
-            nav.find_path(u, v)
-            lat.append((time.perf_counter() - t0) * 1e6)
-        return round(float(np.percentile(np.asarray(lat), 50)), 2)
-
-    p50_full = _p50_us(nav_full)
-    p50_pruned = _p50_us(nav_pruned)
+    build_full, nav_full = _best_of(
+        lambda: MetricNavigator(d_metric, d_cover, k, workers=cfg.workers), 1)
+    build_pruned, nav_pruned = _best_of(
+        lambda: MetricNavigator(d_metric, d_pruned, k, workers=cfg.workers), 1)
+    pairs = _pairs(dn, 200, cfg.seed)
 
     # Retained trees are the same objects, so the per-tree navigator
     # paths must match the full navigator's on the original tree index
     # bit for bit; a False here means the prune changed answers it
     # promised not to touch.
-    identical = True
-    for u, v in pairs[:50]:
+    def same_path(u: int, v: int) -> bool:
         j, _ = d_pruned.best_tree(u, v)
-        ct = d_pruned.trees[j]
-        a, b = ct.vertex_of_point[u], ct.vertex_of_point[v]
-        if nav_pruned.navigators[j].find_path(a, b) != nav_full.navigators[
-            d_report.retained[j]
-        ].find_path(a, b):
-            identical = False
-            break
+        tree = d_pruned.trees[j]
+        a, b = tree.vertex_of_point[u], tree.vertex_of_point[v]
+        full = nav_full.navigators[d_report.retained[j]]
+        return nav_pruned.navigators[j].find_path(a, b) == full.find_path(a, b)
 
-    detail = {
+    return {
         "zeta_before": report.zeta_before,
         "zeta_after": report.zeta_after,
         "reduction": round(report.reduction, 2),
         "gamma": round(report.gamma, 4),
-        "prune_eps": prune_eps,
+        "prune_eps": cfg.prune_eps,
         "pairs_evaluated": report.pairs_evaluated,
         "exact_pairs": report.exact,
-        "stretch_max": round(worst, 4),
-        "stretch_mean": round(mean, 4),
+        **_stretch_detail(c, pruned),
         "cover_bytes_before": cover.memory_bytes(),
         "cover_bytes_after": pruned.memory_bytes(),
         "nav_delta": {
@@ -292,412 +535,122 @@ def _cover_pruning_row(
             "build_speedup": (
                 round(build_full / build_pruned, 3) if build_pruned > 0 else None
             ),
-            "query_full_p50_us": p50_full,
-            "query_pruned_p50_us": p50_pruned,
-            "retained_paths_identical": identical,
+            "query_full_p50_us": _pct(_latencies_us(nav_full.find_path, pairs), 50),
+            "query_pruned_p50_us": _pct(
+                _latencies_us(nav_pruned.find_path, pairs), 50),
+            "retained_paths_identical": all(
+                same_path(u, v) for u, v in pairs[:50]),
         },
     }
-    return _result(
-        "cover_pruning", n, report.seconds, None, detail,
-        spans=_drain_spans(trace),
-    )
 
 
-def _compact_cover_row(
-    metric,
-    cover,
-    n: int,
-    seed: int,
-    eps: float,
-    shifts: int,
-    robust_repeats: int,
-    stretch_sample: int,
-    robust_secs: float,
-    workers: int,
-    trace: bool,
-) -> Dict:
-    """The ``compact_cover`` row: the shifted-hierarchy backend at the
-    same eps as the robust cover, with its (n-independent) zeta and the
-    stretch it trades for it."""
-    from .treecover.compact import compact_tree_cover
+def _check_pruning(c: Ctx, _report) -> None:
+    detail = _detail_of(c, "cover_pruning")
+    require(detail["zeta_after"] < detail["zeta_before"]
+            and detail["reduction"] > 1.0, f"prune kept every tree: {detail}")
+    require(detail["stretch_max"] <= detail["gamma"] + 1e-6,
+            f"pruned cover exceeds its re-verified stretch: {detail}")
+    require(detail["nav_delta"]["retained_paths_identical"] is True,
+            "prune changed the paths of retained trees")
 
-    secs, compact = _best_of(
-        lambda: compact_tree_cover(metric, eps=eps, shifts=shifts, workers=workers),
-        robust_repeats,
-    )
-    worst, mean = compact.measured_stretch(
-        sample_pairs(n, stretch_sample, seed=seed)
-    )
-    detail = {
-        "eps": eps,
-        "shifts": shifts,
+
+def _compact_detail(c: Ctx, compact) -> Dict:
+    robust = c.out["robust_cover"]
+    return {
+        "eps": c.cfg.eps,
+        "shifts": c.cfg.compact_shifts,
         "zeta": compact.size,
-        "zeta_robust": cover.size,
-        "reduction_vs_robust": round(cover.size / max(1, compact.size), 2),
-        "stretch_max": round(worst, 4),
-        "stretch_mean": round(mean, 4),
+        "zeta_robust": robust.size,
+        "reduction_vs_robust": round(robust.size / max(1, compact.size), 2),
+        **_stretch_detail(c, compact),
         "cover_bytes": compact.memory_bytes(),
-        "robust_seconds": round(robust_secs, 6),
+        "robust_seconds": round(c.seconds["robust_cover"], 6),
     }
-    return _result(
-        "compact_cover", n, secs, None, detail, spans=_drain_spans(trace)
-    )
 
 
-def bench_tree_covers(
-    n: int = 2000,
-    dim: int = 2,
-    seed: int = 1,
-    eps: float = 0.5,
-    alpha: float = 8.0,
-    repeats: int = 3,
-    robust_repeats: int = 1,
-    include_baseline: bool = True,
-    stretch_sample: int = 300,
-    workers: Optional[int] = None,
-    trace: bool = False,
-    prune: bool = True,
-    prune_eps: float = 0.05,
-    compact_shifts: int = 4,
-    nav_delta_n: int = 600,
-) -> Dict:
-    """Construction benchmarks on ``random_points(n, dim)``.
+def _tree_cover_stages() -> List[Stage]:
+    from .treecover.compact import compact_tree_cover
+    from .treecover.prune import prune_cover
 
-    The baseline runs re-execute the frozen seed implementations on the
-    same points, so the reported speedups are measured in this process,
-    on this machine — not copied from a past run.  ``robust_repeats``
-    is separate because the seed Theorem 4.1 construction is by far the
-    slowest entry (minutes at n=2000).  ``workers`` fans the robust
-    cover's per-tree merges out across processes; when it resolves to a
-    pool, the serial path is timed too and the row's detail records the
-    parallel-vs-serial speedup alongside the seed-baseline speedup.
-    With ``trace=True`` observability is scoped on for the run and each
-    row carries the span trees of its timed stage under ``"trace"``
-    (timings then include the tracing overhead by design).
-
-    ``prune=True`` adds the ``cover_pruning`` and ``compact_cover``
-    rows: zeta before/after the greedy set-cover prune (with the
-    navigator-build and query deltas measured at
-    ``min(n, nav_delta_n)``), and the compact shifted-hierarchy backend
-    at the same eps.  Both carry ``seed_seconds=None`` — the frozen
-    seed implementation has no counterpart stage.
-    """
-    with _trace_context(trace):
-        return _bench_tree_covers(
-            n, dim, seed, eps, alpha, repeats, robust_repeats,
-            include_baseline, stretch_sample, workers, trace,
-            prune, prune_eps, compact_shifts, nav_delta_n,
-        )
+    return [
+        Stage(
+            "net_hierarchy", "tree_covers", repeats="repeats",
+            run=lambda c: NetHierarchy(_metric(c)),
+            seed=lambda c: SeedNetHierarchy(_seed_metric(c)), setup=_inputs,
+            detail=lambda c, h: {"levels": h.i_max - h.i_min + 1},
+        ),
+        Stage(
+            "hst", "tree_covers", repeats="repeats",
+            run=lambda c: build_hst(_metric(c), c.cfg.alpha, seed=0),
+            seed=lambda c: seed_build_hst(_seed_metric(c), c.cfg.alpha, seed=0),
+            detail=lambda c, out: {"alpha": c.cfg.alpha, "vertices": out[0].tree.n,
+                                   "padded": len(out[1])},
+        ),
+        _robust_stage("tree_covers", repeats="robust_repeats",
+                      detail=_robust_cover_detail, check=_check_robust_cover),
+        Stage(
+            "cover_pruning", "tree_covers", when="prune",
+            run=lambda c: prune_cover(c.out["robust_cover"], eps=c.cfg.prune_eps,
+                                      workers=c.cfg.workers),
+            seconds=lambda c, report: report.seconds,
+            detail=_pruning_detail, check=_check_pruning,
+        ),
+        Stage(
+            "compact_cover", "tree_covers", when="prune", repeats="robust_repeats",
+            run=lambda c: compact_tree_cover(
+                _metric(c), eps=c.cfg.eps, shifts=c.cfg.compact_shifts,
+                workers=c.cfg.workers),
+            detail=_compact_detail,
+            check=lambda c, compact: require(
+                compact.size < c.out["robust_cover"].size,
+                f"compact cover no smaller than the robust one: {compact.size}"),
+        ),
+    ]
 
 
-def _bench_tree_covers(
-    n: int,
-    dim: int,
-    seed: int,
-    eps: float,
-    alpha: float,
-    repeats: int,
-    robust_repeats: int,
-    include_baseline: bool,
-    stretch_sample: int,
-    workers: Optional[int],
-    trace: bool,
-    prune: bool,
-    prune_eps: float,
-    compact_shifts: int,
-    nav_delta_n: int,
-) -> Dict:
-    metric = random_points(n, dim=dim, seed=seed)
-    requested_workers = resolve_workers(workers)
-    resolved_workers, workers_fallback = _timing_workers(workers)
-    seed_metric = SeedEuclideanMetric(metric.points) if include_baseline else None
-    results: List[Dict] = []
+def _navigation_stages() -> List[Stage]:
+    def navigator(c: Ctx):
+        return c.out["navigator_build"]
 
-    secs, hierarchy = _best_of(lambda: NetHierarchy(metric), repeats)
-    base = (
-        _best_of(lambda: SeedNetHierarchy(seed_metric), repeats)[0]
-        if include_baseline
-        else None
-    )
-    results.append(
-        _result(
-            "net_hierarchy",
-            n,
-            secs,
-            base,
-            {"levels": hierarchy.i_max - hierarchy.i_min + 1},
-            spans=_drain_spans(trace),
-        )
-    )
+    def set_pairs(c: Ctx) -> None:
+        c.pairs = _pairs(c.cfg.n, c.cfg.queries, c.cfg.seed)
 
-    secs, (hst, padded) = _best_of(lambda: build_hst(metric, alpha, seed=0), repeats)
-    base = (
-        _best_of(lambda: seed_build_hst(seed_metric, alpha, seed=0), repeats)[0]
-        if include_baseline
-        else None
-    )
-    results.append(
-        _result(
-            "hst",
-            n,
-            secs,
-            base,
-            {"alpha": alpha, "vertices": hst.tree.n, "padded": len(padded)},
-            spans=_drain_spans(trace),
-        )
-    )
-
-    secs, cover = _best_of(
-        lambda: robust_tree_cover(metric, eps=eps, workers=resolved_workers),
-        robust_repeats,
-    )
-    serial_secs = secs
-    if resolved_workers > 1:
-        serial_secs, _ = _best_of(
-            lambda: robust_tree_cover(metric, eps=eps, workers=0), robust_repeats
-        )
-    detail: Dict = _parallel_detail(
-        {"eps": eps, "zeta": cover.size, "cover_bytes": cover.memory_bytes()},
-        resolved_workers, secs, serial_secs,
-        requested=requested_workers, fallback=workers_fallback,
-    )
-    if include_baseline:
-        base, seed_cover = _best_of(
-            lambda: seed_robust_tree_cover(seed_metric, eps=eps), robust_repeats
-        )
-        detail["zeta_seed"] = seed_cover.size
-    else:
-        base = None
-    worst, mean = cover.measured_stretch(
-        sample_pairs(n, stretch_sample, seed=seed)
-    )
-    detail["stretch_max"] = round(worst, 4)
-    detail["stretch_mean"] = round(mean, 4)
-    results.append(
-        _result("robust_cover", n, secs, base, detail, spans=_drain_spans(trace))
-    )
-
-    if prune:
-        results.append(
-            _cover_pruning_row(
-                metric, cover, n, seed, prune_eps, stretch_sample,
-                nav_delta_n, eps, resolved_workers, trace,
-            )
-        )
-        results.append(
-            _compact_cover_row(
-                metric, cover, n, seed, eps, compact_shifts, robust_repeats,
-                stretch_sample, secs, resolved_workers, trace,
-            )
-        )
-
-    payload = {
-        "schema": TREE_COVERS_SCHEMA,
-        "config": {
-            "n": n,
-            "dim": dim,
-            "seed": seed,
-            "eps": eps,
-            "alpha": alpha,
-            "repeats": repeats,
-            "robust_repeats": robust_repeats,
-            "include_baseline": include_baseline,
-            "workers": resolved_workers,
-            "workers_requested": requested_workers,
-            "workers_fallback": workers_fallback,
-            "prune": prune,
-            "prune_eps": prune_eps,
-            "compact_shifts": compact_shifts,
-            "trace": trace,
-        },
-        "results": results,
-        "meta": _meta(),
-    }
-    if trace:
-        payload["trace_metrics"] = OBS.registry.snapshot()
-    return payload
-
-
-def bench_navigation(
-    n: int = 600,
-    dim: int = 2,
-    seed: int = 1,
-    eps: float = 0.5,
-    k: int = 3,
-    queries: int = 400,
-    include_baseline: bool = True,
-    workers: Optional[int] = None,
-    trace: bool = False,
-) -> Dict:
-    """Navigator construction and query-latency benchmarks.
-
-    Every row carries a seed baseline measured in-process: the robust
-    cover and the navigator build re-run the frozen pre-vectorization
-    implementations (:mod:`repro._seed_baseline` — eager LCA indexes,
-    scalar per-edge distances), and the scalar query loop re-runs on the
-    seed navigator.  ``workers`` fans the cover and navigator builds out
-    across processes; the detail dicts then also record the
-    parallel-vs-serial speedup of each build stage.  With ``trace=True``
-    observability is scoped on and each row carries its stage's span
-    trees under ``"trace"`` (query stages emit counters, not spans, so
-    their lists may be empty).
-    """
-    with _trace_context(trace):
-        return _bench_navigation(
-            n, dim, seed, eps, k, queries, include_baseline, workers, trace
-        )
-
-
-def _bench_navigation(
-    n: int,
-    dim: int,
-    seed: int,
-    eps: float,
-    k: int,
-    queries: int,
-    include_baseline: bool,
-    workers: Optional[int],
-    trace: bool,
-) -> Dict:
-    metric = random_points(n, dim=dim, seed=seed)
-    requested_workers = resolve_workers(workers)
-    resolved_workers, workers_fallback = _timing_workers(workers)
-    results: List[Dict] = []
-
-    start = time.perf_counter()
-    cover = robust_tree_cover(metric, eps=eps, workers=resolved_workers)
-    cover_secs = time.perf_counter() - start
-    cover_serial = cover_secs
-    if resolved_workers > 1:
-        start = time.perf_counter()
-        robust_tree_cover(metric, eps=eps, workers=0)
-        cover_serial = time.perf_counter() - start
-    seed_cover_secs = None
-    if include_baseline:
-        seed_metric = SeedEuclideanMetric(metric.points)
-        start = time.perf_counter()
-        seed_robust_tree_cover(seed_metric, eps=eps)
-        seed_cover_secs = time.perf_counter() - start
-    results.append(
-        _result(
-            "robust_cover",
-            n,
-            cover_secs,
-            seed_cover_secs,
-            _parallel_detail(
-                {"eps": eps, "zeta": cover.size,
-                 "cover_bytes": cover.memory_bytes()},
-                resolved_workers, cover_secs, cover_serial,
-                requested=requested_workers, fallback=workers_fallback,
-            ),
-            spans=_drain_spans(trace),
-        )
-    )
-
-    start = time.perf_counter()
-    navigator = MetricNavigator(metric, cover, k, workers=resolved_workers)
-    build = time.perf_counter() - start
-    build_serial = build
-    if resolved_workers > 1:
-        start = time.perf_counter()
-        MetricNavigator(metric, cover, k, workers=0)
-        build_serial = time.perf_counter() - start
-    seed_navigator = None
-    seed_build = None
-    if include_baseline:
-        start = time.perf_counter()
-        seed_navigator = SeedMetricNavigator(metric, cover, k)
-        seed_build = time.perf_counter() - start
-    results.append(
-        _result(
-            "navigator_build",
-            n,
-            build,
-            seed_build,
-            _parallel_detail(
-                {"k": k, "zeta": cover.size, "edges": navigator.num_edges},
-                resolved_workers, build, build_serial,
-                requested=requested_workers, fallback=workers_fallback,
-            ),
-            spans=_drain_spans(trace),
-        )
-    )
-
-    rng = random.Random(seed)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(queries)]
-    pairs = [(u, v) for u, v in pairs if u != v]
-
-    lat_us: List[float] = []
-    start_all = time.perf_counter()
-    for u, v in pairs:
-        start = time.perf_counter()
-        navigator.find_path(u, v)
-        lat_us.append((time.perf_counter() - start) * 1e6)
-    scalar_total = time.perf_counter() - start_all
-    seed_scalar = None
-    if seed_navigator is not None:
-        start_all = time.perf_counter()
-        for u, v in pairs:
-            seed_navigator.find_path(u, v)
-        seed_scalar = time.perf_counter() - start_all
-    lat = np.asarray(lat_us)
-    results.append(
-        _result(
-            "query_scalar",
-            n,
-            scalar_total,
-            seed_scalar,
-            {
-                "queries": len(pairs),
-                "p50_us": round(float(np.percentile(lat, 50)), 2),
-                "p99_us": round(float(np.percentile(lat, 99)), 2),
+    return [
+        _robust_stage("navigation", detail=_cover_detail),
+        Stage(
+            "navigator_build", "navigation",
+            run=lambda c: MetricNavigator(_metric(c), c.out["robust_cover"],
+                                          c.cfg.k, workers=c.cfg.workers),
+            serial=lambda c: MetricNavigator(_metric(c), c.out["robust_cover"],
+                                             c.cfg.k, workers=0),
+            seed=lambda c: SeedMetricNavigator(_metric(c), c.out["robust_cover"],
+                                               c.cfg.k),
+            detail=lambda c, nav: {"k": c.cfg.k, "zeta": c.out["robust_cover"].size,
+                                   "edges": nav.num_edges},
+        ),
+        Stage(
+            "query_scalar", "navigation", setup=set_pairs,
+            run=lambda c: _latencies_us(navigator(c).find_path, c.pairs),
+            seed=lambda c: _latencies_us(
+                c.seed_out["navigator_build"].find_path, c.pairs),
+            detail=lambda c, lat: {"queries": len(c.pairs), "p50_us": _pct(lat, 50),
+                                   "p99_us": _pct(lat, 99)},
+        ),
+        Stage(
+            # The frozen seed's scalar loop, like every other row; the
+            # batch kernel's edge over this run's scalar loop is
+            # detail.scalar_seconds.
+            "query_batch", "navigation",
+            run=lambda c: navigator(c).find_paths(c.pairs),
+            reference=lambda c: c.seed_seconds.get("query_scalar"),
+            detail=lambda c, _: {
+                "queries": len(c.pairs),
+                "per_query_us": round(
+                    c.seconds["query_batch"] / max(1, len(c.pairs)) * 1e6, 2),
+                "scalar_seconds": round(c.seconds["query_scalar"], 6),
             },
-            spans=_drain_spans(trace),
-        )
-    )
-
-    start = time.perf_counter()
-    navigator.find_paths(pairs)
-    batch_total = time.perf_counter() - start
-    results.append(
-        _result(
-            "query_batch",
-            n,
-            batch_total,
-            # The frozen seed baseline, like every other row; the batch
-            # kernel's edge over this run's scalar loop is still
-            # visible via detail.scalar_seconds.
-            seed_scalar,
-            {
-                "queries": len(pairs),
-                "per_query_us": round(batch_total / max(1, len(pairs)) * 1e6, 2),
-                "scalar_seconds": round(scalar_total, 6),
-            },
-            spans=_drain_spans(trace),
-        )
-    )
-
-    payload = {
-        "schema": NAVIGATION_SCHEMA,
-        "config": {
-            "n": n,
-            "dim": dim,
-            "seed": seed,
-            "eps": eps,
-            "k": k,
-            "queries": queries,
-            "include_baseline": include_baseline,
-            "workers": resolved_workers,
-            "workers_requested": requested_workers,
-            "workers_fallback": workers_fallback,
-            "trace": trace,
-        },
-        "results": results,
-        "meta": _meta(),
-    }
-    if trace:
-        payload["trace_metrics"] = OBS.registry.snapshot()
-    return payload
+        ),
+    ]
 
 
 def _serve_closed_loop(
@@ -774,10 +727,8 @@ def _rss_fanout_worker(mode, payload, metric, pairs, barrier, queue) -> None:
     queue.put(pss)
 
 
-def _measure_worker_fleet(
-    mode: str, payload, metric, pairs, num_workers: int
-) -> Tuple[float, List[Optional[int]]]:
-    """Wall seconds + per-worker PSS for ``num_workers`` spawned workers.
+def _worker_fleet(c: Ctx, mode: str, payload) -> List[Optional[int]]:
+    """Per-worker PSS of ``rss_workers`` spawned serving workers.
 
     Uses the ``spawn`` start method deliberately: ``fork`` would share
     the parent's pages copy-on-write, making pickled clones look as
@@ -786,63 +737,24 @@ def _measure_worker_fleet(
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
-    barrier = ctx.Barrier(num_workers)
+    barrier = ctx.Barrier(c.cfg.rss_workers)
     queue = ctx.SimpleQueue()
     procs = [
         ctx.Process(
             target=_rss_fanout_worker,
-            args=(mode, payload, metric, pairs, barrier, queue),
+            args=(mode, payload, _metric(c), c.rss_pairs, barrier, queue),
         )
-        for _ in range(num_workers)
+        for _ in range(c.cfg.rss_workers)
     ]
-    start = time.perf_counter()
     for proc in procs:
         proc.start()
     pss = [queue.get() for _ in procs]
     for proc in procs:
         proc.join()
-    return time.perf_counter() - start, pss
+    return pss
 
 
-def bench_serving(
-    n: int = 300,
-    dim: int = 2,
-    seed: int = 1,
-    eps: float = 0.5,
-    k: int = 3,
-    queries: int = 240,
-    window: int = 32,
-    batch_sizes: Tuple[int, ...] = (1, 8, 32),
-    workers: Optional[int] = None,
-    rss_workers: int = 4,
-) -> Dict:
-    """Serving-daemon benchmarks: cold start and closed-loop latency.
-
-    Rows:
-
-    * ``cold_start`` — checkpoint load (audit included) through daemon
-      bind to the first answered query, the time-to-first-byte of a
-      deploy or a recovery restart.
-    * ``cold_load_first_query`` — the same deploy path through a
-      ``packed=True`` navigator checkpoint attached with ``mmap=True``:
-      no rebuild, CRC-verify + map + first answered query.
-      ``seed_seconds`` is the rebuild-based ``cold_start`` time, so the
-      zero-copy win is a tracked speedup.
-    * ``multi_worker_rss`` — ``rss_workers`` spawned serving processes
-      attach to the mapped checkpoint, versus the same fleet each
-      unpickling a private clone of the in-memory navigator; the detail
-      records per-worker and aggregate PSS for both fleets (mapped
-      aggregate should stay sub-linear in N; clones grow ~linearly).
-    * ``serve_batch_{b}`` for each ``b`` in ``batch_sizes`` — a fresh
-      daemon per admission batch size, driven closed-loop with
-      ``window`` requests always in flight; the detail carries
-      p50/p99 per-request latency (client-observed, queueing included)
-      and per-query throughput.  ``seed_seconds``/``speedup`` on the
-      ``b > 1`` rows compare against the ``batch=1`` row, so the win
-      from micro-batching into ``find_paths`` is a tracked number.
-    """
-    import tempfile
-
+def _serving_stages() -> List[Stage]:
     from .checkpoint import (
         CheckpointService,
         save_cover_checkpoint,
@@ -851,399 +763,229 @@ def bench_serving(
     from .parallel.sharedmem import mapped_navigator_descriptor
     from .serve import AdmissionPolicy, ServeClient, ThreadedServer
 
-    metric = random_points(n, dim=dim, seed=seed)
-    resolved_workers, workers_fallback = _timing_workers(workers)
-    requested_workers = resolve_workers(workers)
-    cover = robust_tree_cover(metric, eps=eps, workers=resolved_workers)
-    handle, path = tempfile.mkstemp(suffix=".ckpt")
-    os.close(handle)
-    handle, packed_path = tempfile.mkstemp(suffix=".packed.ckpt")
-    os.close(handle)
-    results: List[Dict] = []
-    try:
-        save_cover_checkpoint(
-            cover, path, builder={"family": "euclidean-robust", "eps": eps}
-        )
+    def service(c: Ctx):
+        return c.out["cold_start"][0]
 
+    def first_answer(c: Ctx, load: Callable):
+        """Load a service, bind a daemon, answer one query."""
         start = time.perf_counter()
-        service = CheckpointService(
-            metric, k=k, workers=resolved_workers
-        ).load(path)
+        loaded = load()
         load_secs = time.perf_counter() - start
-        with ThreadedServer(service) as threaded:
+        with ThreadedServer(loaded) as threaded:
             with ServeClient(threaded.host, threaded.port) as client:
-                first = client.path(0, n - 1)
-        cold_secs = time.perf_counter() - start
-        results.append(
-            _result(
-                "cold_start",
-                n,
-                cold_secs,
-                None,
-                {
-                    "load_seconds": round(load_secs, 6),
-                    "zeta": cover.size,
-                    "k": k,
-                    "first_query_status": first["status"],
-                },
-            )
-        )
+                first = client.path(0, c.cfg.n - 1)
+        return loaded, load_secs, first["status"]
 
-        # Zero-copy deploy path: write the packed navigator checkpoint
-        # (off the clock — that is build/save-time work), then time
-        # attach-by-mmap through the first answered query.
-        navigator = service.navigator
-        save_navigator_checkpoint(navigator, packed_path, packed=True)
-        start = time.perf_counter()
-        mapped_service = CheckpointService(metric, k=k).load(
-            packed_path, mmap=True
-        )
-        mapped_load_secs = time.perf_counter() - start
-        with ThreadedServer(mapped_service) as threaded:
+    def cold_detail(c: Ctx, out) -> Dict:
+        return {"load_seconds": round(out[1], 6), "zeta": _cover(c).size,
+                "k": c.cfg.k, "first_query_status": out[2]}
+
+    def save_cover(c: Ctx) -> None:
+        c.ckpt = os.path.join(c.tmp, "cover.ckpt")
+        save_cover_checkpoint(_cover(c), c.ckpt,
+                              builder={"family": "euclidean-robust", "eps": c.cfg.eps})
+
+    # Zero-copy deploy path: the packed navigator checkpoint is written
+    # off the clock (build/save-time work); attach-by-mmap through the
+    # first answered query is timed.
+    def save_packed(c: Ctx) -> None:
+        c.packed = os.path.join(c.tmp, "navigator.packed.ckpt")
+        save_navigator_checkpoint(service(c).navigator, c.packed, packed=True)
+
+    def rss_setup(c: Ctx) -> None:
+        c.rss_pairs = _pairs(c.cfg.n, 48, c.cfg.seed) or [(0, c.cfg.n - 1)]
+        c.descriptor = mapped_navigator_descriptor(c.packed)
+
+    def rss_detail(c: Ctx, mapped) -> Dict:
+        cloned = c.seed_out["multi_worker_rss"]
+        have = all(p is not None for p in mapped + cloned)
+        return {
+            "workers": c.cfg.rss_workers,
+            "pss_mapped_kb": mapped,
+            "pss_cloned_kb": cloned,
+            "aggregate_pss_mapped_kb": sum(mapped) if have else None,
+            "aggregate_pss_cloned_kb": sum(cloned) if have else None,
+            "pss_ratio": (round(sum(cloned) / sum(mapped), 3)
+                          if have and sum(mapped) > 0 else None),
+        }
+
+    def serve_batch(c: Ctx):
+        policy = AdmissionPolicy(max_batch=c.each,
+                                 max_queue=max(256, c.cfg.window * 4))
+        with ThreadedServer(service(c), policy=policy) as threaded:
             with ServeClient(threaded.host, threaded.port) as client:
-                first = client.path(0, n - 1)
-        mapped_cold_secs = time.perf_counter() - start
-        results.append(
-            _result(
-                "cold_load_first_query",
-                n,
-                mapped_cold_secs,
-                cold_secs,
-                {
-                    "load_seconds": round(mapped_load_secs, 6),
-                    "zeta": cover.size,
-                    "k": k,
-                    "first_query_status": first["status"],
-                    "mapped": True,
-                    "checkpoint_bytes": os.path.getsize(packed_path),
-                },
-            )
-        )
+                return _serve_closed_loop(client, c.serve_pairs, c.cfg.queries,
+                                          c.cfg.window)
 
-        rng = random.Random(seed)
-        rss_pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(48)]
-        rss_pairs = [(u, v) for u, v in rss_pairs if u != v] or [(0, n - 1)]
-        mapped_secs, mapped_pss = _measure_worker_fleet(
-            "mapped",
-            mapped_navigator_descriptor(packed_path),
-            metric,
-            rss_pairs,
-            rss_workers,
-        )
-        cloned_secs, cloned_pss = _measure_worker_fleet(
-            "cloned", navigator, metric, rss_pairs, rss_workers
-        )
-        have_pss = all(p is not None for p in mapped_pss + cloned_pss)
-        results.append(
-            _result(
-                "multi_worker_rss",
-                n,
-                mapped_secs,
-                cloned_secs,
-                {
-                    "workers": rss_workers,
-                    "pss_mapped_kb": mapped_pss,
-                    "pss_cloned_kb": cloned_pss,
-                    "aggregate_pss_mapped_kb": (
-                        sum(mapped_pss) if have_pss else None
-                    ),
-                    "aggregate_pss_cloned_kb": (
-                        sum(cloned_pss) if have_pss else None
-                    ),
-                    "pss_ratio": (
-                        round(sum(cloned_pss) / sum(mapped_pss), 3)
-                        if have_pss and sum(mapped_pss) > 0 else None
-                    ),
-                },
-            )
-        )
+    def batch_detail(c: Ctx, out) -> Dict:
+        total, lat, statuses = out
+        return {"queries": c.cfg.queries, "window": c.cfg.window,
+                "max_batch": c.each, "p50_us": _pct(lat, 50),
+                "p99_us": _pct(lat, 99),
+                "per_query_us": round(total / c.cfg.queries * 1e6, 2),
+                "statuses": statuses}
 
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(queries)]
-        pairs = [(u, v) for u, v in pairs if u != v] or [(0, n - 1)]
-        batch1_secs: Optional[float] = None
-        for batch_size in batch_sizes:
-            policy = AdmissionPolicy(
-                max_batch=batch_size, max_queue=max(256, window * 4)
-            )
-            with ThreadedServer(service, policy=policy) as threaded:
-                with ServeClient(threaded.host, threaded.port) as client:
-                    total, lat_us, statuses = _serve_closed_loop(
-                        client, pairs, queries, window
-                    )
-            lat = np.asarray(lat_us)
-            results.append(
-                _result(
-                    f"serve_batch_{batch_size}",
-                    n,
-                    total,
-                    batch1_secs,
-                    {
-                        "queries": queries,
-                        "window": window,
-                        "max_batch": batch_size,
-                        "p50_us": round(float(np.percentile(lat, 50)), 2),
-                        "p99_us": round(float(np.percentile(lat, 99)), 2),
-                        "per_query_us": round(total / queries * 1e6, 2),
-                        "statuses": statuses,
-                    },
-                )
-            )
-            if batch1_secs is None:
-                batch1_secs = total
-    finally:
-        os.unlink(path)
-        os.unlink(packed_path)
+    def first_batch(c: Ctx) -> Optional[float]:
+        # Rows past the first compare against it: the micro-batching win.
+        first = c.cfg.batch_sizes[0]
+        return None if c.each == first else c.seconds[f"serve_batch_{first}"]
 
-    return {
-        "schema": SERVING_SCHEMA,
-        "config": {
-            "n": n,
-            "dim": dim,
-            "seed": seed,
-            "eps": eps,
-            "k": k,
-            "queries": queries,
-            "window": window,
-            "batch_sizes": list(batch_sizes),
-            "workers": resolved_workers,
-            "workers_requested": requested_workers,
-            "workers_fallback": workers_fallback,
-            "rss_workers": rss_workers,
-        },
-        "results": results,
-        "meta": _meta(),
-    }
+    return [
+        Stage(
+            "cold_start", "serving", setup=save_cover,
+            run=lambda c: first_answer(c, lambda: CheckpointService(
+                _metric(c), k=c.cfg.k, workers=c.cfg.workers).load(c.ckpt)),
+            detail=cold_detail,
+        ),
+        Stage(
+            "cold_load_first_query", "serving", setup=save_packed,
+            run=lambda c: first_answer(c, lambda: CheckpointService(
+                _metric(c), k=c.cfg.k).load(c.packed, mmap=True)),
+            reference=lambda c: c.seconds["cold_start"],
+            detail=lambda c, out: {**cold_detail(c, out), "mapped": True,
+                                   "checkpoint_bytes": os.path.getsize(c.packed)},
+            check=lambda c, out: require(
+                out[2] == "ok", f"mapped first query answered {out[2]!r}"),
+        ),
+        Stage(
+            # rss_workers processes attach to the mapped checkpoint, against
+            # the same fleet each unpickling a private clone of the
+            # in-memory navigator.
+            "multi_worker_rss", "serving", setup=rss_setup,
+            run=lambda c: _worker_fleet(c, "mapped", c.descriptor),
+            seed=lambda c: _worker_fleet(c, "cloned", service(c).navigator),
+            detail=rss_detail,
+            check=lambda c, pss: require(len(pss) >= 2,
+                                         "the RSS fleet needs two workers"),
+        ),
+        Stage(
+            "serve_batch_{}", "serving", each="batch_sizes",
+            setup=lambda c: setattr(c, "serve_pairs", _pairs(
+                c.cfg.n, c.cfg.queries, c.cfg.seed) or [(0, c.cfg.n - 1)]),
+            run=serve_batch, seconds=lambda c, out: out[0],
+            reference=first_batch, detail=batch_detail,
+        ),
+    ]
 
 
-def bench_dynamic(
-    n: int = 150,
-    dim: int = 2,
-    seed: int = 1,
-    eps: float = 0.5,
-    batch_sizes: Tuple[int, ...] = (1, 8, 32),
-    rounds: int = 3,
-    queries: int = 16,
-    workers: Optional[int] = None,
-) -> Dict:
-    """Dynamic-update benchmarks: sustained churn with interleaved queries.
+def _churn_ops(state, rng: random.Random, batch: int) -> List[Tuple]:
+    """``batch`` seeded mutations, 50/50 insert (inside the live bounding
+    box) and delete (of a live point)."""
+    lo = state.coords[state.active].min(axis=0)
+    hi = state.coords[state.active].max(axis=0)
+    live = set(state.active)
+    ops = []
+    for _ in range(batch):
+        if rng.random() < 0.5 or len(live) <= 3:
+            ops.append((
+                "insert",
+                [float(l + rng.random() * max(h - l, 1.0)) for l, h in zip(lo, hi)],
+            ))
+        else:
+            victim = rng.choice(sorted(live))
+            live.discard(victim)
+            ops.append(("delete", victim))
+    return ops
 
-    Rows:
 
-    * ``full_rebuild`` — a from-scratch build of the current
-      generation over its live points: what one ``apply`` pays for a
-      whole batch, re-pinned or not.  The median of ``rounds`` builds
-      (the detail's ``samples``).
-    * ``journal_append`` — p50/p99 of one write-ahead journal record
-      (CRC frame + fsync-before-ack), the floor of any mutation's
-      acknowledged latency.
-    * ``update_batch_{b}`` for each ``b`` in ``batch_sizes`` —
-      ``rounds`` seeded mutation batches of ``b`` ops (50/50
-      insert/delete) applied through ``DynamicRobustCover.apply``, with
-      ``queries`` cover queries interleaved after every batch.  The
-      detail carries sustained ``updates_per_s``, the mean
-      ``touched_fraction`` (1.0: every mutation rebuilds every tree of
-      the Theorem 4.1 construction — see ``docs/DYNAMIC.md``) and
-      interleaved query p50.
-      ``seed_seconds``/``speedup`` compare against paying one full
-      rebuild *per op* — the batch-amortization win.
-    * ``patch_vs_rebuild`` — the crossover summary: the measured
-      apply-time/rebuild-time ratio per batch size and the batch size
-      past which batching beats rebuild-per-op.
-    """
-    import random as random_mod
-    import tempfile
-
+def _dynamic_stages() -> List[Stage]:
     from .dynamic import DynamicRobustCover, UpdateJournal
 
-    metric = random_points(n, dim=dim, seed=seed)
-    resolved_workers, workers_fallback = _timing_workers(workers)
-    requested_workers = resolve_workers(workers)
-    dyn = DynamicRobustCover.from_metric(metric, eps=eps, workers=resolved_workers)
-    results: List[Dict] = []
+    def dyn(c: Ctx):
+        return c.memo("dyn", lambda: DynamicRobustCover.from_metric(
+            _metric(c), eps=c.cfg.eps, workers=c.cfg.workers))
 
-    # Every patch_vs_rebuild ratio and the crossover divide by this
-    # baseline, so it is the median of ``rounds`` rebuilds, not one.
-    rebuild_samples = []
-    for _ in range(max(1, rounds)):
-        start = time.perf_counter()
-        dyn.rebuild()
-        rebuild_samples.append(time.perf_counter() - start)
-    rebuild_secs = float(np.median(rebuild_samples))
-    results.append(
-        _result(
-            "full_rebuild",
-            n,
-            rebuild_secs,
-            None,
-            {
-                "zeta": len(dyn.trees),
-                "active": len(dyn.active),
-                "eps": eps,
-                "samples": len(rebuild_samples),
-            },
-        )
-    )
+    def journal_latencies(c: Ctx) -> List[float]:
+        with UpdateJournal(os.path.join(c.tmp, "bench.journal")) as journal:
+            return _latencies_us(
+                lambda i: journal.append("insert", point=[float(i), float(i)]),
+                [(i,) for i in range(64)])
 
-    handle, journal_path = tempfile.mkstemp(suffix=".journal")
-    os.close(handle)
-    os.unlink(journal_path)
-    try:
-        append_lat: List[float] = []
-        with UpdateJournal(journal_path) as journal:
-            for i in range(64):
-                start = time.perf_counter()
-                journal.append("insert", point=[float(i), float(i)])
-                append_lat.append((time.perf_counter() - start) * 1e6)
-        lat = np.asarray(append_lat)
-        results.append(
-            _result(
-                "journal_append",
-                n,
-                float(lat.sum()) / 1e6,
-                None,
-                {
-                    "appends": len(append_lat),
-                    "p50_us": round(float(np.percentile(lat, 50)), 2),
-                    "p99_us": round(float(np.percentile(lat, 99)), 2),
-                },
-            )
-        )
-    finally:
-        if os.path.exists(journal_path):
-            os.unlink(journal_path)
-
-    def make_ops(state: DynamicRobustCover, rng, batch: int):
-        lo = state.coords[state.active].min(axis=0)
-        hi = state.coords[state.active].max(axis=0)
-        live = set(state.active)
-        ops = []
-        for _ in range(batch):
-            if rng.random() < 0.5 or len(live) <= 3:
-                ops.append((
-                    "insert",
-                    [float(l + rng.random() * max(h - l, 1.0))
-                     for l, h in zip(lo, hi)],
-                ))
-            else:
-                victim = rng.choice(sorted(live))
-                live.discard(victim)
-                ops.append(("delete", victim))
-        return ops
-
-    ratios: Dict[str, float] = {}
-    for batch in batch_sizes:
+    def churn(c: Ctx) -> SimpleNamespace:
+        """``rounds`` seeded batches through ``apply``, with cover
+        queries interleaved after every batch."""
         state = DynamicRobustCover.from_metric(
-            metric, eps=eps, workers=resolved_workers
-        )
-        rng = random_mod.Random(seed * 7919 + batch)
-        mutate_secs = 0.0
-        query_lat: List[float] = []
-        touched: List[float] = []
-        for round_index in range(rounds):
-            ops = make_ops(state, rng, batch)
-            start = time.perf_counter()
-            report = state.apply(ops)
-            mutate_secs += time.perf_counter() - start
-            touched.append(report.touched_fraction)
-            pairs = state.active_pairs(queries, seed=rng.randrange(1 << 30))
-            for u, v in pairs:
-                q0 = time.perf_counter()
-                state.cover.best_tree(u, v)
-                query_lat.append((time.perf_counter() - q0) * 1e6)
-        ops_total = rounds * batch
-        per_op_rebuild = ops_total * rebuild_secs
-        lat = np.asarray(query_lat)
-        ratios[str(batch)] = round(
-            mutate_secs / rounds / rebuild_secs if rebuild_secs > 0 else 0.0, 3
-        )
-        results.append(
-            _result(
-                f"update_batch_{batch}",
-                n,
-                mutate_secs,
-                per_op_rebuild,
-                {
-                    "batch": batch,
-                    "rounds": rounds,
-                    "updates_per_s": round(ops_total / mutate_secs, 2)
-                    if mutate_secs > 0 else None,
-                    "touched_fraction": round(
-                        float(np.mean(touched)), 4
-                    ),
-                    "interleaved_query_p50_us": round(
-                        float(np.percentile(lat, 50)), 2
-                    ),
-                    "active_final": len(state.active),
-                },
-            )
-        )
+            _metric(c), eps=c.cfg.eps, workers=c.cfg.workers)
+        rng = random.Random(c.cfg.seed * 7919 + c.each)
+        run = SimpleNamespace(mutate=0.0, lat=[], touched=[], state=state)
+        for _ in range(c.cfg.rounds):
+            ops = _churn_ops(state, rng, c.each)
+            secs, report = _best_of(lambda: state.apply(ops), 1)
+            run.mutate += secs
+            run.touched.append(report.touched_fraction)
+            pairs = state.active_pairs(c.cfg.queries, seed=rng.randrange(1 << 30))
+            run.lat += _latencies_us(state.cover.best_tree, pairs)
+        return run
 
-    # One apply is one rebuild whatever the batch size, so batching
-    # beats rebuild-per-op once the batch is larger than the worst
-    # measured ratio.
-    worst_ratio = max(ratios.values()) if ratios else 1.0
-    results.append(
-        _result(
-            "patch_vs_rebuild",
-            n,
-            rebuild_secs,
-            None,
-            {
-                "rebuild_seconds": round(rebuild_secs, 6),
-                "apply_over_rebuild_ratio": ratios,
-                "crossover_batch": int(math.ceil(worst_ratio)) or 1,
+    def churn_detail(c: Ctx, run) -> Dict:
+        ops = c.cfg.rounds * c.each
+        return {
+            "batch": c.each,
+            "rounds": c.cfg.rounds,
+            "updates_per_s": round(ops / run.mutate, 2) if run.mutate > 0 else None,
+            "touched_fraction": round(float(np.mean(run.touched)), 4),
+            "interleaved_query_p50_us": _pct(run.lat, 50),
+            "active_final": len(run.state.active),
+        }
+
+    def ratios(c: Ctx) -> Dict[str, float]:
+        rebuild = c.seconds["full_rebuild"]
+        return {
+            str(b): round(c.seconds[f"update_batch_{b}"] / c.cfg.rounds / rebuild
+                          if rebuild > 0 else 0.0, 3)
+            for b in c.cfg.batch_sizes
+        }
+
+    return [
+        Stage(
+            # Every ratio and the crossover divide by this baseline, so it
+            # is the median of ``rounds`` rebuilds, not one.
+            "full_rebuild", "dynamic", setup=dyn,
+            run=lambda c: [_best_of(dyn(c).rebuild, 1)[0]
+                           for _ in range(max(1, c.cfg.rounds))],
+            seconds=lambda c, samples: float(np.median(samples)),
+            detail=lambda c, samples: {"zeta": len(dyn(c).trees),
+                                       "active": len(dyn(c).active),
+                                       "eps": c.cfg.eps, "samples": len(samples)},
+            check=lambda c, _: require(c.seconds["full_rebuild"] > 0,
+                                       "full rebuild took no time"),
+        ),
+        Stage(
+            # One write-ahead record (CRC frame + fsync-before-ack): the
+            # floor of any mutation's acknowledged latency.
+            "journal_append", "dynamic", run=journal_latencies,
+            seconds=lambda c, lat: float(np.sum(lat)) / 1e6,
+            detail=lambda c, lat: {"appends": len(lat), "p50_us": _pct(lat, 50),
+                                   "p99_us": _pct(lat, 99)},
+        ),
+        Stage(
+            # Compared against paying one full rebuild per op: the
+            # batch-amortization win.
+            "update_batch_{}", "dynamic", each="batch_sizes", run=churn,
+            seconds=lambda c, run: run.mutate,
+            reference=lambda c: c.cfg.rounds * c.each * c.seconds["full_rebuild"],
+            detail=churn_detail,
+            check=lambda c, run: require(run.mutate > 0, "churn applied nothing"),
+        ),
+        Stage(
+            # One apply is one rebuild whatever the batch size, so batching
+            # beats rebuild-per-op once the batch is larger than the worst
+            # measured ratio.
+            "patch_vs_rebuild", "dynamic", run=ratios,
+            seconds=lambda c, _: c.seconds["full_rebuild"],
+            detail=lambda c, r: {
+                "rebuild_seconds": round(c.seconds["full_rebuild"], 6),
+                "apply_over_rebuild_ratio": r,
+                "crossover_batch": int(math.ceil(max(r.values(), default=1.0))) or 1,
             },
-        )
-    )
-
-    return {
-        "schema": DYNAMIC_SCHEMA,
-        "config": {
-            "n": n,
-            "dim": dim,
-            "seed": seed,
-            "eps": eps,
-            "batch_sizes": list(batch_sizes),
-            "rounds": rounds,
-            "queries": queries,
-            "workers": resolved_workers,
-            "workers_requested": requested_workers,
-            "workers_fallback": workers_fallback,
-        },
-        "results": results,
-        "meta": _meta(),
-    }
+        ),
+    ]
 
 
-def bench_netsim(
-    tree_n: int = 10_000,
-    tree_messages: int = 120_000,
-    metric_n: int = 400,
-    metric_messages: int = 4_000,
-    ft_n: int = 160,
-    ft_messages: int = 2_000,
-    ft_f: int = 2,
-    seed: int = 1,
-    workers: Optional[int] = None,
-    tie_break: str = "seeded",
-) -> Dict:
-    """Simulator benchmarks: routed messages across compiled networks.
-
-    Three legs, each locality-audited before traffic and contract-gated
-    after (a failed gate raises — a silently degraded row never lands
-    in the artifact):
-
-    * ``netsim_tree`` — Theorem 5.1 at scale: 10⁴ nodes, ≥10⁵ routed
-      messages, gates on 100% delivery, exact stretch, ≤2 hops and
-      headers within log²n bits;
-    * ``netsim_metric`` — Theorem 1.3 over a robust cover: delivery,
-      p99 stretch within the measured γ budget;
-    * ``netsim_ft`` — Theorem 5.2 with ``ft_f`` nodes killed
-      mid-traffic: the fault plane re-arms the decision function per
-      kill, and the gate checks every undelivered message died at a
-      killed node (drop accounting), with delivery within budget.
-    """
+def _netsim_stages() -> List[Stage]:
+    """Each leg is locality-audited before traffic and contract-gated
+    after; ``messages_per_s`` counts delivered messages per wall second
+    of ``sim.run()`` and ``build_seconds`` holds the network build."""
     from .graphs import random_tree
     from .netsim import (
         NetworkSimulator,
@@ -1262,125 +1004,708 @@ def bench_netsim(
         build_tree_network,
     )
 
-    results: List[Dict] = []
+    def audited(compiled):
+        audit_locality(compiled)
+        return compiled
 
-    def _row(name, n, build_seconds, sim_seconds, report, extra=None):
-        detail = report.to_dict()
-        detail["build_seconds"] = round(build_seconds, 6)
-        detail["messages_per_s"] = (
-            round(report.injected / sim_seconds, 1) if sim_seconds > 0 else None
+    def tree_network(c: Ctx):
+        tree = random_tree(c.cfg.tree_n, seed=c.cfg.seed)
+        return audited(compile_tree_scheme(*build_tree_network(tree, seed=c.cfg.seed + 1)))
+
+    def metric_network(c: Ctx):
+        metric = random_points(c.cfg.metric_n, dim=2, seed=c.cfg.seed + 3)
+        cover = robust_tree_cover(metric, eps=0.45, workers=c.cfg.workers)
+        return audited(compile_metric_scheme(
+            MetricRoutingScheme(metric, cover, seed=c.cfg.seed + 4)))
+
+    def ft_network(c: Ctx):
+        metric = random_points(c.cfg.ft_n, dim=2, seed=c.cfg.seed + 6)
+        cover = robust_tree_cover(metric, eps=0.45, workers=c.cfg.workers)
+        scheme = FaultTolerantRoutingScheme(metric, f=c.cfg.ft_f, cover=cover,
+                                            seed=c.cfg.seed + 7)
+        return audited(compile_ft_scheme(scheme, gamma_seed=c.cfg.seed))
+
+    def setup(build: Callable, n: str, messages: str, pair_seed: int,
+              spacing: float = 0.0) -> Callable:
+        def inject(c: Ctx) -> None:
+            c.build_seconds, compiled = _best_of(lambda: build(c), 1)
+            c.sim = NetworkSimulator(compiled, tie_break=c.cfg.tie_break,
+                                     seed=c.cfg.seed)
+            c.sim.send_many(uniform_pairs(getattr(c.cfg, n), getattr(c.cfg, messages),
+                                          seed=c.cfg.seed + pair_seed),
+                            spacing=spacing)
+        return inject
+
+    def ft_setup(c: Ctx) -> None:
+        # Traffic is spread over sim time so the kills land mid-stream.
+        setup(ft_network, "ft_n", "ft_messages", 8, spacing=0.01)(c)
+        horizon = 0.01 * c.cfg.ft_messages
+        c.kills = kill_schedule(
+            RandomInjector(c.cfg.ft_n, seed=c.cfg.seed + 9),
+            count=c.cfg.ft_f,
+            start=horizon / 3.0,
+            spacing=horizon / (3.0 * max(1, c.cfg.ft_f)),
         )
-        detail["tie_break"] = tie_break
-        if extra:
-            detail.update(extra)
-        results.append(_result(name, n, sim_seconds, None, detail))
+        for when, victim in c.kills:
+            c.sim.kill_at(when, victim)
 
-    def _header_budget(n: int) -> int:
-        return max(1, math.ceil(math.log2(max(2, n)))) ** 2
+    def check_drops(c: Ctx, _) -> None:
+        # Exact drop accounting: with kills <= f the only legitimate loss
+        # is traffic that touched a dead node; anything else is a bug.
+        dropped = _detail_of(c, "netsim_ft")["dropped"]
+        unexplained = {r: k for r, k in dropped.items() if k and r != "dead_node"}
+        if unexplained:
+            raise ValueError(
+                f"netsim_ft dropped messages for non-fault reasons: {unexplained}"
+            )
 
-    # -- tree leg (Theorem 5.1) ------------------------------------------
-    start = time.perf_counter()
-    tree = random_tree(tree_n, seed=seed)
-    scheme, net = build_tree_network(tree, seed=seed + 1)
-    compiled = compile_tree_scheme(scheme, net)
-    audit_locality(compiled)
-    build_seconds = time.perf_counter() - start
-    sim = NetworkSimulator(compiled, tie_break=tie_break, seed=seed)
-    sim.send_many(uniform_pairs(tree_n, tree_messages, seed=seed + 2))
-    start = time.perf_counter()
-    sim.run()
-    sim_seconds = time.perf_counter() - start
-    report = SimReport(sim).check_contract(
-        min_delivery=1.0,
-        gamma=1.0 + 1e-9,
-        header_budget=_header_budget(tree_n),
-        hop_budget=2,
-    )
-    _row("netsim_tree", tree_n, build_seconds, sim_seconds, report)
+    def leg(name: str, n: str, inject: Callable, contract: Callable,
+            extra: Optional[Callable] = None,
+            check: Optional[Callable] = None) -> Stage:
+        def detail(c: Ctx, _) -> Dict:
+            budget = max(1, math.ceil(math.log2(max(2, getattr(c.cfg, n))))) ** 2
+            report = SimReport(c.sim).check_contract(
+                header_budget=budget, hop_budget=2, **contract(c))
+            secs = c.seconds[name]
+            return {
+                **report.to_dict(),
+                "build_seconds": round(c.build_seconds, 6),
+                "messages_per_s": (round(report.delivered / secs, 1)
+                                   if secs > 0 else None),
+                "tie_break": c.cfg.tie_break,
+                **(extra(c) if extra else {}),
+            }
+        return Stage(name, "netsim", n=n, setup=inject,
+                     run=lambda c: c.sim.run(), detail=detail, check=check)
 
-    # -- metric leg (Theorem 1.3) ----------------------------------------
-    start = time.perf_counter()
-    metric = random_points(metric_n, dim=2, seed=seed + 3)
-    cover = robust_tree_cover(metric, eps=0.45, workers=workers)
-    mscheme = MetricRoutingScheme(metric, cover, seed=seed + 4)
-    mcompiled = compile_metric_scheme(mscheme)
-    audit_locality(mcompiled)
-    build_seconds = time.perf_counter() - start
-    msim = NetworkSimulator(mcompiled, tie_break=tie_break, seed=seed)
-    msim.send_many(uniform_pairs(metric_n, metric_messages, seed=seed + 5))
-    start = time.perf_counter()
-    msim.run()
-    sim_seconds = time.perf_counter() - start
-    mreport = SimReport(msim).check_contract(
-        min_delivery=1.0,
-        header_budget=_header_budget(metric_n),
-        hop_budget=2,
-    )
-    _row("netsim_metric", metric_n, build_seconds, sim_seconds, mreport)
+    return [
+        # Theorem 5.1 at scale: full delivery, exact stretch, <= 2 hops,
+        # headers within log^2 n bits.
+        leg("netsim_tree", "tree_n",
+            setup(tree_network, "tree_n", "tree_messages", 2),
+            lambda c: {"min_delivery": 1.0, "gamma": 1.0 + 1e-9}),
+        # Theorem 1.3 over a robust cover: delivery, p99 stretch within
+        # the measured gamma budget.
+        leg("netsim_metric", "metric_n",
+            setup(metric_network, "metric_n", "metric_messages", 5),
+            lambda c: {"min_delivery": 1.0}),
+        # Theorem 5.2 with ft_f nodes killed mid-traffic: the fault plane
+        # re-arms the decision function per kill.
+        leg("netsim_ft", "ft_n", ft_setup,
+            lambda c: {"min_delivery": 0.9, "expected_kills": c.cfg.ft_f},
+            extra=lambda c: {"killed": [v for _, v in c.kills]},
+            check=check_drops),
+    ]
 
-    # -- FT leg (Theorem 5.2, kills mid-traffic) -------------------------
-    start = time.perf_counter()
-    fmetric = random_points(ft_n, dim=2, seed=seed + 6)
-    fcover = robust_tree_cover(fmetric, eps=0.45, workers=workers)
-    fscheme = FaultTolerantRoutingScheme(fmetric, f=ft_f, cover=fcover, seed=seed + 7)
-    fcompiled = compile_ft_scheme(fscheme, gamma_seed=seed)
-    audit_locality(fcompiled)
-    build_seconds = time.perf_counter() - start
-    fsim = NetworkSimulator(fcompiled, tie_break=tie_break, seed=seed)
-    pairs = uniform_pairs(ft_n, ft_messages, seed=seed + 8)
-    # Spread traffic over sim time so the kills land mid-stream.
-    fsim.send_many(pairs, spacing=0.01)
-    horizon = 0.01 * ft_messages
-    kills = kill_schedule(
-        RandomInjector(ft_n, seed=seed + 9),
-        count=ft_f,
-        start=horizon / 3.0,
-        spacing=horizon / (3.0 * max(1, ft_f)),
+
+# -- library stages (no BENCH file) -------------------------------------------
+
+
+def _library_stages() -> List[Stage]:
+    """What ``benchmarks/bench_stages.py`` times under pytest-benchmark:
+    the operations the paper's theorems bound (construction, queries,
+    routing decisions, verification ops), each with the guarantee it
+    asserts.  Fixtures are shared through ``Ctx.memo``."""
+    from .apps import (
+        MstVerifier,
+        NaiveTreeProduct,
+        OnlineTreeProduct,
+        approximate_mst,
+        approximate_spt,
+        base_mst,
+        mst_weight,
+        sparsify,
     )
-    for when, victim in kills:
-        fsim.kill_at(when, victim)
-    start = time.perf_counter()
-    fsim.run()
-    sim_seconds = time.perf_counter() - start
-    freport = SimReport(fsim).check_contract(
-        min_delivery=0.9,
-        header_budget=_header_budget(ft_n),
-        hop_budget=2,
-        expected_kills=ft_f,
+    from .checkpoint import CheckpointService, save_cover_checkpoint
+    from .core import TreeNavigator, alpha_k
+    from .core.decompose import PackedTree, decompose_centroid, decompose_packed
+    from .graphs import (
+        LadderLevelAncestor,
+        LiftingLevelAncestor,
+        dijkstra,
+        path_tree,
+        random_tree,
+        star_tree,
     )
-    # Exact drop accounting: with kills <= f the only legitimate loss
-    # is traffic that touched a dead node; anything else is a bug.
-    unexplained = {
-        reason: count
-        for reason, count in freport.drop_counts.items()
-        if count and reason != "dead_node"
-    }
-    if unexplained:
-        raise ValueError(
-            f"netsim_ft dropped messages for non-fault reasons: {unexplained}"
+    from .metrics import (
+        delaunay_metric,
+        hierarchical_points,
+        power_law_graph_metric,
+        random_graph_metric,
+        road_network_points,
+    )
+    from .resilience import (
+        AdversarialInjector,
+        ChaosHarness,
+        RandomInjector,
+        RegionalInjector,
+        find_path_degraded,
+    )
+    from .routing import (
+        FaultTolerantRoutingScheme,
+        MetricRoutingScheme,
+        build_tree_network,
+        tree_protocol,
+    )
+    from .serve import AdmissionPolicy, QueryEngine, ServeClient, ThreadedServer
+    from .spanners import (
+        FaultTolerantSpanner,
+        greedy_spanner,
+        theta_graph,
+        wspd_spanner,
+    )
+    from .treecover import (
+        few_trees_cover,
+        planar_tree_cover,
+        ramsey_tree_cover,
+    )
+
+    def fixture(name: str, factory: Callable) -> Callable[[Ctx], object]:
+        return lambda c: c.memo(name, lambda: factory(c))
+
+    big_tree = fixture("big_tree", lambda c: random_tree(8192, seed=1))
+    big_path = fixture("big_path", lambda c: path_tree(8192, seed=2))
+    euclidean_200 = fixture("euclidean_200", lambda c: random_points(200, dim=2, seed=3))
+    doubling_cover = fixture("doubling_cover", lambda c: robust_tree_cover(
+        euclidean_200(c), eps=0.45))
+    doubling_navigator = fixture("doubling_navigator", lambda c: MetricNavigator(
+        euclidean_200(c), doubling_cover(c), 2))
+    general_120 = fixture("general_120", lambda c: random_graph_metric(120, seed=4))
+    ramsey_cover = fixture("ramsey_cover", lambda c: ramsey_tree_cover(
+        general_120(c), ell=2, seed=5))
+    ancestor_tree = fixture("ancestor_tree", lambda c: random_tree(20000, seed=40))
+    ft_metric = fixture("ft_metric", lambda c: random_points(80, dim=2, seed=20))
+    ft_cover = fixture("ft_cover", lambda c: robust_tree_cover(ft_metric(c), eps=0.45))
+    res_metric = fixture("res_metric", lambda c: random_points(80, dim=2, seed=7))
+    res_cover = fixture("res_cover", lambda c: robust_tree_cover(res_metric(c), eps=0.45))
+    res_spanner = fixture("res_spanner", lambda c: FaultTolerantSpanner(
+        res_metric(c), f=2, k=4, cover=res_cover(c)))
+    srv_metric = fixture("srv_metric", lambda c: random_points(120, dim=2, seed=7))
+
+    def srv_checkpoint(c: Ctx) -> str:
+        workdir = c.memo("srv_workdir", tempfile.TemporaryDirectory)
+        path = os.path.join(workdir.name, "cover.ckpt")
+        save_cover_checkpoint(robust_tree_cover(srv_metric(c), eps=0.5), path,
+                              builder={"family": "robust", "eps": 0.5})
+        return path
+
+    srv_ckpt = fixture("srv_ckpt", srv_checkpoint)
+    srv_service = fixture("srv_service", lambda c: CheckpointService(
+        srv_metric(c), k=3).load(srv_ckpt(c)))
+
+    def hops(walk: Callable) -> Callable[[Ctx], int]:
+        """Total hops of ``walk(c, u, v)`` over ``c.pairs``."""
+        def run(c: Ctx) -> int:
+            total = 0
+            for u, v in c.pairs:
+                total += walk(c, u, v)
+            return total
+        return run
+
+    def nav_hops(c: Ctx, u: int, v: int) -> int:
+        return len(c.navigator.find_path(u, v)) - 1
+
+    def within(k: int) -> Callable:
+        return lambda c, total: require(total <= k * len(c.pairs),
+                                        f"more than {k} hops per query")
+
+    def query_stage(name: str, navigator: Callable, n: int, count: int,
+                    rng_seed: int, k: Optional[int] = None,
+                    distinct: bool = False) -> Stage:
+        """``count`` seeded queries through ``navigator(c)``; at most ``k``
+        hops each when ``k`` is given."""
+        def setup(c: Ctx) -> None:
+            c.navigator = navigator(c)
+            rng = random.Random(rng_seed)
+            c.pairs = [tuple(rng.sample(range(n), 2)) if distinct
+                       else (rng.randrange(n), rng.randrange(n))
+                       for _ in range(count)]
+        return Stage(name, None, setup=setup, run=hops(nav_hops),
+                     check=None if k is None else within(k))
+
+    def route_stage(name: str, scheme: Callable, walk: Callable, n: int,
+                    count: int, rng_seed: int) -> Stage:
+        def setup(c: Ctx) -> None:
+            c.scheme = scheme(c)
+            rng = random.Random(rng_seed)
+            c.pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+        return Stage(name, None, setup=setup, run=hops(walk), check=within(2))
+
+    def max_stretch_at_most(bound: float, n: int, sample: int) -> Callable:
+        return lambda c, cover: require(
+            cover.measured_stretch(sample_pairs(n, sample))[0] <= bound,
+            f"cover stretch above {bound}")
+
+    def ancestor_stage(name: str, index: Callable) -> Stage:
+        def setup(c: Ctx) -> None:
+            tree = ancestor_tree(c)
+            depth = tree.depths()
+            rng = random.Random(0)
+            c.queries = []
+            for _ in range(5000):
+                v = rng.randrange(tree.n)
+                c.queries.append((v, rng.randrange(depth[v] + 1)))
+            c.index = index(tree)
+
+        def run(c: Ctx) -> int:
+            total = 0
+            for v, d in c.queries:
+                total += c.index.ancestor_at_depth(v, d)
+            return total
+        return Stage(name, None, setup=setup, run=run)
+
+    def decompose_setup(c: Ctx) -> None:
+        c.packed = PackedTree.from_tree(random_tree(20000, seed=41))
+        c.required = set(range(20000))
+
+    def construct_stage(k: int, floor: int = 0) -> Stage:
+        # Size ~ n * alpha_k(n): at most 2k * n * alpha_k(n) edges.
+        return Stage(
+            f"construct_k{k}", None, run=lambda c: TreeNavigator(big_tree(c), k),
+            check=lambda c, nav: require(
+                nav.num_edges <= 2 * k * big_tree(c).n
+                * max(floor, alpha_k(k, big_tree(c).n)),
+                f"k={k} navigator above its size bound"))
+
+    def tree_navigator(k: int) -> Callable:
+        return fixture(f"tree_navigator_{k}", lambda c: TreeNavigator(big_tree(c), k))
+
+    def shape_robust_build(c: Ctx) -> Tuple[int, int]:
+        """Construction cost is shape-robust: star vs path at equal n."""
+        return (TreeNavigator(path_tree(4096, seed=42), 2).num_edges,
+                TreeNavigator(star_tree(4096), 2).num_edges)
+
+    def naive_walk(c: Ctx) -> int:
+        """The Ω(n)-hop baseline the paper's scheme replaces."""
+        total = 0
+        for u, v in c.pairs:
+            total += len(big_path(c).path(u, v)) - 1
+        return total
+
+    def naive_setup(c: Ctx) -> None:
+        rng = random.Random(3)
+        c.pairs = [(rng.randrange(8192), rng.randrange(8192)) for _ in range(50)]
+
+    def product_stage(name: str, tree: Callable, build: Callable, count: int,
+                      rng_seed: int) -> Stage:
+        def setup(c: Ctx) -> None:
+            t = tree()
+            c.product = build(t)
+            rng = random.Random(rng_seed)
+            c.pairs = [tuple(rng.sample(range(4096), 2)) for _ in range(count)]
+
+        def run(c: Ctx) -> float:
+            total = 0.0
+            for u, v in c.pairs:
+                total += c.product.query(u, v)
+            return total
+        return Stage(name, None, setup=setup, run=run)
+
+    def mst_setup(c: Ctx) -> None:
+        c.verifier = MstVerifier(random_tree(4096, seed=33), 2)
+        rng = random.Random(2)
+        c.queries = [(*rng.sample(range(4096), 2), rng.uniform(0, 15))
+                     for _ in range(1000)]
+
+    def mst_verify(c: Ctx) -> int:
+        count = 0
+        for u, v, w in c.queries:
+            ok, comparisons = c.verifier.verify_by_order(u, v, w)
+            require(comparisons == 1, "verification took more than one comparison")
+            count += ok
+        return count
+
+    def fault_queries(count: int, rng_seed: int) -> List[Tuple]:
+        rng = random.Random(rng_seed)
+        queries = []
+        for _ in range(count):
+            u, v = rng.sample(range(80), 2)
+            pool = [x for x in range(80) if x not in (u, v)]
+            queries.append((u, v, set(rng.sample(pool, 2))))
+        return queries
+
+    def ft_nav_setup(c: Ctx) -> None:
+        c.spanner = FaultTolerantSpanner(ft_metric(c), f=2, k=2, cover=ft_cover(c))
+        c.queries = fault_queries(200, 0)
+
+    def ft_route_setup(c: Ctx) -> None:
+        c.router = FaultTolerantRoutingScheme(ft_metric(c), f=2, cover=ft_cover(c),
+                                              seed=21)
+        c.queries = fault_queries(100, 1)
+
+    def ft_nav(c: Ctx) -> int:
+        total = 0
+        for u, v, faults in c.queries:
+            total += len(c.spanner.find_path(u, v, faults)) - 1
+        return total
+
+    def ft_route(c: Ctx) -> int:
+        total = 0
+        for u, v, faults in c.queries:
+            total += c.router.route(u, v, faults).hops
+        return total
+
+    def at_most_two_hops(c: Ctx, total: int) -> None:
+        require(total <= 2 * len(c.queries), "more than 2 hops per query")
+
+    def random_sampling(c: Ctx) -> int:
+        total = 0
+        for size in range(0, 20):
+            total += len(c.injector.sample(size))
+        return total
+
+    def degraded_setup(c: Ctx) -> None:
+        """Best-effort navigation with |F| = 4(f+1), far past the budget."""
+        c.faults = RandomInjector(res_metric(c).n, seed=9).sample(12)
+        live = [p for p in range(80) if p not in c.faults]
+        c.pairs = list(zip(live[:20], live[20:40]))
+
+    def degraded(c: Ctx) -> int:
+        delivered = 0
+        for u, v in c.pairs:
+            delivered += find_path_degraded(res_spanner(c), u, v, c.faults).delivered
+        return delivered
+
+    def chaos_stage(name: str, routing: bool, sizes: List[int],
+                    check: Callable) -> Stage:
+        def setup(c: Ctx) -> None:
+            router = (FaultTolerantRoutingScheme(res_metric(c), f=2,
+                                                 cover=res_cover(c), seed=7)
+                      if routing else None)
+            c.harness = ChaosHarness(res_spanner(c), router, queries=10, seed=5)
+            c.injector = RandomInjector(res_metric(c).n, seed=5)
+        return Stage(name, None, setup=setup,
+                     run=lambda c: c.harness.sweep(c.injector, sizes=sizes),
+                     check=check)
+
+    def ramsey_stretch_check(c: Ctx, cover) -> None:
+        metric = general_120(c)
+        require(cover.home is not None, "Ramsey cover without home trees")
+        worst = max(
+            cover.trees[cover.home[p]].tree_distance(p, q) / metric.distance(p, q)
+            for p in range(0, 120, 7)
+            for q in range(0, 120, 5)
+            if p != q
         )
-    _row(
-        "netsim_ft", ft_n, build_seconds, sim_seconds, freport,
-        extra={"killed": [v for _, v in kills]},
+        require(worst <= 64 * 2 * 1.5, f"Ramsey home-tree stretch {worst}")
+
+    def engine_stage(batch_size: int) -> Stage:
+        """The executor half of admission batching, without the network."""
+        def setup(c: Ctx) -> None:
+            c.engine = QueryEngine(srv_service(c))
+            pairs = [(i % 120, (i * 5 + 7) % 120) for i in range(batch_size)]
+            pairs = [(u, v) for u, v in pairs if u != v] or [(0, 1)]
+            c.us, c.vs = [u for u, _ in pairs], [v for _, v in pairs]
+        return Stage(
+            f"engine_batch_execution_{batch_size}", None, setup=setup,
+            run=lambda c: c.engine.execute("path", c.us, c.vs),
+            check=lambda c, answers: require(set(answers.status) == {"ok"},
+                                             f"engine answered {answers.status}"))
+
+    def daemon_setup(c: Ctx) -> None:
+        """One pipelined closed-loop wave through a live daemon."""
+        threaded = c.enter(ThreadedServer(srv_service(c),
+                                          policy=AdmissionPolicy(max_batch=8)))
+        c.client = c.enter(ServeClient(threaded.host, threaded.port))
+        c.pairs = [(i, (i * 3 + 1) % 120) for i in range(1, 17)]
+
+    road = fixture("road", lambda c: road_network_points(150, seed=0))
+    fractal = fixture("fractal", lambda c: hierarchical_points(150, seed=1))
+
+    def workload_navigator(metric: Callable, k: int) -> Callable:
+        return lambda c: MetricNavigator(metric(c), robust_tree_cover(
+            metric(c), eps=0.45), k)
+
+    def positive_edges(c: Ctx, graph) -> None:
+        require(graph.num_edges > 0, "empty spanner")
+
+    return [
+        # Ablations: level ancestors, Decompose's cutter, baseline spanners.
+        ancestor_stage("level_ancestor_ladders", LadderLevelAncestor),
+        ancestor_stage("level_ancestor_lifting", LiftingLevelAncestor),
+        Stage("decompose_greedy", None, setup=decompose_setup,
+              run=lambda c: decompose_packed(c.packed, c.required, 100),
+              check=lambda c, cuts: require(len(cuts) <= 20000 // 100 + 1,
+                                            "greedy cutter above n/L + 1 cuts")),
+        Stage("decompose_centroid", None, setup=decompose_setup,
+              run=lambda c: decompose_centroid(c.packed, c.required, 100),
+              check=lambda c, cuts: require(bool(cuts), "centroid cutter made no cut")),
+        Stage("baseline_wspd_spanner", None,
+              run=lambda c: wspd_spanner(euclidean_200(c), 8.0), check=positive_edges),
+        Stage("baseline_greedy_spanner", None,
+              run=lambda c: greedy_spanner(euclidean_200(c), 2.0), check=positive_edges),
+        Stage("baseline_theta_graph", None,
+              run=lambda c: theta_graph(euclidean_200(c), 8), check=positive_edges),
+        Stage("navigator_on_deep_vs_shallow_trees", None, run=shape_robust_build,
+              check=lambda c, edges: require(
+                  edges[1] < edges[0], "stars must be cheaper than paths")),
+        # Section 5 applications (E6-E10).
+        Stage("sparsify", None,
+              setup=lambda c: setattr(c, "dense", greedy_spanner(
+                  doubling_navigator(c).metric, 1.2)),
+              run=lambda c: sparsify(c.dense, doubling_navigator(c)),
+              check=lambda c, sparse: require(
+                  sparse.num_edges <= doubling_navigator(c).num_edges,
+                  "sparsified graph larger than the navigator")),
+        Stage("approximate_spt", None,
+              run=lambda c: approximate_spt(doubling_navigator(c), 0),
+              check=lambda c, out: require(all(d < float("inf") for d in out[1]),
+                                           "SPT left a point unreached")),
+        Stage("spt_baseline_dijkstra_on_spanner", None,
+              setup=lambda c: setattr(c, "spanner", doubling_navigator(c).spanner()),
+              run=lambda c: dijkstra(c.spanner, 0),
+              check=lambda c, dist: require(max(dist) < float("inf"),
+                                            "Dijkstra left a point unreached")),
+        Stage("approximate_mst", None,
+              run=lambda c: approximate_mst(doubling_navigator(c)),
+              check=lambda c, edges: require(
+                  mst_weight(edges) <= 2.0 * mst_weight(base_mst(
+                      doubling_navigator(c).metric)),
+                  "approximate MST above twice the exact weight")),
+        product_stage("tree_product_queries", lambda: random_tree(4096, seed=30),
+                      lambda t: OnlineTreeProduct(t, 3, min, list(t.weights)), 1000, 0),
+        product_stage("tree_product_naive_baseline", lambda: path_tree(4096, seed=31),
+                      lambda t: NaiveTreeProduct(t, min, list(t.weights)), 50, 1),
+        Stage("tree_product_preprocessing", None,
+              setup=lambda c: setattr(c, "tree", random_tree(4096, seed=32)),
+              run=lambda c: OnlineTreeProduct(c.tree, 2, min, list(c.tree.weights)),
+              check=lambda c, product: require(
+                  product.query(0, 4095) <= max(c.tree.weights),
+                  "tree product above the heaviest edge")),
+        Stage("mst_verification_queries", None, setup=mst_setup, run=mst_verify),
+        # Theorems 4.1, 4.2 and 5.2: robustness and fault tolerance (E5/E12).
+        Stage("ft_spanner_construction", None,
+              run=lambda c: FaultTolerantSpanner(ft_metric(c), 2, 2, 0.45, ft_cover(c)),
+              check=lambda c, spanner: require(spanner.edge_count() > 0,
+                                               "empty FT spanner")),
+        Stage("ft_navigation_under_faults", None, setup=ft_nav_setup, run=ft_nav,
+              check=at_most_two_hops),
+        Stage("ft_routing_under_faults", None, setup=ft_route_setup, run=ft_route,
+              check=at_most_two_hops),
+        # Theorem 1.2: two-step navigation on metric spaces (E3).
+        query_stage("doubling_query_k2", doubling_navigator, 200, 400, 0, k=2),
+        query_stage("doubling_query_k3", lambda c: MetricNavigator(
+            euclidean_200(c), doubling_cover(c), 3), 200, 400, 1, k=3),
+        query_stage("ramsey_query_k2", lambda c: MetricNavigator(
+            general_120(c), ramsey_cover(c), 2), 120, 1000, 2, k=2),
+        Stage("doubling_spanner_construction", None,
+              run=lambda c: MetricNavigator(euclidean_200(c), doubling_cover(c), 2),
+              check=positive_edges),
+        # The resilience subsystem: injectors, chaos sweeps, degradation.
+        Stage("random_injector_sampling", None, run=random_sampling,
+              setup=lambda c: setattr(c, "injector",
+                                      RandomInjector(res_metric(c).n, seed=3)),
+              check=lambda c, total: require(total == sum(range(20)),
+                                             "injector sampled the wrong sizes")),
+        Stage("regional_injector_sampling", None,
+              setup=lambda c: setattr(c, "injector",
+                                      RegionalInjector(res_metric(c), seed=3)),
+              run=lambda c: c.injector.sample(12),
+              check=lambda c, faults: require(len(faults) == 12,
+                                              "regional injector sampled the wrong size")),
+        Stage("adversarial_injector_construction", None,
+              run=lambda c: AdversarialInjector(res_spanner(c), 60),
+              check=lambda c, injector: require(
+                  len(injector.ranked()) == res_spanner(c).metric.n,
+                  "adversarial injector did not rank every point")),
+        chaos_stage("chaos_sweep_navigation_only", False, [0, 2, 6],
+                    lambda c, report: require(
+                        report.navigation_rate(0) == 1.0
+                        and report.navigation_rate(2) == 1.0,
+                        "navigation failed within the fault budget")),
+        chaos_stage("chaos_sweep_with_routing", True, [0, 2],
+                    lambda c, report: require(report.routing_rate(2) == 1.0,
+                                              "routing failed within the fault budget")),
+        Stage("degraded_queries_over_budget", None, setup=degraded_setup,
+              run=degraded, check=lambda c, delivered: require(
+                  delivered >= 0, "negative delivery count")),
+        # Theorems 5.1 and 1.3: 2-hop compact routing (E4).
+        route_stage("tree_routing_throughput",
+                    fixture("tree_scheme", lambda c: build_tree_network(
+                        random_tree(4096, seed=10), seed=11)),
+                    lambda c, u, v: c.scheme[1].route(
+                        u, tree_protocol, c.scheme[0].labels[v], c.scheme[0].tables).hops,
+                    4096, 500, 0),
+        route_stage("metric_routing_doubling", lambda c: MetricRoutingScheme(
+            euclidean_200(c), doubling_cover(c), seed=12),
+            lambda c, u, v: c.scheme.route(u, v).hops, 200, 200, 1),
+        # Ramsey covers skip the O(zeta) distance scan entirely.
+        route_stage("metric_routing_ramsey_constant_decision",
+                    lambda c: MetricRoutingScheme(general_120(c), ramsey_cover(c),
+                                                  seed=13),
+                    lambda c, u, v: c.scheme.route(u, v).hops, 120, 500, 2),
+        Stage("tree_scheme_preprocessing", None,
+              setup=lambda c: setattr(c, "tree", random_tree(2048, seed=14)),
+              run=lambda c: build_tree_network(c.tree, 15),
+              check=lambda c, out: require(
+                  max(out[0].label_size_bits(p) for p in range(2048)) < 3000,
+                  "tree routing label above 3000 bits")),
+        # The serving subsystem without and with the network.
+        Stage("cold_load_to_ready", None,
+              run=lambda c: CheckpointService(srv_metric(c), k=3).load(srv_ckpt(c)),
+              check=lambda c, service: require(service.state == "ready",
+                                               f"service {service.state}")),
+        *[engine_stage(b) for b in (1, 8, 32)],
+        Stage("daemon_round_trip", None, setup=daemon_setup,
+              run=lambda c: _serve_closed_loop(c.client, c.pairs, queries=32,
+                                               window=8)[2],
+              check=lambda c, statuses: require(statuses.get("ok", 0) == 32,
+                                                f"daemon answered {statuses}")),
+        # Table 1 cover constructions (E2): tree counts and stretch.
+        Stage("robust_cover_doubling", None,
+              run=lambda c: robust_tree_cover(euclidean_200(c), 0.45),
+              check=max_stretch_at_most(2.5, 200, 300)),
+        Stage("robust_cover_small_eps", None,
+              setup=lambda c: setattr(c, "metric", random_points(120, dim=2, seed=6)),
+              run=lambda c: robust_tree_cover(c.metric, 0.25),
+              check=max_stretch_at_most(1.8, 120, 300)),
+        Stage("ramsey_cover_general", None,
+              run=lambda c: ramsey_tree_cover(general_120(c), 2, 7),
+              check=ramsey_stretch_check),
+        Stage("few_trees_cover", None,
+              run=lambda c: few_trees_cover(general_120(c), 3, 8),
+              check=lambda c, cover: require(cover.size == 3, "expected 3 trees")),
+        Stage("planar_cover", None,
+              setup=lambda c: setattr(c, "metric", delaunay_metric(300, seed=9)),
+              run=lambda c: planar_tree_cover(c.metric),
+              check=max_stretch_at_most(3.0 + 1e-6, 300, 400)),
+        # Theorem 1.1: navigable tree 1-spanners (E1/E11).
+        construct_stage(2),
+        construct_stage(3),
+        construct_stage(4, floor=1),
+        query_stage("query_k2", tree_navigator(2), 8192, 2000, 0, k=2),
+        query_stage("query_k4", tree_navigator(4), 8192, 2000, 1, k=4),
+        query_stage("query_path_worst_case", lambda c: TreeNavigator(big_path(c), 2),
+                    8192, 2000, 2),
+        Stage("naive_tree_walk_baseline", None, setup=naive_setup, run=naive_walk,
+              check=lambda c, total: require(total > 2 * len(c.pairs),
+                                             "the naive walk should need many hops")),
+        # The full stack on road, fractal and hub-dominated inputs.
+        Stage("road_cover_construction", None,
+              run=lambda c: robust_tree_cover(road(c), 0.45),
+              check=lambda c, cover: require(cover.size > 0, "empty cover")),
+        query_stage("road_navigation_queries", workload_navigator(road, 3),
+                    150, 200, 2, k=3, distinct=True),
+        query_stage("fractal_navigation_queries", workload_navigator(fractal, 2),
+                    150, 200, 3, k=2, distinct=True),
+        Stage("power_law_ramsey_cover", None,
+              setup=lambda c: setattr(c, "metric", power_law_graph_metric(150, seed=4)),
+              run=lambda c: ramsey_tree_cover(c.metric, 2, 5),
+              check=lambda c, cover: require(cover.home is not None,
+                                             "Ramsey cover without home trees")),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def stages() -> Tuple[Stage, ...]:
+    """The stage table: every BENCH row's stage, then the library stages.
+
+    Built on first use so that ``import repro.bench`` (which every
+    spawned RSS-fleet worker pays) loads none of the subsystems.
+    """
+    return tuple(
+        _tree_cover_stages() + _navigation_stages() + _serving_stages()
+        + _dynamic_stages() + _netsim_stages() + _library_stages()
     )
 
-    return {
-        "schema": NETSIM_SCHEMA,
-        "config": {
-            "tree_n": tree_n,
-            "tree_messages": tree_messages,
-            "metric_n": metric_n,
-            "metric_messages": metric_messages,
-            "ft_n": ft_n,
-            "ft_messages": ft_messages,
-            "ft_f": ft_f,
-            "seed": seed,
-            "tie_break": tie_break,
-            "workers": workers,
-        },
-        "results": results,
-        "meta": _meta(),
-    }
+
+# -- the five BENCH entry points ----------------------------------------------
+
+
+def bench_tree_covers(
+    n: int = 2000,
+    dim: int = 2,
+    seed: int = 1,
+    eps: float = 0.5,
+    alpha: float = 8.0,
+    repeats: int = 3,
+    robust_repeats: int = 1,
+    include_baseline: bool = True,
+    stretch_sample: int = 300,
+    workers: Optional[int] = None,
+    trace: bool = False,
+    prune: bool = True,
+    prune_eps: float = 0.05,
+    compact_shifts: int = 4,
+    nav_delta_n: int = 600,
+) -> Dict:
+    """Construction benchmarks on ``random_points(n, dim)``.
+
+    ``robust_repeats`` is separate from ``repeats`` because the seed
+    Theorem 4.1 construction is by far the slowest entry (minutes at
+    n=2000).  ``prune=True`` adds the ``cover_pruning`` and
+    ``compact_cover`` rows (their navigator deltas are measured at
+    ``min(n, nav_delta_n)``); neither has a seed counterpart.
+    """
+    return run_bench("tree_covers", locals())
+
+
+def bench_navigation(
+    n: int = 600,
+    dim: int = 2,
+    seed: int = 1,
+    eps: float = 0.5,
+    k: int = 3,
+    queries: int = 400,
+    include_baseline: bool = True,
+    workers: Optional[int] = None,
+    trace: bool = False,
+) -> Dict:
+    """Navigator construction and query-latency benchmarks; every row
+    carries a seed baseline measured in-process."""
+    return run_bench("navigation", locals())
+
+
+def bench_serving(
+    n: int = 300,
+    dim: int = 2,
+    seed: int = 1,
+    eps: float = 0.5,
+    k: int = 3,
+    queries: int = 240,
+    window: int = 32,
+    batch_sizes: Tuple[int, ...] = (1, 8, 32),
+    workers: Optional[int] = None,
+    rss_workers: int = 4,
+) -> Dict:
+    """Serving-daemon benchmarks: cold start (rebuild and mapped), the
+    memory of a mapped fleet against a cloned one, and closed-loop
+    latency with ``window`` requests in flight per admission batch size."""
+    return run_bench("serving", locals())
+
+
+def bench_dynamic(
+    n: int = 150,
+    dim: int = 2,
+    seed: int = 1,
+    eps: float = 0.5,
+    batch_sizes: Tuple[int, ...] = (1, 8, 32),
+    rounds: int = 3,
+    queries: int = 16,
+    workers: Optional[int] = None,
+) -> Dict:
+    """Dynamic-update benchmarks: full rebuild, journal append latency,
+    sustained churn per batch size and the patch-vs-rebuild crossover
+    (every mutation rebuilds every tree; see ``docs/DYNAMIC.md``)."""
+    return run_bench("dynamic", locals())
+
+
+def bench_netsim(
+    tree_n: int = 10_000,
+    tree_messages: int = 120_000,
+    metric_n: int = 400,
+    metric_messages: int = 4_000,
+    ft_n: int = 160,
+    ft_messages: int = 2_000,
+    ft_f: int = 2,
+    seed: int = 1,
+    workers: Optional[int] = None,
+    tie_break: str = "seeded",
+) -> Dict:
+    """Simulator benchmarks: the Theorem 5.1 tree leg at 10⁴ nodes, the
+    Theorem 1.3 metric leg and the Theorem 5.2 leg with ``ft_f`` nodes
+    killed mid-traffic."""
+    return run_bench("netsim", locals())
 
 
 def validate_bench_json(payload: Dict) -> None:
@@ -1394,13 +1719,7 @@ def validate_bench_json(payload: Dict) -> None:
     if not isinstance(payload, dict):
         raise ValueError("bench payload must be a JSON object")
     schema = payload.get("schema")
-    if schema not in (
-        TREE_COVERS_SCHEMA,
-        NAVIGATION_SCHEMA,
-        SERVING_SCHEMA,
-        DYNAMIC_SCHEMA,
-        NETSIM_SCHEMA,
-    ):
+    if schema not in {s for s, _ in FILES.values()}:
         raise ValueError(f"unknown bench schema: {schema!r}")
     for key in ("config", "meta"):
         if not isinstance(payload.get(key), dict):
@@ -1434,30 +1753,17 @@ def validate_bench_json(payload: Dict) -> None:
             )
 
 
-def write_bench_files(
-    out_dir: str,
-    tree_payload: Optional[Dict] = None,
-    nav_payload: Optional[Dict] = None,
-    serving_payload: Optional[Dict] = None,
-    dynamic_payload: Optional[Dict] = None,
-    netsim_payload: Optional[Dict] = None,
-) -> List[str]:
-    """Validate and write the BENCH_*.json artifacts; returns the paths."""
-    import os
-
+def write_bench_files(out_dir: str, *payloads: Optional[Dict]) -> List[str]:
+    """Validate and write each payload to its ``BENCH_<file>.json`` (a
+    ``None`` is skipped); returns the paths."""
+    filenames = {schema: f"BENCH_{file}.json" for file, (schema, _) in FILES.items()}
     os.makedirs(out_dir, exist_ok=True)
     paths: List[str] = []
-    for payload, filename in (
-        (tree_payload, "BENCH_tree_covers.json"),
-        (nav_payload, "BENCH_navigation.json"),
-        (serving_payload, "BENCH_serving.json"),
-        (dynamic_payload, "BENCH_dynamic.json"),
-        (netsim_payload, "BENCH_netsim.json"),
-    ):
+    for payload in payloads:
         if payload is None:
             continue
         validate_bench_json(payload)
-        path = os.path.join(out_dir, filename)
+        path = os.path.join(out_dir, filenames[payload["schema"]])
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=False)
             handle.write("\n")

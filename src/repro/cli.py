@@ -106,50 +106,71 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _add_cover_flags(cmd: argparse.ArgumentParser) -> None:
-    """--backend / --prune flags shared by checkpoint, audit and serve."""
-    cmd.add_argument(
-        "--backend", choices=["robust", "compact"], default="robust",
+#: Flags several subcommands share, declared once.  Each subcommand adds
+#: them through :func:`_add_flags` with its own default.
+_FLAGS = {
+    "family": dict(choices=["euclidean", "general", "planar"]),
+    "n": dict(type=int),
+    "k": dict(type=int),
+    "f": dict(type=int),
+    "eps": dict(type=float),
+    "ell": dict(type=int),
+    "queries": dict(type=int),
+    "seed": dict(type=int),
+    "backend": dict(
+        choices=["robust", "compact"],
         help="euclidean tree-cover backend: 'robust' (Thm 4.1, "
              "fault-tolerant, ζ grows with n) or 'compact' "
              "(net-tree + shifted hierarchies, ζ = O(1) in n)",
-    )
-    cmd.add_argument(
-        "--shifts", type=_positive_int, default=4,
+    ),
+    "shifts": dict(
+        type=_positive_int,
         help="radius shifts per phase for --backend compact "
              "(ζ = phases × shifts; more shifts, less stretch)",
-    )
-    cmd.add_argument(
-        "--prune", action="store_true",
+    ),
+    "prune": dict(
+        action="store_true",
         help="drop trees whose within-stretch pair coverage is dominated "
              "by the retained set (greedy set cover), re-verifying the "
              "stretch contract on the result",
-    )
-    cmd.add_argument(
-        "--prune-eps", type=_non_negative_float, default=0.05,
+    ),
+    "prune_eps": dict(
+        type=_non_negative_float,
         help="stretch headroom for --prune: retained trees must cover "
              "every pair within measured-stretch × (1 + prune-eps)",
-    )
-
-
-def _add_workers_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--workers", type=int, default=None,
+    ),
+    "workers": dict(
+        type=int,
         help="worker processes for per-tree fan-out (default: the "
              "REPRO_WORKERS env var, else serial; 0/1 serial, -1 per-CPU)",
-    )
-
-
-def _add_trace_flags(cmd: argparse.ArgumentParser, default_out: str) -> None:
-    cmd.add_argument(
-        "--trace", action="store_true",
+    ),
+    "trace": dict(
+        action="store_true",
         help="enable observability for this run (same as REPRO_TRACE=1) "
              "and write the span trees + metrics as a trace JSON document",
-    )
-    cmd.add_argument(
-        "--trace-out", type=str, default=default_out,
-        help=f"trace document path for --trace (default: {default_out})",
-    )
+    ),
+    "trace_out": dict(
+        type=str, help="trace document path for --trace (default: %(default)s)",
+    ),
+}
+
+
+def _add_flags(cmd: argparse.ArgumentParser, **flags) -> None:
+    """Add shared flags from :data:`_FLAGS` to ``cmd``, in keyword order.
+
+    Each value is the flag's default for this subcommand, or a dict of
+    ``add_argument`` keywords (``default``, ``help``, ...) that override
+    the shared declaration.
+    """
+    for name, value in flags.items():
+        spec = dict(_FLAGS[name])
+        spec.update(value if isinstance(value, dict) else {"default": value})
+        cmd.add_argument("--" + name.replace("_", "-"), **spec)
+
+
+def _add_cover_flags(cmd: argparse.ArgumentParser) -> None:
+    """--backend / --prune flags shared by checkpoint, audit and serve."""
+    _add_flags(cmd, backend="robust", shifts=4, prune=False, prune_eps=0.05)
 
 
 def _traced_command(args: argparse.Namespace) -> int:
@@ -632,6 +653,13 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     return code
 
 
+#: Detail keys ``python -m repro bench`` echoes for a row with no seed baseline.
+_BENCH_ECHO = ("p50_us", "p99_us", "per_query_us", "edges", "zeta",
+               "updates_per_s", "touched_fraction", "crossover_batch",
+               "delivered", "stretch_p99", "hops_max", "header_bits_max",
+               "messages_per_s", "zeta_after", "reduction")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         bench_dynamic,
@@ -642,113 +670,47 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_bench_files,
     )
 
-    if args.quick:
-        n = args.n or 400
-        nav_n = args.nav_n or 200
-        serve_n = args.serve_n or 150
-        serve_queries = 120
-        dyn_n = 120
-        dyn_rounds = 2
-        robust_repeats = 1
-    else:
-        n = args.n or 2000
-        nav_n = args.nav_n or 600
-        serve_n = args.serve_n or 300
-        serve_queries = 240
-        dyn_n = 200
-        dyn_rounds = 3
-        robust_repeats = args.robust_repeats
-    print(f"tree-cover construction benchmarks (n={n}, "
-          f"baseline={'on' if not args.no_baseline else 'off'}) ...")
-    tree_payload = bench_tree_covers(
-        n=n,
-        seed=args.seed,
-        repeats=args.repeats,
-        robust_repeats=robust_repeats,
-        include_baseline=not args.no_baseline,
-        workers=args.workers,
-        trace=args.trace,
-        prune=args.prune,
+    quick = args.quick
+    baseline = not args.no_baseline
+    runs = [(bench_tree_covers, dict(
+        n=args.n or (400 if quick else 2000), repeats=args.repeats,
+        robust_repeats=1 if quick else args.robust_repeats,
+        include_baseline=baseline, trace=args.trace, prune=args.prune,
         prune_eps=args.prune_eps,
-    )
-    for entry in tree_payload["results"]:
-        speed = (
-            f"{entry['speedup']:.2f}x vs seed {entry['seed_seconds']:.3f}s"
-            if entry["speedup"] is not None
-            else "no baseline"
-        )
-        print(f"  {entry['name']:>14}: {entry['seconds']:.3f}s  ({speed})")
-    print(f"navigation benchmarks (n={nav_n}) ...")
-    nav_payload = bench_navigation(
-        n=nav_n, seed=args.seed, workers=args.workers,
-        include_baseline=not args.no_baseline, trace=args.trace,
-    )
-    for entry in nav_payload["results"]:
-        detail = entry["detail"]
-        extra = ", ".join(
-            f"{key}={value}" for key, value in detail.items()
-            if key in ("p50_us", "p99_us", "per_query_us", "edges", "zeta")
-        )
-        print(f"  {entry['name']:>14}: {entry['seconds']:.3f}s  ({extra})")
-    serving_payload = None
+    )), (bench_navigation, dict(
+        n=args.nav_n or (200 if quick else 600), include_baseline=baseline,
+        trace=args.trace,
+    ))]
     if not args.no_serving:
-        print(f"serving benchmarks (n={serve_n}, batch sizes 1/8/32) ...")
-        serving_payload = bench_serving(
-            n=serve_n, seed=args.seed, queries=serve_queries,
-            workers=args.workers,
-        )
-        for entry in serving_payload["results"]:
-            detail = entry["detail"]
-            extra = ", ".join(
-                f"{key}={value}" for key, value in detail.items()
-                if key in ("p50_us", "p99_us", "per_query_us", "zeta")
-            )
-            print(f"  {entry['name']:>14}: {entry['seconds']:.3f}s  ({extra})")
-    dynamic_payload = None
+        runs.append((bench_serving, dict(
+            n=args.serve_n or (150 if quick else 300),
+            queries=120 if quick else 240,
+        )))
     if not args.no_dynamic:
-        print(f"dynamic-update benchmarks (n={dyn_n}, batch sizes 1/8/32) ...")
-        dynamic_payload = bench_dynamic(
-            n=dyn_n, seed=args.seed, rounds=dyn_rounds, workers=args.workers,
-        )
-        for entry in dynamic_payload["results"]:
-            detail = entry["detail"]
-            extra = ", ".join(
-                f"{key}={value}" for key, value in detail.items()
-                if key in ("updates_per_s", "touched_fraction",
-                           "p50_us", "p99_us", "crossover_batch", "zeta")
-            )
-            print(f"  {entry['name']:>16}: {entry['seconds']:.3f}s  ({extra})")
-    netsim_payload = None
+        runs.append((bench_dynamic, dict(
+            n=120 if quick else 200, rounds=2 if quick else 3,
+        )))
     if not args.no_netsim:
-        if args.quick:
-            netsim_sizes = dict(
-                tree_n=300, tree_messages=1500, metric_n=120,
-                metric_messages=600, ft_n=80, ft_messages=400,
-            )
-        else:
-            netsim_sizes = dict(
-                tree_n=10_000, tree_messages=120_000, metric_n=400,
-                metric_messages=4_000, ft_n=160, ft_messages=2_000,
-            )
-        print(f"netsim benchmarks (tree n={netsim_sizes['tree_n']}, "
-              f"{netsim_sizes['tree_messages']} messages) ...")
-        netsim_payload = bench_netsim(
-            seed=args.seed, workers=args.workers, **netsim_sizes,
-        )
-        for entry in netsim_payload["results"]:
-            detail = entry["detail"]
-            extra = ", ".join(
-                f"{key}={detail[key]}" for key in
-                ("delivered", "stretch_p99", "hops_max",
-                 "header_bits_max", "messages_per_s")
-                if key in detail
-            )
-            print(f"  {entry['name']:>14}: {entry['seconds']:.3f}s  ({extra})")
-    paths = write_bench_files(
-        args.out_dir, tree_payload, nav_payload, serving_payload,
-        dynamic_payload, netsim_payload,
-    )
-    for path in paths:
+        runs.append((bench_netsim, dict(
+            tree_n=300, tree_messages=1500, metric_n=120, metric_messages=600,
+            ft_n=80, ft_messages=400,
+        ) if quick else {}))
+    payloads = []
+    for bench, sizes in runs:
+        shown = ", ".join(f"{key}={value}" for key, value in sizes.items())
+        print(f"{bench.__name__}({shown}) ...")
+        payload = bench(seed=args.seed, workers=args.workers, **sizes)
+        for entry in payload["results"]:
+            if entry["speedup"] is not None:
+                extra = (f"{entry['speedup']:.2f}x vs seed "
+                         f"{entry['seed_seconds']:.3f}s")
+            else:
+                extra = ", ".join(f"{key}={entry['detail'][key]}"
+                                  for key in _BENCH_ECHO if key in entry["detail"])
+            extra = f"  ({extra})" if extra else ""
+            print(f"  {entry['name']:>22}: {entry['seconds']:.3f}s{extra}")
+        payloads.append(payload)
+    for path in write_bench_files(args.out_dir, *payloads):
         print(f"wrote {path}")
     if args.trace:
         print("per-stage span trees embedded in the BENCH rows "
@@ -813,10 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tree = sub.add_parser("tree", help="navigate a random tree metric")
-    tree.add_argument("--n", type=int, default=1000)
-    tree.add_argument("--k", type=int, default=2)
-    tree.add_argument("--queries", type=int, default=5)
-    tree.add_argument("--seed", type=int, default=0)
+    _add_flags(tree, n=1000, k=2, queries=5, seed=0)
     tree.set_defaults(func=cmd_tree)
 
     for name, func, help_text in (
@@ -824,55 +783,36 @@ def build_parser() -> argparse.ArgumentParser:
         ("route", cmd_route, "2-hop compact routing on a metric space"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--family", choices=["euclidean", "general", "planar"],
-                         default="euclidean")
-        cmd.add_argument("--n", type=int, default=200)
-        cmd.add_argument("--k", type=int, default=2)
-        cmd.add_argument("--eps", type=float, default=0.45)
-        cmd.add_argument("--ell", type=int, default=2)
-        cmd.add_argument("--queries", type=int, default=5)
-        cmd.add_argument("--seed", type=int, default=0)
+        _add_flags(cmd, family="euclidean", n=200, k=2, eps=0.45, ell=2,
+                   queries=5, seed=0)
         cmd.set_defaults(func=func)
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection survival sweeps on the FT stack"
     )
-    chaos.add_argument("--family", choices=["euclidean", "general", "planar"],
-                       default="euclidean")
-    chaos.add_argument("--n", type=int, default=120)
-    chaos.add_argument("--f", type=int, default=2)
-    chaos.add_argument("--k", type=int, default=4)
-    chaos.add_argument("--eps", type=float, default=0.45)
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_flags(chaos, family="euclidean", n=120, f=2, k=4, eps=0.45, seed=0)
     chaos.add_argument("--scenario",
                        choices=["random", "adversarial", "regional", "crash"],
                        default="random")
     chaos.add_argument("--sizes", type=str, default="",
                        help="comma-separated |F| values (default: auto sweep)")
-    chaos.add_argument("--queries", type=int, default=40,
-                       help="query pairs per fault-set size")
+    _add_flags(chaos, queries=dict(default=40,
+                                   help="query pairs per fault-set size"))
     chaos.add_argument("--steps", type=int, default=8,
                        help="time steps for --scenario crash")
     chaos.add_argument("--no-routing", action="store_true",
                        help="skip the FT routing survival curve")
     chaos.add_argument("--no-checkpoint", action="store_true",
                        help="skip the save/reload/audit checkpoint round-trip")
-    _add_workers_flag(chaos)
-    _add_trace_flags(chaos, "TRACE_chaos.json")
+    _add_flags(chaos, workers=None, trace=False, trace_out="TRACE_chaos.json")
     chaos.set_defaults(func=cmd_chaos)
 
     ckpt = sub.add_parser(
         "checkpoint",
         help="build an artifact and save a checksummed v2 checkpoint",
     )
-    ckpt.add_argument("--family", choices=["euclidean", "general", "planar"],
-                      default="euclidean")
-    ckpt.add_argument("--n", type=int, default=120)
-    ckpt.add_argument("--k", type=int, default=3)
-    ckpt.add_argument("--f", type=int, default=1)
-    ckpt.add_argument("--eps", type=float, default=0.45)
-    ckpt.add_argument("--ell", type=int, default=2)
-    ckpt.add_argument("--seed", type=int, default=0)
+    _add_flags(ckpt, family="euclidean", n=120, k=3, f=1, eps=0.45, ell=2,
+               seed=0)
     ckpt.add_argument("--gamma", type=float, default=0.0,
                       help="declared stretch contract α (default: measured "
                            "stretch + 10%% headroom)")
@@ -886,8 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "region so 'repro serve --mmap' can attach "
                            "zero-copy")
     _add_cover_flags(ckpt)
-    _add_workers_flag(ckpt)
-    _add_trace_flags(ckpt, "TRACE_checkpoint.json")
+    _add_flags(ckpt, workers=None, trace=False,
+               trace_out="TRACE_checkpoint.json")
     ckpt.set_defaults(func=cmd_checkpoint)
 
     audit = sub.add_parser(
@@ -895,19 +835,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a checkpoint's integrity and structural invariants",
     )
     audit.add_argument("--checkpoint", type=str, required=True)
-    audit.add_argument("--family", choices=["euclidean", "general", "planar"],
-                       default="euclidean")
-    audit.add_argument("--n", type=int, default=120)
-    audit.add_argument("--eps", type=float, default=0.45)
-    audit.add_argument("--ell", type=int, default=2)
-    audit.add_argument("--seed", type=int, default=0)
+    _add_flags(audit, family="euclidean", n=120, eps=0.45, ell=2, seed=0)
     audit.add_argument("--recover", action="store_true",
                        help="on failure, run per-tree repair / full rebuild")
     audit.add_argument("--resave", action="store_true",
                        help="with --recover: write the repaired cover back")
     _add_cover_flags(audit)
-    _add_workers_flag(audit)
-    _add_trace_flags(audit, "TRACE_audit.json")
+    _add_flags(audit, workers=None, trace=False, trace_out="TRACE_audit.json")
     audit.set_defaults(func=cmd_audit)
 
     serve = sub.add_parser(
@@ -918,15 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("checkpoint", type=str,
                        help="cover checkpoint to load (written by "
                             "'repro checkpoint --what cover')")
-    serve.add_argument("--family", choices=["euclidean", "general", "planar"],
-                       default="euclidean")
-    serve.add_argument("--n", type=int, default=120,
-                       help="points in the checkpoint's metric")
-    serve.add_argument("--k", type=int, default=3,
-                       help="hop-diameter parameter for the navigators")
-    serve.add_argument("--eps", type=float, default=0.45)
-    serve.add_argument("--ell", type=int, default=2)
-    serve.add_argument("--seed", type=int, default=0)
+    _add_flags(
+        serve, family="euclidean",
+        n=dict(default=120, help="points in the checkpoint's metric"),
+        k=dict(default=3, help="hop-diameter parameter for the navigators"),
+        eps=0.45, ell=2, seed=0,
+    )
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 picks an ephemeral port)")
@@ -955,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the observability registry "
                             "(/metrics will be empty)")
     _add_cover_flags(serve)
-    _add_workers_flag(serve)
+    _add_flags(serve, workers=None)
     serve.set_defaults(func=cmd_serve)
 
     netsim = sub.add_parser(
@@ -966,17 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tree",
                         help="which theorem to simulate: 'tree' (Thm 5.1), "
                              "'metric' (Thm 1.3), 'ft' (Thm 5.2)")
-    netsim.add_argument("--family", choices=["euclidean", "general", "planar"],
-                        default="euclidean",
-                        help="metric family for --scheme metric/ft")
-    netsim.add_argument("--n", type=_positive_int, default=1000,
-                        help="number of nodes")
+    _add_flags(netsim, family=dict(default="euclidean",
+                                   help="metric family for --scheme metric/ft"),
+               n=dict(type=_positive_int, default=1000, help="number of nodes"))
     netsim.add_argument("--messages", type=_positive_int, default=10_000,
                         help="routed messages to inject")
-    netsim.add_argument("--eps", type=float, default=0.45)
-    netsim.add_argument("--ell", type=int, default=2)
-    netsim.add_argument("--f", type=_positive_int, default=2,
-                        help="fault budget for --scheme ft")
+    _add_flags(netsim, eps=0.45, ell=2,
+               f=dict(type=_positive_int, default=2,
+                      help="fault budget for --scheme ft"))
     netsim.add_argument("--kill", type=int, default=0,
                         help="nodes to kill mid-traffic (fault plane)")
     netsim.add_argument("--kill-scenario", choices=["random", "regional"],
@@ -993,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     netsim.add_argument("--tie-break", choices=["fifo", "lifo", "seeded"],
                         default="seeded",
                         help="scheduler policy for same-time events")
-    netsim.add_argument("--seed", type=int, default=0)
+    _add_flags(netsim, seed=0)
     netsim.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     netsim.add_argument("--verify", action="store_true",
@@ -1004,15 +932,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "(0 = OS-assigned)")
     netsim.add_argument("--linger", type=_non_negative_float, default=30.0,
                         help="seconds to keep /metrics up for scraping")
-    _add_workers_flag(netsim)
+    _add_flags(netsim, workers=None)
     netsim.set_defaults(func=cmd_netsim)
 
     bench = sub.add_parser(
         "bench",
         help="benchmark-regression harness; emits BENCH_*.json artifacts",
     )
-    bench.add_argument("--n", type=int, default=0,
-                       help="points for construction benches (default 2000)")
+    _add_flags(bench, n=dict(default=0, help="points for construction "
+                                             "benches (default 2000)"))
     bench.add_argument("--nav-n", type=int, default=0,
                        help="points for navigation benches (default 600)")
     bench.add_argument("--serve-n", type=int, default=0,
@@ -1023,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the dynamic-update (churn) benchmarks")
     bench.add_argument("--no-netsim", action="store_true",
                        help="skip the message-passing simulator benchmarks")
-    bench.add_argument("--seed", type=int, default=1)
+    _add_flags(bench, seed=1)
     bench.add_argument("--repeats", type=int, default=3,
                        help="timing repeats (best-of) for cheap constructions")
     bench.add_argument("--robust-repeats", type=int, default=1,
@@ -1032,19 +960,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small instances (n=400) for smoke testing")
     bench.add_argument("--no-baseline", action="store_true",
                        help="skip the frozen seed-implementation baselines")
-    bench.add_argument("--prune", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="include the cover_pruning and compact_cover "
-                            "rows (zeta before/after, prune seconds, "
-                            "navigator-build/query deltas)")
-    bench.add_argument("--prune-eps", type=float, default=0.05,
-                       help="stretch headroom for the cover_pruning row")
+    _add_flags(
+        bench,
+        prune=dict(action=argparse.BooleanOptionalAction, default=True,
+                   help="include the cover_pruning and compact_cover rows "
+                        "(zeta before/after, prune seconds, "
+                        "navigator-build/query deltas)"),
+        prune_eps=dict(default=0.05,
+                       help="stretch headroom for the cover_pruning row"),
+    )
     bench.add_argument("--out-dir", type=str, default=".",
                        help="directory for BENCH_*.json (default: cwd)")
-    bench.add_argument("--trace", action="store_true",
-                       help="embed per-stage span trees in the BENCH rows "
-                            "(timings then include tracing overhead)")
-    _add_workers_flag(bench)
+    _add_flags(
+        bench,
+        trace=dict(default=False,
+                   help="embed per-stage span trees in the BENCH rows "
+                        "(timings then include tracing overhead)"),
+        workers=None,
+    )
     bench.set_defaults(func=cmd_bench)
 
     trace_report = sub.add_parser(

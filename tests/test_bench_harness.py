@@ -13,13 +13,17 @@ import sys
 import pytest
 
 from repro.bench import (
+    FILES,
     NAVIGATION_SCHEMA,
     TREE_COVERS_SCHEMA,
+    Ctx,
     bench_navigation,
     bench_tree_covers,
+    stages,
     validate_bench_json,
     write_bench_files,
 )
+from repro.errors import InvariantViolation
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,30 @@ def test_tree_covers_payload_shape(tiny_tree_payload):
     assert compact["zeta"] < compact["zeta_robust"]
     assert compact["reduction_vs_robust"] > 1.0
     assert 1.0 <= compact["stretch_mean"] <= compact["stretch_max"]
+
+
+def test_rows_follow_the_stage_table(tiny_tree_payload):
+    names = [stage.name for stage in stages() if stage.file == "tree_covers"]
+    assert [entry["name"] for entry in tiny_tree_payload["results"]] == names
+    assert {stage.file for stage in stages()} == set(FILES) | {None}
+    library = [stage.name for stage in stages() if stage.file is None]
+    assert len(set(library)) == len(library)
+
+
+def test_stage_checks_reject_a_broken_contract():
+    pruning = next(s for s in stages() if s.name == "cover_pruning")
+    ctx = Ctx()
+    ctx.rows["cover_pruning"] = {"detail": {
+        "zeta_before": 10, "zeta_after": 5, "reduction": 2.0, "gamma": 1.5,
+        "stretch_max": 1.6, "nav_delta": {"retained_paths_identical": True},
+    }}
+    with pytest.raises(InvariantViolation, match="stretch"):
+        pruning.check(ctx, None)
+    query = next(s for s in stages() if s.name == "query_k2")
+    ctx.pairs = [(0, 1)] * 4
+    query.check(ctx, 8)
+    with pytest.raises(InvariantViolation, match="hops"):
+        query.check(ctx, 9)
 
 
 def test_navigation_payload_shape():
